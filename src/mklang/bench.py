@@ -4,23 +4,26 @@ Overhead is measured as executions per second of a tiny workload method,
 comparing an unlinked run against an empty meta-call and a full set of
 reifications. Install cost compares recompiling a synthetic corpus with
 installing a trivial link on every method, cold (no twin yet) and hot
-(twin already woven). Absolute numbers depend entirely on the host; only
-orderings and signs are meaningful.
+(twin already woven), then removing the hot link node by node and
+uninstalling the cold one. Absolute numbers depend entirely on the host;
+only orderings and signs are meaningful.
 """
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .interpreter import Interpreter
-from .links import MetaLink, install
+from .links import MetaLink, install, remove, uninstall
 from .nodes import find_nodes
 from .values import HostFunction
 
 WORKLOADS = ("send", "varrw")
+INSTALL_CYCLES = 3
 
 SEND_WORKLOAD = """
 class BenchMeta [
@@ -73,12 +76,15 @@ class InstallCostReport:
     recompile_seconds: float
     cold_install_seconds: float
     hot_install_seconds: float
+    remove_seconds: float
+    uninstall_seconds: float
 
     def record_line(self):
         return ("methods=%d recompile_s=%.4f cold_install_s=%.4f "
-                "hot_install_s=%.4f" % (
+                "hot_install_s=%.4f remove_s=%.4f uninstall_s=%.4f" % (
                     self.method_count, self.recompile_seconds,
-                    self.cold_install_seconds, self.hot_install_seconds))
+                    self.cold_install_seconds, self.hot_install_seconds,
+                    self.remove_seconds, self.uninstall_seconds))
 
 
 def _new_target(interp):
@@ -209,10 +215,29 @@ def synthetic_corpus(method_count, methods_per_class=50):
     return "\n".join(classes)
 
 
+def _timed(fn):
+    """Seconds one call of `fn` takes. As in `timeit`, garbage is collected
+    first and the cyclic collector stays off inside the window, so a
+    collection triggered by earlier work cannot land in it."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def bench_install(method_count=2000, seed=0) -> InstallCostReport:
     """Times recompiling every corpus method vs. installing one trivial
     link on each, first with no twins woven (cold) then again when every
-    twin is already present (hot)."""
+    twin is already present (hot); then removing the hot link from each
+    method node by node (the twins stay) and uninstalling the cold link
+    (which drops them). Each figure is the median over INSTALL_CYCLES
+    cycles."""
     interp = Interpreter(seed=seed)
     interp.load(synthetic_corpus(method_count))
     records = []
@@ -223,11 +248,10 @@ def bench_install(method_count=2000, seed=0) -> InstallCostReport:
                     records.append((cls.name, sel, rec))
     records.sort(key=lambda t: (t[0], t[1]))
 
-    start = time.monotonic()
-    records = [(cname, sel, interp.recompile(cname, sel,
-                                             rec.original_source))
-               for cname, sel, rec in records]
-    recompile_s = time.monotonic() - start
+    def recompile_all():
+        records[:] = [(cname, sel, interp.recompile(cname, sel,
+                                                    rec.original_source))
+                      for cname, sel, rec in records]
 
     def trivial_link():
         link = MetaLink()
@@ -236,19 +260,23 @@ def bench_install(method_count=2000, seed=0) -> InstallCostReport:
         link.set_control("before")
         return link
 
-    cold = trivial_link()
-    start = time.monotonic()
-    for _cname, _sel, rec in records:
-        install(interp, cold, rec.original_ast)
-    cold_s = time.monotonic() - start
+    def on_every_method(op, link):
+        for _cname, _sel, rec in records:
+            op(interp, link, rec.original_ast)
 
-    hot = trivial_link()
-    start = time.monotonic()
-    for _cname, _sel, rec in records:
-        install(interp, hot, rec.original_ast)
-    hot_s = time.monotonic() - start
-
-    return InstallCostReport(len(records), recompile_s, cold_s, hot_s)
+    # Uninstalling the cold link drops every twin, so each cycle starts
+    # from the same state; the median of each operation over the cycles
+    # keeps one preempted window from deciding an ordering.
+    samples = []
+    for _ in range(INSTALL_CYCLES):
+        cold, hot = trivial_link(), trivial_link()
+        samples.append((_timed(recompile_all),
+                        _timed(lambda: on_every_method(install, cold)),
+                        _timed(lambda: on_every_method(install, hot)),
+                        _timed(lambda: on_every_method(remove, hot)),
+                        _timed(lambda: uninstall(interp, cold))))
+    return InstallCostReport(len(records), *(statistics.median(times)
+                                             for times in zip(*samples)))
 
 
 # -- formatting -------------------------------------------------------------
@@ -264,7 +292,9 @@ def format_overhead_table(reports):
 def format_install_table(report):
     rows = [("recompile", report.recompile_seconds),
             ("install (cold)", report.cold_install_seconds),
-            ("install (hot)", report.hot_install_seconds)]
+            ("install (hot)", report.hot_install_seconds),
+            ("remove (hot)", report.remove_seconds),
+            ("uninstall", report.uninstall_seconds)]
     lines = ["%-16s %12s" % ("operation", "seconds"),
              "methods: %d" % report.method_count]
     for name, secs in rows:

@@ -26,7 +26,7 @@ from .reify import (
     ContextMirror, MethodMirror, NodeMirror, OperationWrapper,
     TriggerContext, VariableMirror, resolve,
 )
-from .values import Array, Block, HostFunction, Instance, Symbol, identical
+from .values import Array, Block, HostFunction, Instance, Symbol
 
 INT_MIN = -(2 ** 63)
 INT_MAX = 2 ** 63 - 1
@@ -822,10 +822,6 @@ class Interpreter:
     @staticmethod
     def _article(name):
         return ("an " if name[:1] in "AEIOU" else "a ") + name
-
-    @staticmethod
-    def is_identical(a, b):
-        return identical(a, b)
 
 
 def run_program(source, seed=0) -> RunResult:

@@ -4,7 +4,13 @@ A MetaLink is a first-class, mutable annotation. Installing one on an AST
 node creates (or extends) the owning method's woven twin: a deep copy of
 the original AST in which every linked node is wrapped in a MetaHook.
 The evaluator executes the twin when present; the original AST and source
-are never touched, and the twin disappears when the last link is removed.
+are never touched.
+
+Only a method's first link copies its AST. Later installs wrap one more
+node in place; removing a node's last link unwraps that one hook in
+place, and the twin disappears with its last hook. Invalidating a link
+never re-weaves: hooks consult the registry when they run, so the woven
+shape depends only on which nodes have links.
 """
 
 from __future__ import annotations
@@ -210,7 +216,10 @@ def copy_tree(node: AstNode, copies: dict, parent=None) -> AstNode:
 
 
 def weave(interp, record) -> "ReflectiveMethod | None":
-    """(Re)build the twin from scratch from the current registry state."""
+    """Build the twin from scratch from the current registry state.
+
+    This is the cold path, taken by a method's first link; every later
+    change to the twin is made in place by `add_hook` and `drop_hook`."""
     linked = interp.registry.linked_ids(record.node_ids)
     if not linked:
         record.twin = None
@@ -238,7 +247,8 @@ def _wrap(twin, node_id, original):
 
 
 def add_hook(interp, record, node_id):
-    """Incremental weave: hook one more node into an existing twin.
+    """Hook one more node into the twin; only the first link of a method
+    weaves (copies its AST).
 
     Avoids re-copying the whole method, which is what makes a second
     install on an already-instrumented method (hot path) cheap."""
@@ -249,6 +259,31 @@ def add_hook(interp, record, node_id):
     if node_id in twin.hook_table:
         return
     _wrap(twin, node_id, record.node_index[node_id])
+
+
+def drop_hook(interp, node_id):
+    """Mirror of `add_hook`: once a node has no link left, put it back
+    where its hook was in the twin, and drop the twin with its last hook.
+
+    The hook keeps its child, so an activation that is evaluating the hook
+    right now finishes on it; later evaluations see the bare node."""
+    record = interp.node_owner.get(node_id)
+    if record is None or record.twin is None \
+            or interp.registry.has_links(node_id):
+        return
+    twin = record.twin
+    hook = twin.hook_table.pop(node_id, None)
+    if hook is None:
+        return
+    target = hook.children[0]
+    parent = hook.parent
+    if parent is None:
+        twin.woven_ast = target
+    else:
+        parent.children[parent.children.index(hook)] = target
+    target.parent = parent
+    if not twin.hook_table:
+        record.twin = None
 
 
 def validate_link(interp, link, nodes):
@@ -331,31 +366,22 @@ def install(interp, link, node, target=None):
 def remove(interp, link, node, target=None):
     interp.registry.remove(node.id, link, target)
     link.installed_on.discard((node.id, target))
-    record = interp.node_owner.get(node.id)
-    if record is not None:
-        weave(interp, record)
+    drop_hook(interp, node.id)
 
 
 def uninstall(interp, link):
-    records = set()
     for node_id, target in list(link.installed_on):
         interp.registry.remove(node_id, link, target)
-        record = interp.node_owner.get(node_id)
-        if record is not None:
-            records.add(record)
+        drop_hook(interp, node_id)
     link.installed_on.clear()
-    for record in records:
-        weave(interp, record)
 
 
 def invalidate(interp, link):
-    if not link.installed_on:
-        link.dirty = False
-        return
-    validate_link(interp, link, link._installed_nodes(interp))
-    link._config = LinkConfig(link)
+    """Revalidate a mutated link and snapshot its new definition.
+
+    Nothing is re-woven: the hooks stay where the link's nodes are and
+    fire from the new snapshot."""
+    if link.installed_on:
+        validate_link(interp, link, link._installed_nodes(interp))
+        link._config = LinkConfig(link)
     link.dirty = False
-    for record in {interp.node_owner[nid]
-                   for nid, _ in link.installed_on
-                   if nid in interp.node_owner}:
-        weave(interp, record)

@@ -38,11 +38,6 @@ BLOCK = "Block"
 SELF_REF = "SelfRef"
 META_HOOK = "MetaHook"  # only ever present in woven twin ASTs
 
-NODE_KINDS = {
-    CLASS_DEF, METHOD_DEF, SEQUENCE, TEMP_DECL, MESSAGE_SEND, VAR_READ,
-    ASSIGNMENT, RETURN, LITERAL, LITERAL_ARRAY, BLOCK, SELF_REF,
-}
-
 # Kinds a metalink may not be installed on.
 NOT_INSTALLABLE = {CLASS_DEF, TEMP_DECL}
 
@@ -67,12 +62,6 @@ class AstNode:
         yield self
         for c in self.children:
             yield from c.walk()
-
-    def owning_method(self):
-        n = self
-        while n is not None and n.kind != METHOD_DEF:
-            n = n.parent
-        return n
 
     def __repr__(self):
         extra = self.selector or self.var_name or self.name or ""

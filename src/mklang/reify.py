@@ -39,8 +39,6 @@ APPLICABILITY = {
     "variable": _ANY,
 }
 
-REIFICATION_KINDS = tuple(sorted(APPLICABILITY))
-
 _TABLE_KIND = {
     MESSAGE_SEND: "message",
     METHOD_DEF: "method",

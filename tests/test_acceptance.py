@@ -19,7 +19,7 @@ from mklang.errors import (
     HaltSignal, InapplicableReification, MkError, PhaseUnavailable,
 )
 from mklang.interpreter import Activation
-from mklang.links import install, remove, uninstall
+from mklang.links import install, remove, uninstall, weave
 from mklang.listings import run_all
 from mklang.nodes import find_nodes
 from mklang.reify import (
@@ -291,11 +291,27 @@ def test_twin_lifecycle_500_step_fuzzer():
     interp.run(classes)
     live = []                                   # [(link, node)]
 
+    def shape(root):
+        return [(n.kind, n.id) for n in root.walk()]
+
     def check_invariant():
         for rec in user_records(interp):
             has_links = any(interp.registry.has_links(nid)
                             for nid in rec.node_ids)
             assert (rec.twin is not None) == has_links
+            if rec.twin is None:
+                continue
+            # The twin edited in place must equal one woven from scratch.
+            twin = rec.twin
+            assert set(twin.hook_table) == \
+                interp.registry.linked_ids(rec.node_ids)
+            reference = weave(interp, rec)
+            rec.twin = twin
+            assert shape(twin.woven_ast) == shape(reference.woven_ast)
+            assert twin.woven_ast.parent is None
+            for node in twin.woven_ast.walk():
+                for child in node.children:
+                    assert child.parent is node
 
     for step in range(500):
         action = rng.random()

@@ -78,10 +78,14 @@ def test_install_report_fields_and_orderings():
     assert report.recompile_seconds > 0
     assert report.cold_install_seconds > 0
     assert report.hot_install_seconds > 0
+    assert report.remove_seconds > 0
+    assert report.uninstall_seconds > 0
     # A second link on an already-woven method must not cost more than
     # the first (cold) weave of the same methods.
     assert report.hot_install_seconds <= report.cold_install_seconds
-    assert "methods=120" in report.record_line()
+    line = report.record_line()
+    assert "methods=120" in line
+    assert "remove_s=" in line and "uninstall_s=" in line
 
 
 def test_install_report_for_an_empty_corpus():
@@ -90,6 +94,8 @@ def test_install_report_for_an_empty_corpus():
     assert report.recompile_seconds >= 0
     assert report.cold_install_seconds >= 0
     assert report.hot_install_seconds >= 0
+    assert report.remove_seconds >= 0
+    assert report.uninstall_seconds >= 0
 
 
 def test_tables_render():
@@ -98,3 +104,4 @@ def test_tables_render():
     assert "send/full" in table and "overhead %" in table
     install = format_install_table(bench_install(method_count=10))
     assert "methods: 10" in install and "install (hot)" in install
+    assert "remove (hot)" in install and "uninstall" in install

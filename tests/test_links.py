@@ -1,10 +1,10 @@
 import pytest
 
-from mklang import Interpreter, MetaLink
+from mklang import Interpreter, MetaLink, links
 from mklang.errors import (
     ArityMismatch, InsteadConflict, MkRuntimeError, NodeNotInstallable,
 )
-from mklang.links import install, remove, uninstall, weave
+from mklang.links import install, invalidate, remove, uninstall, weave
 from mklang.nodes import META_HOOK, find_nodes, unparse
 from mklang.parser import parse_method
 from mklang.values import HostFunction
@@ -281,3 +281,87 @@ def test_weave_is_idempotent_from_registry_state(interp):
     assert len(record.twin.hook_table) == 1
     assert interp.run("""| c |
 c := Counter new. c increment. c count logCr""").output == "1\n"
+
+
+def count_copies(monkeypatch):
+    calls = []
+    copy_tree = links.copy_tree
+
+    def counting(*args):
+        calls.append(args[0].id)
+        return copy_tree(*args)
+
+    monkeypatch.setattr(links, "copy_tree", counting)
+    return calls
+
+
+def test_per_node_remove_unwraps_in_place_without_copying(monkeypatch):
+    interp = Interpreter()
+    interp.run("class Big [ run [ | s | s := 0.\n%s\n^ s ] ]"
+               % "\n".join(["s := s + 1."] * 200))
+    record = interp.lookup_method("Big", "run")
+    sends = find_nodes(record.original_ast, "sends-of", "+")
+    assert len(sends) == 200
+    link = recording_link([], "a")
+    for node in sends:
+        install(interp, link, node)
+    twin = record.twin
+    copies = count_copies(monkeypatch)
+    for node in sends[:-1]:
+        remove(interp, link, node)
+        assert record.twin is twin
+    assert copies == []
+    assert list(twin.hook_table) == [sends[-1].id]
+    remove(interp, link, sends[-1])
+    assert record.twin is None
+    assert copies == []
+    assert interp.run("Big new run logCr").output == "200\n"
+
+
+def test_uninstall_and_invalidate_keep_the_twin(interp, monkeypatch):
+    record = interp.lookup_method("Counter", "increment")
+    sink = []
+    write, plus = increment_node(interp), increment_node(interp, "sends-of",
+                                                         "+")
+    first, second = recording_link(sink, "a"), recording_link(sink, "b")
+    install(interp, first, write)
+    install(interp, second, plus)
+    twin = record.twin
+    copies = count_copies(monkeypatch)
+    uninstall(interp, first)
+    assert record.twin is twin
+    assert list(twin.hook_table) == [plus.id]
+    second.set_selector("value:")
+    second.set_arguments(("selector",))
+    invalidate(interp, second)
+    assert record.twin is twin
+    assert copies == []
+    interp.run("Counter new increment")
+    assert sink == [("b", "+")]         # fires with the new config
+
+
+def test_meta_object_removes_its_own_link_inside_a_loop():
+    interp = Interpreter()
+    interp.run("""class Loop [
+    run [ | s | s := 0. 1 to: 5 do: [ :i | s := s + i ]. ^ s ]
+]
+""")
+    record = interp.lookup_method("Loop", "run")
+    node = find_nodes(record.original_ast, "sends-of", "+")[0]
+    fires = []
+    link = MetaLink()
+
+    def remove_self():
+        fires.append(interp.meta_level)
+        remove(interp, link, node)
+
+    link.set_meta_object(HostFunction(remove_self, "self-removing"))
+    link.set_selector("value")
+    install(interp, link, node)
+    assert interp.run("Loop new run logCr").output == "15\n"
+    assert fires == [1]
+    assert record.twin is None
+    install(interp, link, node)
+    assert interp.run("Loop new run logCr").output == "15\n"
+    assert fires == [1, 1]
+    assert record.twin is None
