@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random as _random
 from dataclasses import dataclass
+from functools import partial
 
 from . import links as _links
 from .errors import (
@@ -22,10 +23,7 @@ from .nodes import (
     MethodSignature, selector_arity,
 )
 from .parser import parse, parse_method
-from .reify import (
-    ContextMirror, MethodMirror, NodeMirror, OperationWrapper,
-    TriggerContext, VariableMirror, resolve,
-)
+from .reify import OperationWrapper, TriggerContext, resolve
 from .values import Array, Block, HostFunction, Instance, Symbol
 
 INT_MIN = -(2 ** 63)
@@ -228,6 +226,8 @@ class Interpreter:
                     raise MkRuntimeError(
                         "non-local return from an exited method",
                         trace=self.stack_snapshot(top)) from None
+            except RecursionError:
+                raise MkRuntimeError("stack overflow") from None
         except HaltSignal as halt:
             return RunResult("".join(self.output[mark:]), None, halt)
         return RunResult("".join(self.output[mark:]), value, None)
@@ -324,18 +324,6 @@ class Interpreter:
             return self.classes["Block"]
         if isinstance(v, ClassRecord):
             return self.classes["Object"]
-        if isinstance(v, _links.MetaLink):
-            return self.classes["MetaLink"]
-        if isinstance(v, NodeMirror):
-            return self.classes["NodeMirror"]
-        if isinstance(v, MethodMirror):
-            return self.classes["MethodMirror"]
-        if isinstance(v, ContextMirror):
-            return self.classes["ContextMirror"]
-        if isinstance(v, VariableMirror):
-            return self.classes["VariableMirror"]
-        if isinstance(v, OperationWrapper):
-            return self.classes["Operation"]
         if isinstance(v, HostFunction):
             return self.classes["Object"]
         name = getattr(type(v), "mk_class_name", None)
@@ -396,7 +384,10 @@ class Interpreter:
         for t in mdef.temps:
             temps[t] = None
         if ast.kind == META_HOOK:
-            return self._run_method_hook(ast, mdef, act, args)
+            self.hook_visits += 1
+            return self._trigger(ast.original, act,
+                                 partial(self._run_method_body, mdef, act),
+                                 None, args)
         return self._run_method_body(mdef, act)
 
     def _run_method_body(self, mdef, act):
@@ -450,24 +441,24 @@ class Interpreter:
             trace=self.stack_snapshot(act))
 
     def _eval_assignment(self, node, act):
-        value = self.eval_node(node.children[0], act)
-        self.write_var(node.var_name, value, act, node)
-        return value
+        return self.write_var(node.var_name,
+                              self.eval_node(node.children[0], act), act, node)
 
     def write_var(self, name, value, act, node=None):
+        """Bind `name` to `value` and answer `value`."""
         a = act
         while a is not None:
             if name in a.temps:
                 a.temps[name] = value
-                return
+                return value
             a = a.lexical_parent
         recv = act.home.receiver
         if isinstance(recv, Instance) and name in recv.slots:
             recv.slots[name] = value
-            return
+            return value
         if act.home.method is None:  # top level: assignments create globals
             self.globals[name] = value
-            return
+            return value
         raise MkRuntimeError(
             "undefined variable %s" % name,
             span=node.span if node is not None else None,
@@ -527,20 +518,10 @@ class Interpreter:
             act.temps[p] = a
         body = node.children[0] if node.children else None
         if block.hook_node is not None:
-            hook_links = self.applicable_links(
-                block.hook_node.id, act.receiver)
-            if hook_links:
-                return self._run_block_hook(block, body, act, args,
-                                            hook_links)
+            perform = (partial(self.eval_node, body, act) if body is not None
+                       else lambda: None)
+            return self._trigger(block.hook_node, act, perform, None, args)
         return self.eval_node(body, act) if body is not None else None
-
-    def _run_block_hook(self, block, body, act, args, hook_links):
-        ctx = TriggerContext(self, block.hook_node, act, pending_args=args)
-        op = OperationWrapper(
-            lambda: self.eval_node(body, act) if body is not None else None,
-            block.hook_node)
-        ctx.operation = op
-        return self.run_trigger(hook_links, ctx, op)
 
     # -- hooks and triggering ---------------------------------------------
 
@@ -563,121 +544,56 @@ class Interpreter:
         inner = hook.children[0]
         orig = hook.original
         kind = inner.kind
+        receiver = args = value = None
         if kind == MESSAGE_SEND:
-            return self._hook_message(hook, inner, orig, act)
-        if kind == ASSIGNMENT:
-            return self._hook_assignment(hook, inner, orig, act)
-        if kind == VAR_READ:
-            return self._hook_var_read(hook, inner, orig, act)
-        if kind == RETURN:
-            return self._hook_return(hook, inner, orig, act)
-        if kind == BLOCK:
+            children = inner.children
+            rnode = children[0]
+            if rnode.kind == SELF_REF and rnode.var_name == "super":
+                receiver = act.home.receiver
+                send = self._send_super
+            else:
+                receiver = self.eval_node(rnode, act)
+                send = self.send
+            args = [self.eval_node(c, act) for c in children[1:]]
+            perform = partial(send, receiver, inner.selector, args, act, orig)
+        elif kind == ASSIGNMENT:
+            value = self.eval_node(inner.children[0], act)
+            perform = partial(self.write_var, inner.var_name, value, act, orig)
+        elif kind == VAR_READ:
+            perform = partial(self.read_var, inner.var_name, act, orig)
+        elif kind == RETURN:
+            value = self.eval_node(inner.children[0], act)
+            raise MethodReturn(act.home, self._trigger(
+                orig, act, lambda: value, None, None, value, False))
+        elif kind == BLOCK:
             # Fires at each invocation of the closure, not at its creation.
             return Block(inner, act, hook_node=orig)
-        return self._hook_generic(hook, inner, orig, act)
-
-    def _run_method_hook(self, hook, mdef, act, args):
-        self.hook_visits += 1
-        orig = hook.original
-        hook_links = self.applicable_links(orig.id, act.receiver)
-        if not hook_links:
-            return self._run_method_body(mdef, act)
-        ctx = TriggerContext(self, orig, act, pending_args=args)
-        op = OperationWrapper(lambda: self._run_method_body(mdef, act), orig)
-        ctx.operation = op
-        return self.run_trigger(hook_links, ctx, op)
-
-    def _hook_message(self, hook, inner, orig, act):
-        children = inner.children
-        rnode = children[0]
-        is_super = rnode.kind == SELF_REF and rnode.var_name == "super"
-        receiver = act.home.receiver if is_super else self.eval_node(rnode, act)
-        args = [self.eval_node(c, act) for c in children[1:]]
-        hook_links = self.applicable_links(orig.id, act.receiver)
-        if is_super:
-            perform = lambda: self._send_super(receiver, inner.selector,
-                                               args, act, orig)
         else:
-            perform = lambda: self.send(receiver, inner.selector, args,
-                                        act, orig)
+            perform = partial(self.eval_node, inner, act)
+        return self._trigger(orig, act, perform, receiver, args, value)
+
+    def _trigger(self, orig, act, perform, receiver=None, args=None,
+                 value=None, after=True):
+        """Run `perform`, the pending operation at the hooked node `orig`,
+        under the links that apply to it; unlinked, just run it."""
+        hook_links = self.applicable_links(orig.id, act.receiver)
         if not hook_links:
             return perform()
-        ctx = TriggerContext(self, orig, act, pending_receiver=receiver,
-                             pending_args=args)
         op = OperationWrapper(perform, orig)
-        ctx.operation = op
-        return self.run_trigger(hook_links, ctx, op)
+        ctx = TriggerContext(self, orig, act, receiver, args, value, op)
+        return self.run_trigger(hook_links, ctx, op, after)
 
-    def _hook_assignment(self, hook, inner, orig, act):
-        value = self.eval_node(inner.children[0], act)
-        hook_links = self.applicable_links(orig.id, act.receiver)
-        if not hook_links:
-            self.write_var(inner.var_name, value, act, orig)
-            return value
-
-        def perform():
-            self.write_var(inner.var_name, value, act, orig)
-            return value
-
-        ctx = TriggerContext(self, orig, act, pending_value=value)
-        op = OperationWrapper(perform, orig)
-        ctx.operation = op
-        return self.run_trigger(hook_links, ctx, op)
-
-    def _hook_var_read(self, hook, inner, orig, act):
-        hook_links = self.applicable_links(orig.id, act.receiver)
-        if not hook_links:
-            return self.read_var(inner.var_name, act, orig)
-        ctx = TriggerContext(self, orig, act)
-        op = OperationWrapper(
-            lambda: self.read_var(inner.var_name, act, orig), orig)
-        ctx.operation = op
-        return self.run_trigger(hook_links, ctx, op)
-
-    def _hook_return(self, hook, inner, orig, act):
-        value = self.eval_node(inner.children[0], act)
-        hook_links = self.applicable_links(orig.id, act.receiver)
-        if not hook_links:
-            raise MethodReturn(act.home, value)
-        ctx = TriggerContext(self, orig, act, pending_value=value)
-        op = OperationWrapper(lambda: value, orig)
-        ctx.operation = op
-        pairs = self._link_configs(hook_links)
-        ctx.phase = "before"
-        for link, cfg in pairs:
-            if cfg.control == "before":
-                self.fire_link(link, cfg, ctx)
-        result = value
-        ctx.phase = "instead"
-        for link, cfg in reversed(pairs):
-            if cfg.control == "instead":
-                fired, replacement = self.fire_link(link, cfg, ctx)
-                if fired:
-                    result = replacement
-                    break
-        # After-links on a return never fire: control leaves the method.
-        raise MethodReturn(act.home, result)
-
-    def _hook_generic(self, hook, inner, orig, act):
-        hook_links = self.applicable_links(orig.id, act.receiver)
-        if not hook_links:
-            return self.eval_node(inner, act)
-        ctx = TriggerContext(self, orig, act)
-        op = OperationWrapper(lambda: self.eval_node(inner, act), orig)
-        ctx.operation = op
-        return self.run_trigger(hook_links, ctx, op)
-
-    def _link_configs(self, hook_links):
-        return [(link, link.effective(self)) for link in hook_links]
-
-    def run_trigger(self, hook_links, ctx, op):
+    def run_trigger(self, hook_links, ctx, op, after=True):
         """Before/instead/after protocol over all applicable links.
 
         Class-wide links come first (installation order), then
         object-centric ones. Before-links fire in that order, after-links
         in reverse. An instead-link's result replaces the node's value;
-        the most specific (object-centric, latest installed) wins."""
-        pairs = self._link_configs(hook_links)
+        the most specific (object-centric, latest installed) wins.
+
+        `after` is False at a return: control leaves the method with the
+        value, so there is no after phase and its after-links never fire."""
+        pairs = [(link, link.effective(self)) for link in hook_links]
         ctx.phase = "before"
         has_instead = False
         has_after = False
@@ -704,7 +620,7 @@ class Interpreter:
                 result = op.invoke_base()
         else:
             result = op.invoke_base()
-        if has_after:
+        if has_after and after:
             ctx.phase = "after"
             ctx.pending_value = result
             for link, cfg in reversed(pairs):
@@ -776,7 +692,9 @@ class Interpreter:
     def halt(self, act):
         raise HaltSignal(self.stack_snapshot(act))
 
-    def print_string(self, v):
+    def print_string(self, v, printing=()):
+        """`printString` of a value; `printing` holds the collections
+        whose printing encloses this one, which print as `...`."""
         if v is True:
             return "true"
         if v is False:
@@ -790,7 +708,10 @@ class Interpreter:
         if isinstance(v, str):
             return v
         if isinstance(v, Array):
-            inner = " ".join(self.print_string(i) for i in v.items)
+            if v in printing:
+                return "..."
+            printing += (v,)
+            inner = " ".join(self.print_string(i, printing) for i in v.items)
             if v.class_ref.name == "Array":
                 return "#(%s)" % inner
             return "%s (%s)" % (self._article(v.class_ref.name), inner)
@@ -800,18 +721,6 @@ class Interpreter:
             return v.name
         if isinstance(v, Block):
             return "a Block"
-        if isinstance(v, _links.MetaLink):
-            return "a MetaLink"
-        if isinstance(v, NodeMirror):
-            return v.describe()
-        if isinstance(v, MethodMirror):
-            return v.describe()
-        if isinstance(v, ContextMirror):
-            return v.describe()
-        if isinstance(v, VariableMirror):
-            return v.describe()
-        if isinstance(v, OperationWrapper):
-            return "an Operation(%s)" % v.node.kind
         if isinstance(v, HostFunction):
             return v.label
         describe = getattr(v, "describe", None)

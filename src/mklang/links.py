@@ -47,6 +47,8 @@ class MetaLink:
     """First-class behavioral annotation (meta-object, selector, control,
     reification requests, condition, execution level)."""
 
+    mk_class_name = "MetaLink"
+
     def __init__(self):
         self.meta_object = None
         self.selector = None
@@ -127,6 +129,9 @@ class MetaLink:
             if record is not None:
                 nodes.append(record.node_index[node_id])
         return nodes
+
+    def describe(self):
+        return "a MetaLink"
 
     def __repr__(self):
         return "<MetaLink %s->%s %s level=%d sites=%d>" % (

@@ -80,6 +80,7 @@ class OperationWrapper:
     """One-shot executable wrapper around the pending base operation."""
 
     __slots__ = ("node", "_thunk", "invoked", "result")
+    mk_class_name = "Operation"
 
     def __init__(self, thunk, node):
         self._thunk = thunk
@@ -101,6 +102,9 @@ class OperationWrapper:
             return self.result
         return self.invoke()
 
+    def describe(self):
+        return "an Operation(%s)" % self.node.kind
+
 
 # --- mirrors ---------------------------------------------------------------
 
@@ -108,6 +112,7 @@ class NodeMirror:
     """Language-level handle on an original (unwoven) AST node."""
 
     __slots__ = ("interp", "node")
+    mk_class_name = "NodeMirror"
 
     def __init__(self, interp, node):
         self.interp = interp
@@ -125,6 +130,7 @@ class MethodMirror:
     twin, otherwise the original definition."""
 
     __slots__ = ("interp", "record", "woven")
+    mk_class_name = "MethodMirror"
 
     def __init__(self, interp, record, woven=False):
         self.interp = interp
@@ -151,6 +157,7 @@ class ContextMirror:
     the temps, and the sender chain."""
 
     __slots__ = ("interp", "receiver", "selector", "temps", "sender_activation")
+    mk_class_name = "ContextMirror"
 
     def __init__(self, interp, activation):
         self.interp = interp
@@ -173,6 +180,7 @@ class VariableMirror:
     """A variable (slot, temp, or global) with a live read path."""
 
     __slots__ = ("interp", "kind", "name", "holder")
+    mk_class_name = "VariableMirror"
 
     def __init__(self, interp, kind, name, holder):
         self.interp = interp

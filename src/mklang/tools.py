@@ -190,13 +190,8 @@ def trace_count(interp, nodes, condition=None) -> TraceCounter:
 # -- language surface -------------------------------------------------------
 
 def install_tool_classes(interp):
-    from .interpreter import ClassRecord, PrimitiveMethod
-
-    def _prim(cls, selector, fn):
-        cls.methods[selector] = PrimitiveMethod(selector, fn)
-
-    def _cprim(cls, selector, fn):
-        cls.class_methods[selector] = PrimitiveMethod(selector, fn)
+    from .interpreter import ClassRecord
+    from .kernel import _cprim, _prim
 
     obj = interp.classes["Object"]
     bp_cls = ClassRecord("Breakpoint", superclass=obj)

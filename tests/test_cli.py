@@ -129,3 +129,16 @@ def test_bench_install_text_and_records(capsys):
     assert capsys.readouterr().out.startswith("methods=20")
     assert run_cli(["bench-install", "-3"]) == 64
     capsys.readouterr()
+
+
+def test_run_deep_recursion_is_a_stack_overflow_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "p.mk", """class D [
+    down: n [ n = 0 ifTrue: [ ^ 0 ]. ^ (self down: n - 1) + 1 ]
+]
+'pre' logCr. (D new down: 400) logCr
+""")
+    assert run_cli(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "pre\n"
+    assert "runtime error: stack overflow" in captured.err
+    assert "Traceback" not in captured.err

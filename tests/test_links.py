@@ -365,3 +365,118 @@ def test_meta_object_removes_its_own_link_inside_a_loop():
     assert interp.run("Loop new run logCr").output == "15\n"
     assert fires == [1, 1]
     assert record.twin is None
+
+
+PROTOCOL_SOURCE = """class Base [ val: x [ Transcript show: 'v'. ^ x * 10 ] ]
+class Proto extends Base [ | slot |
+    val: x [ ^ (super val: x) + 1 ]
+    run: p [ | t b |
+        slot := 0.
+        b := [ :y | Transcript show: 'b'. y * 2 ].
+        t := b value: p + 1.
+        slot := t.
+        ^ (self val: slot) + 7
+    ]
+]
+"""
+
+
+def protocol_site(interp, kind):
+    """The node of `Proto` that stands for one hookable node kind."""
+    run = interp.method_ast("Proto", "run:")
+    nodes = run.walk()
+    if kind == "message":
+        return find_nodes(run, "sends-of", "val:")[0]        # self val: slot
+    if kind == "super-send":
+        return find_nodes(interp.method_ast("Proto", "val:"), "sends-of",
+                          "val:")[0]
+    if kind == "method":
+        return run
+    if kind == "block":
+        return next(n for n in nodes if n.kind == "Block")
+    if kind == "variable":
+        return find_nodes(run, "reads-of", "p")[0]
+    if kind == "assignment":
+        return find_nodes(run, "writes-of", "slot")[1]       # slot := t
+    if kind == "return":
+        return next(n for n in nodes if n.kind == "Return")
+    return next(n for n in nodes if n.kind == "Literal" and n.value == 7)
+
+
+# Result of `Proto new run: 4` when an instead-link answering 3 replaces
+# the node's value; unlinked, and with before/after links, it is 108.
+INSTEAD_RESULTS = {
+    "message": 10,      # 3 + 7
+    "super-send": 11,   # val: answers 3 + 1
+    "method": 3,
+    "block": 38,        # t := 3
+    "variable": 88,     # p reads as 3
+    "assignment": 8,    # the write is skipped, slot stays 0
+    "return": 3,
+    "literal": 104,     # ... + 3
+}
+
+
+@pytest.mark.parametrize("control", ["before", "instead", "after"])
+@pytest.mark.parametrize("kind", sorted(INSTEAD_RESULTS))
+def test_trigger_protocol_for_every_node_kind(kind, control):
+    interp = Interpreter()
+    interp.run(PROTOCOL_SOURCE)
+    events = []
+    link = MetaLink()
+    link.set_meta_object(HostFunction(
+        lambda: events.append((control, interp.meta_level)) or 3, "probe"))
+    link.set_selector("value")
+    link.set_control(control)
+    install(interp, link, protocol_site(interp, kind))
+    result = interp.run("Proto new run: 4").value
+    if control == "instead":
+        assert result == INSTEAD_RESULTS[kind]
+    else:
+        assert result == 108
+    # Control leaves the method at a return, so nothing runs after it.
+    fires = 0 if (kind, control) == ("return", "after") else 1
+    assert events == [(control, 1)] * fires
+
+
+@pytest.mark.parametrize("kind", ["message", "super-send", "method", "block",
+                                  "assignment", "return"])
+def test_before_link_performing_the_operation_runs_it_once(kind):
+    interp = Interpreter()
+    interp.run(PROTOCOL_SOURCE)
+    performed = []
+    link = MetaLink()
+    link.set_meta_object(HostFunction(
+        lambda op: performed.append(op.invoke()), "performer"))
+    link.set_selector("value:")
+    link.set_arguments(("operation",))
+    install(interp, link, protocol_site(interp, kind))
+    result = interp.run("Proto new run: 4")
+    assert (result.value, result.output) == (108, "bv")
+    assert len(performed) == 1
+
+
+def test_positional_wrappers_around_the_trigger_still_run(monkeypatch):
+    """The traced benchmark run wraps these two methods with wrappers
+    that pass positional arguments only."""
+    calls = []
+
+    def positional(fn, name):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("run_trigger", "fire_link"):
+        monkeypatch.setattr(Interpreter, name,
+                            positional(getattr(Interpreter, name), name))
+    interp = Interpreter()
+    interp.run(PROTOCOL_SOURCE)
+    sink = []
+    link = recording_link(sink, "b")
+    for kind in INSTEAD_RESULTS:
+        install(interp, link, protocol_site(interp, kind))
+    assert interp.run("Proto new run: 4").value == 108
+    assert len(sink) == len(INSTEAD_RESULTS)
+    assert calls.count("fire_link") == len(INSTEAD_RESULTS)
+    assert "run_trigger" in calls

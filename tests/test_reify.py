@@ -275,3 +275,29 @@ def test_table_kind_classification(interp):
     kinds = {table_kind(n) for n in method.walk()}
     assert {"method", "assignment", "variable", "message",
             "return", "other"} <= kinds
+
+
+def test_class_and_print_string_of_reflective_values(interp):
+    kinds = ("link", "node", "method", "context", "variable", "operation")
+    values = {}
+    link = MetaLink()
+    link.set_meta_object(HostFunction(
+        lambda *a: values.update(zip(kinds, a)), "grab"))
+    link.set_selector("value:" * len(kinds))
+    link.set_arguments(kinds)
+    install(interp, link, find_nodes(method_node(interp), "writes-of",
+                                     "slot")[0])
+    run_probe(interp)
+    expected = {
+        "link": ("MetaLink", "a MetaLink"),
+        "node": ("NodeMirror", "Assignment(slot)"),
+        "method": ("MethodMirror", "Probe>>run: (woven)"),
+        "context": ("ContextMirror", "context(run:)"),
+        "variable": ("VariableMirror", "variable(slot slot)"),
+        "operation": ("Operation", "an Operation(Assignment)"),
+    }
+    for kind, (class_name, text) in expected.items():
+        value = values[kind]
+        cls = interp.send(value, "class", [], None)
+        assert interp.send(cls, "printString", [], None) == class_name
+        assert interp.send(value, "printString", [], None) == text

@@ -78,6 +78,17 @@ c removeFirst logCr. c logCr
 """) == "2\n1\nan OrderedCollection (30 10)\ntrue\n3\nan OrderedCollection (1)\n"
 
 
+def test_print_string_of_a_cyclic_collection():
+    assert out("""| a b c |
+a := OrderedCollection new. a add: a. a logCr.
+b := OrderedCollection new. c := OrderedCollection new.
+b add: c. c add: b. b logCr.
+c := #(1). b := OrderedCollection new. b add: c. b add: c. b logCr
+""") == ("an OrderedCollection (...)\n"
+          "an OrderedCollection (an OrderedCollection (...))\n"
+          "an OrderedCollection (#(1) #(1))\n")
+
+
 def test_array_literals_are_fresh_per_evaluation():
     assert out("""class T [ a [ ^ #(1 2) ] ]
 | x y |
