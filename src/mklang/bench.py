@@ -11,6 +11,7 @@ only orderings and signs are meaningful.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import statistics
 import time
@@ -93,22 +94,23 @@ def _new_target(interp):
 
 
 def _measure_rate(interp, target, budget, repetitions):
-    """Median executions/second over `repetitions` timed windows, after
-    one untimed warm-up window."""
+    """Median executions/second over `repetitions` timed `gc_paused`
+    windows, after one untimed warm-up window."""
     send = interp.send
     chunk = 64
     rates = []
     for rep in range(repetitions + 1):          # first window is warm-up
         count = 0
-        start = time.monotonic()
-        deadline = start + budget
-        while True:
-            for _ in range(chunk):
-                send(target, "run", [], None)
-            count += chunk
-            now = time.monotonic()
-            if now >= deadline:
-                break
+        with gc_paused():
+            start = time.monotonic()
+            deadline = start + budget
+            while True:
+                for _ in range(chunk):
+                    send(target, "run", [], None)
+                count += chunk
+                now = time.monotonic()
+                if now >= deadline:
+                    break
         if rep > 0:
             rates.append(count / (now - start))
     return statistics.median(rates)
@@ -215,20 +217,27 @@ def synthetic_corpus(method_count, methods_per_class=50):
     return "\n".join(classes)
 
 
-def _timed(fn):
-    """Seconds one call of `fn` takes. As in `timeit`, garbage is collected
-    first and the cyclic collector stays off inside the window, so a
-    collection triggered by earlier work cannot land in it."""
+@contextlib.contextmanager
+def gc_paused():
+    """A timed window. As in `timeit`, garbage is collected first and the
+    cyclic collector stays off inside the window, so a collection
+    triggered by earlier work cannot land in it."""
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
+        yield
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _timed(fn):
+    """Seconds one call of `fn` takes, in a `gc_paused` window."""
+    with gc_paused():
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
 
 
 def bench_install(method_count=2000, seed=0) -> InstallCostReport:

@@ -3,6 +3,24 @@
 One Interpreter instance owns one strictly single-threaded execution:
 classes, globals, the output sink, the link registry and the meta-level
 counter. Distinct instances are fully independent.
+
+The unlinked path is kept cheap:
+
+* Each `ClassRecord` caches selector -> method as `lookup` finds it
+  (Smalltalk-80's method lookup cache). Every change to a method table
+  or a superclass link flushes all caches: loading classes
+  (`_install_classes`) and `recompile`. The kernel and tool primitives
+  are written straight into the tables, before any send.
+* `send` finds the receiver's class from its Python type; `class_of`'s
+  `isinstance` checks remain for classes, host functions and mirrors.
+* A `^` among a method body's own statements answers from
+  `_run_method_body` directly. Only a `^` inside a block, or one carrying
+  a link (a `MetaHook`), raises `MethodReturn`.
+* Node handlers call each other through `_handlers`, not through
+  `eval_node`, so a send costs few Python frames and recursion reaches
+  deeper before Python's limit turns it into "stack overflow".
+* A method's activation does not refer to itself as its `home`, so
+  reference counting frees it when it returns, without the cyclic GC.
 """
 
 from __future__ import annotations
@@ -54,7 +72,11 @@ class CompiledMethodRecord:
 
 
 class ClassRecord:
-    """A class; also the runtime value representing it."""
+    """A class; also the runtime value representing it.
+
+    `cache` maps a selector to the method `lookup` found for it along the
+    superclass chain. It is only valid while no method table and no
+    superclass link changes: `Interpreter._flush_method_caches` empties it."""
 
     def __init__(self, name, superclass=None, slot_names=()):
         self.name = name
@@ -62,6 +84,7 @@ class ClassRecord:
         self.slot_names = list(slot_names)
         self.methods = {}
         self.class_methods = {}
+        self.cache = {}
 
     def all_slot_names(self):
         names = []
@@ -75,10 +98,14 @@ class ClassRecord:
         return names
 
     def lookup(self, selector):
+        m = self.cache.get(selector)
+        if m is not None:
+            return m
         cls = self
         while cls is not None:
             m = cls.methods.get(selector)
             if m is not None:
+                self.cache[selector] = m
                 return m
             cls = cls.superclass
         return None
@@ -97,18 +124,30 @@ class ClassRecord:
 
 
 class Activation:
-    __slots__ = ("receiver", "method", "arguments", "temps", "sender",
-                 "current_node", "lexical_parent", "home")
+    """One running method or block. A block's activation shares its home
+    method activation's `receiver` and `method`."""
 
-    def __init__(self, receiver, method, arguments, sender):
+    __slots__ = ("receiver", "method", "arguments", "temps", "sender",
+                 "current_node", "lexical_parent", "_home")
+
+    def __init__(self, receiver, method, arguments, sender, temps=None,
+                 lexical_parent=None, home=None):
         self.receiver = receiver
         self.method = method
         self.arguments = arguments
-        self.temps = {}
+        self.temps = {} if temps is None else temps
         self.sender = sender
         self.current_node = None
-        self.lexical_parent = None
-        self.home = self
+        self.lexical_parent = lexical_parent
+        # None for a method's own activation: pointing at itself would
+        # make every activation a reference cycle, left to the cyclic GC.
+        self._home = home
+
+    @property
+    def home(self):
+        """The activation of the method this one runs in; `^` returns
+        from it."""
+        return self._home or self
 
 
 @dataclass
@@ -150,6 +189,14 @@ class Interpreter:
         }
         from .kernel import install_kernel
         install_kernel(self)
+        classes = self.classes
+        # Class of every value whose Python type fixes it; Instance and
+        # Array carry their own, the rest go through `class_of`.
+        self._type_classes = {
+            bool: classes["Boolean"], int: classes["Integer"],
+            Symbol: classes["Symbol"], str: classes["String"],
+            type(None): classes["UndefinedObject"], Block: classes["Block"],
+        }
 
     # -- program loading --------------------------------------------------
 
@@ -160,6 +207,9 @@ class Interpreter:
         return program
 
     def _install_classes(self, program):
+        # No send runs while classes install, so flushing first also
+        # covers a load that fails halfway.
+        self._flush_method_caches()
         # Two passes so classes may reference each other.
         for cdef in program.classes:
             if cdef.name not in self.classes:
@@ -188,6 +238,12 @@ class Interpreter:
                 if mdef.kind != METHOD_DEF:
                     continue
                 self._compile_method(cls, mdef, program.source)
+
+    def _flush_method_caches(self):
+        """Forget every cached lookup; run after any change to a method
+        table or a superclass link."""
+        for cls in self.classes.values():
+            cls.cache.clear()
 
     def _compile_method(self, cls, mdef, source):
         sig = MethodSignature(cls.name, mdef.selector, len(mdef.params))
@@ -280,6 +336,7 @@ class Interpreter:
         sig = MethodSignature(cls.name, selector, len(mdef.params))
         record = CompiledMethodRecord(sig, mdef, new_source)
         cls.methods[selector] = record
+        self._flush_method_caches()
         for nid in record.node_ids:
             self.node_owner[nid] = record
         for hook in list(self.recompile_hooks):
@@ -306,22 +363,12 @@ class Interpreter:
     # -- dispatch ---------------------------------------------------------
 
     def class_of(self, v):
-        if isinstance(v, bool):
-            return self.classes["Boolean"]
-        if isinstance(v, int):
-            return self.classes["Integer"]
-        if isinstance(v, Symbol):
-            return self.classes["Symbol"]
-        if isinstance(v, str):
-            return self.classes["String"]
-        if v is None:
-            return self.classes["UndefinedObject"]
-        if isinstance(v, Instance):
+        t = type(v)
+        if t is Instance or t is Array:
             return v.class_ref
-        if isinstance(v, Array):
-            return v.class_ref
-        if isinstance(v, Block):
-            return self.classes["Block"]
+        cls = self._type_classes.get(t)
+        if cls is not None:
+            return cls
         if isinstance(v, ClassRecord):
             return self.classes["Object"]
         if isinstance(v, HostFunction):
@@ -345,9 +392,18 @@ class Interpreter:
     def send(self, receiver, selector, args, sender=None, node=None):
         if node is not None and sender is not None:
             sender.current_node = node
-        if isinstance(receiver, HostFunction):
+        t = type(receiver)
+        if t is Instance or t is Array:
+            cls = receiver.class_ref
+        else:
+            cls = self._type_classes.get(t)
+        if cls is not None:
+            rec = cls.cache.get(selector)
+            if rec is None:
+                rec = cls.lookup(selector)
+        elif isinstance(receiver, HostFunction):
             return receiver.fn(*args)
-        if isinstance(receiver, ClassRecord):
+        elif isinstance(receiver, ClassRecord):
             rec = receiver.lookup_class_side(selector)
             if rec is None:
                 rec = self.classes["Object"].lookup(selector)
@@ -355,7 +411,7 @@ class Interpreter:
             rec = self.class_of(receiver).lookup(selector)
         if rec is None:
             self.does_not_understand(receiver, selector, sender, node)
-        if isinstance(rec, PrimitiveMethod):
+        if rec.__class__ is PrimitiveMethod:
             return rec.fn(self, receiver, args, sender)
         return self.execute_method(rec, receiver, args, sender)
 
@@ -376,13 +432,11 @@ class Interpreter:
                 "wrong number of arguments for #%s: expected %d, got %d"
                 % (record.signature.selector, len(mdef.params), len(args)),
                 trace=self.stack_snapshot(sender))
-        act = Activation(receiver, record, list(args), sender)
-        act.current_node = mdef
-        temps = act.temps
-        for p, a in zip(mdef.params, args):
-            temps[p] = a
+        temps = dict(zip(mdef.params, args))
         for t in mdef.temps:
             temps[t] = None
+        act = Activation(receiver, record, list(args), sender, temps)
+        act.current_node = mdef
         if ast.kind == META_HOOK:
             self.hook_visits += 1
             return self._trigger(ast.original, act,
@@ -391,8 +445,20 @@ class Interpreter:
         return self._run_method_body(mdef, act)
 
     def _run_method_body(self, mdef, act):
+        """Evaluate a method body. A `^` among the body's own statements
+        answers directly; only a `^` in a block, or a hooked one, raises
+        `MethodReturn`, which lands here when `act` is its home."""
+        handlers = self._handlers
+        body = mdef.children[-1]
         try:
-            self.eval_node(mdef.children[-1], act)
+            if body.kind != SEQUENCE:        # the body sequence is hooked
+                handlers[body.kind](body, act)
+                return act.receiver
+            for stmt in body.children:
+                if stmt.kind == RETURN:
+                    expr = stmt.children[0]
+                    return handlers[expr.kind](expr, act)
+                handlers[stmt.kind](stmt, act)
         except MethodReturn as mr:
             if mr.target is act:
                 return mr.value
@@ -411,13 +477,20 @@ class Interpreter:
         return Array(self.classes["Array"], list(node.value))
 
     def _eval_self(self, node, act):
-        return act.home.receiver
+        return act.receiver
 
     def _eval_temp_decl(self, node, act):
         return None
 
     def _eval_var_read(self, node, act):
-        return self.read_var(node.var_name, act, node)
+        name = node.var_name
+        a = act
+        while a is not None:
+            temps = a.temps
+            if name in temps:
+                return temps[name]
+            a = a.lexical_parent
+        return self.read_var(name, act, node)
 
     def read_var(self, name, act, node=None):
         a = act
@@ -426,7 +499,7 @@ class Interpreter:
             if name in temps:
                 return temps[name]
             a = a.lexical_parent
-        recv = act.home.receiver
+        recv = act.receiver
         if isinstance(recv, Instance):
             slots = recv.slots
             if name in slots:
@@ -441,8 +514,9 @@ class Interpreter:
             trace=self.stack_snapshot(act))
 
     def _eval_assignment(self, node, act):
+        expr = node.children[0]
         return self.write_var(node.var_name,
-                              self.eval_node(node.children[0], act), act, node)
+                              self._handlers[expr.kind](expr, act), act, node)
 
     def write_var(self, name, value, act, node=None):
         """Bind `name` to `value` and answer `value`."""
@@ -452,11 +526,11 @@ class Interpreter:
                 a.temps[name] = value
                 return value
             a = a.lexical_parent
-        recv = act.home.receiver
+        recv = act.receiver
         if isinstance(recv, Instance) and name in recv.slots:
             recv.slots[name] = value
             return value
-        if act.home.method is None:  # top level: assignments create globals
+        if act.method is None:  # top level: assignments create globals
             self.globals[name] = value
             return value
         raise MkRuntimeError(
@@ -465,33 +539,42 @@ class Interpreter:
             trace=self.stack_snapshot(act))
 
     def _eval_return(self, node, act):
-        value = self.eval_node(node.children[0], act)
-        raise MethodReturn(act.home, value)
+        expr = node.children[0]
+        raise MethodReturn(act.home, self._handlers[expr.kind](expr, act))
 
     def _eval_sequence(self, node, act):
+        handlers = self._handlers
         result = None
         for stmt in node.children:
-            result = self.eval_node(stmt, act)
+            result = handlers[stmt.kind](stmt, act)
         return result
 
     def _eval_block(self, node, act):
         return Block(node, act)
 
     def _eval_message(self, node, act):
+        handlers = self._handlers
         children = node.children
         rnode = children[0]
-        if rnode.kind == SELF_REF and rnode.var_name == "super":
-            receiver = act.home.receiver
-            args = [self.eval_node(c, act) for c in children[1:]]
+        if rnode.kind == SELF_REF:
+            receiver = act.receiver
+        else:
+            receiver = handlers[rnode.kind](rnode, act)
+        # A loop, not a comprehension: under CPython 3.11 a comprehension
+        # is one more Python frame per send.
+        args = []
+        for c in children[1:]:
+            args.append(handlers[c.kind](c, act))
+        # `super` makes a super send, hooked or not: only a MetaHook has
+        # an `original`, and only `super` is named "super".
+        if (rnode.original or rnode).var_name == "super":
             return self._send_super(receiver, node.selector, args, act, node)
-        receiver = self.eval_node(rnode, act)
-        args = [self.eval_node(c, act) for c in children[1:]]
         return self.send(receiver, node.selector, args, act, node)
 
     def _send_super(self, receiver, selector, args, act, node):
-        home = act.home
-        defining = self.classes.get(home.method.signature.class_name) \
-            if home.method is not None else None
+        method = act.method
+        defining = self.classes.get(method.signature.class_name) \
+            if method is not None else None
         start = defining.superclass if defining is not None else None
         rec = start.lookup(selector) if start is not None else None
         if rec is None:
@@ -510,18 +593,17 @@ class Interpreter:
                 % (len(node.params), len(args)),
                 trace=self.stack_snapshot(sender))
         defining = block.defining_activation
-        act = Activation(defining.home.receiver, defining.home.method,
-                         list(args), sender)
-        act.home = defining.home
-        act.lexical_parent = defining
-        for p, a in zip(node.params, args):
-            act.temps[p] = a
+        home = defining._home or defining
+        act = Activation(home.receiver, home.method, list(args), sender,
+                         dict(zip(node.params, args)), defining, home)
         body = node.children[0] if node.children else None
         if block.hook_node is not None:
             perform = (partial(self.eval_node, body, act) if body is not None
                        else lambda: None)
             return self._trigger(block.hook_node, act, perform, None, args)
-        return self.eval_node(body, act) if body is not None else None
+        if body is None:
+            return None
+        return self._handlers[body.kind](body, act)
 
     # -- hooks and triggering ---------------------------------------------
 
@@ -548,12 +630,10 @@ class Interpreter:
         if kind == MESSAGE_SEND:
             children = inner.children
             rnode = children[0]
-            if rnode.kind == SELF_REF and rnode.var_name == "super":
-                receiver = act.home.receiver
-                send = self._send_super
-            else:
-                receiver = self.eval_node(rnode, act)
-                send = self.send
+            receiver = self.eval_node(rnode, act)
+            send = (self._send_super
+                    if (rnode.original or rnode).var_name == "super"
+                    else self.send)
             args = [self.eval_node(c, act) for c in children[1:]]
             perform = partial(send, receiver, inner.selector, args, act, orig)
         elif kind == ASSIGNMENT:

@@ -7,8 +7,10 @@ have real ASTs and can carry links like any user method.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import MkRuntimeError
-from .interpreter import ClassRecord, PrimitiveMethod
+from .interpreter import INT_MAX, INT_MIN, ClassRecord, PrimitiveMethod
 from .nodes import find_nodes
 from .links import MetaLink
 from .reify import NodeMirror
@@ -184,7 +186,20 @@ def _boolean_protocol(interp, cls):
 def _integer_protocol(interp, cls):
     def arith(op):
         def fn(interp, r, a, s):
-            return interp.check_int(op(r, _need_int(a[0])), s)
+            # Checked inline: `_need_int` and `check_int` only see the
+            # failing cases, which they report as before.
+            y = a[0]
+            if y.__class__ is int:
+                v = op(r, y)
+                if INT_MIN <= v <= INT_MAX:
+                    return v
+            return interp.check_int(op(r, _need_int(y)), s)
+        return fn
+
+    def compare(op):
+        def fn(interp, r, a, s):
+            y = a[0]
+            return op(r, y if y.__class__ is int else _need_int(y))
         return fn
 
     def divide(interp, r, a, s):
@@ -201,16 +216,16 @@ def _integer_protocol(interp, cls):
                                  trace=interp.stack_snapshot(s))
         return r % d
 
-    _prim(cls, "+", arith(lambda x, y: x + y))
-    _prim(cls, "-", arith(lambda x, y: x - y))
-    _prim(cls, "*", arith(lambda x, y: x * y))
+    _prim(cls, "+", arith(operator.add))
+    _prim(cls, "-", arith(operator.sub))
+    _prim(cls, "*", arith(operator.mul))
     _prim(cls, "/", divide)
     _prim(cls, "//", divide)
     _prim(cls, "\\\\", modulo)
-    _prim(cls, "<", lambda i, r, a, s: r < _need_int(a[0]))
-    _prim(cls, "<=", lambda i, r, a, s: r <= _need_int(a[0]))
-    _prim(cls, ">", lambda i, r, a, s: r > _need_int(a[0]))
-    _prim(cls, ">=", lambda i, r, a, s: r >= _need_int(a[0]))
+    _prim(cls, "<", compare(operator.lt))
+    _prim(cls, "<=", compare(operator.le))
+    _prim(cls, ">", compare(operator.gt))
+    _prim(cls, ">=", compare(operator.ge))
     _prim(cls, "=", lambda i, r, a, s: not isinstance(a[0], bool)
           and isinstance(a[0], int) and r == a[0])
     _prim(cls, "~=", lambda i, r, a, s: isinstance(a[0], bool)

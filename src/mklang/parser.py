@@ -28,6 +28,11 @@ from .nodes import (
 from .values import Symbol
 
 BINOP_CHARS = set("+-*/\\~<>=&@%,?!")
+# Deepest nesting of parentheses, blocks and assignments the parser
+# accepts. Each level costs up to eight frames of this recursive-descent
+# parser, so the limit keeps a legal program clear of Python's recursion
+# limit.
+MAX_NESTING = 100
 RESERVED = {"class", "extends", "self", "super", "true", "false", "nil"}
 
 
@@ -155,6 +160,7 @@ class Parser:
         self.file = file
         self.tokens = tokenize(source, file)
         self.pos = 0
+        self.depth = 0
         self.ids = id_counter if id_counter is not None else itertools.count(1)
 
     # -- token helpers ----------------------------------------------------
@@ -188,6 +194,15 @@ class Parser:
 
     def node(self, kind, start_tok, **kw):
         return AstNode(kind, self.span(start_tok), next(self.ids), **kw)
+
+    def nest(self, open_tok):
+        """Enter one nesting level opened by `open_tok`; the caller leaves
+        it with `self.depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise MkSyntaxError(
+                "nesting deeper than %d levels" % MAX_NESTING,
+                SourceSpan(open_tok.start, open_tok.end, self.file))
 
     # -- grammar ----------------------------------------------------------
 
@@ -290,7 +305,9 @@ class Parser:
         if self.at("ident") and self.peek(1).type == "assign":
             start = self.next()
             self.next()  # :=
+            self.nest(start)
             rhs = self.parse_expr()
+            self.depth -= 1
             return self.node(ASSIGNMENT, start, var_name=start.text,
                              children=[rhs])
         return self.parse_keyword_send()
@@ -358,8 +375,10 @@ class Parser:
             return self.parse_block()
         if tok.type == "lparen":
             self.next()
+            self.nest(tok)
             expr = self.parse_expr()
             self.expect("rparen", "')'")
+            self.depth -= 1
             return expr
         self.error("expected an expression")
 
@@ -393,6 +412,7 @@ class Parser:
 
     def parse_block(self):
         start = self.expect("lbracket")
+        self.nest(start)
         params = []
         while self.at("colon"):
             self.next()
@@ -405,6 +425,7 @@ class Parser:
         if not self.at("rbracket"):
             children.append(self.parse_sequence(stop="rbracket"))
         self.expect("rbracket", "']'")
+        self.depth -= 1
         return self.node(BLOCK, start, params=params, children=children)
 
 

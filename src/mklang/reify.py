@@ -301,7 +301,7 @@ def _variable_mirror(interp, ctx):
         if name in a.temps:
             return VariableMirror(interp, "temp", name, a)
         a = a.lexical_parent
-    recv = act.home.receiver
+    recv = act.receiver
     from .values import Instance
     if isinstance(recv, Instance) and name in recv.slots:
         return VariableMirror(interp, "slot", name, recv)

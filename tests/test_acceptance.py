@@ -14,7 +14,9 @@ import time
 import pytest
 
 from mklang import Interpreter, MetaLink
-from mklang.bench import SEND_WORKLOAD, bench_install, bench_overhead
+from mklang.bench import (
+    SEND_WORKLOAD, bench_install, bench_overhead, gc_paused,
+)
 from mklang.errors import (
     HaltSignal, InapplicableReification, MkError, PhaseUnavailable,
 )
@@ -354,12 +356,13 @@ def _send_setup(linkage):
 
 
 def _window(interp, target, budget):
-    count, t0 = 0, time.monotonic()
-    while time.monotonic() - t0 < budget:
-        for _ in range(64):
-            interp.send(target, "run", [], None)
-        count += 64
-    return count / (time.monotonic() - t0)
+    with gc_paused():
+        count, t0 = 0, time.monotonic()
+        while time.monotonic() - t0 < budget:
+            for _ in range(64):
+                interp.send(target, "run", [], None)
+            count += 64
+        return count / (time.monotonic() - t0)
 
 
 def _interleaved_rates(setups, budget=0.4, repetitions=3):

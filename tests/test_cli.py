@@ -142,3 +142,13 @@ def test_run_deep_recursion_is_a_stack_overflow_exit_2(tmp_path, capsys):
     assert captured.out == "pre\n"
     assert "runtime error: stack overflow" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_run_deep_nesting_is_a_syntax_error_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "p.mk",
+                 "'pre' logCr. %s1%s logCr" % ("(" * 300, ")" * 300))
+    assert run_cli(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "syntax error: nesting deeper than" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from mklang import Interpreter, MetaLink, links
 from mklang.errors import (
     ArityMismatch, InsteadConflict, MkRuntimeError, NodeNotInstallable,
 )
+from mklang.interpreter import CompiledMethodRecord
 from mklang.links import install, invalidate, remove, uninstall, weave
 from mklang.nodes import META_HOOK, find_nodes, unparse
 from mklang.parser import parse_method
 from mklang.values import HostFunction
+from progen import gen_program, installable_nodes
 
 SOURCE = """class Counter [ | count |
     initialize [ count := 0 ]
@@ -480,3 +484,73 @@ def test_positional_wrappers_around_the_trigger_still_run(monkeypatch):
     assert len(sink) == len(INSTEAD_RESULTS)
     assert calls.count("fire_link") == len(INSTEAD_RESULTS)
     assert "run_trigger" in calls
+
+
+def test_linked_super_receiver_stays_a_super_send():
+    interp = Interpreter()
+    interp.run("class A [ m [ ^ 1 ] ]\n"
+               "class B extends A [ m [ ^ super m + 10 ] ]")
+    ast = interp.method_ast("B", "m")
+    sup = next(n for n in ast.walk() if n.var_name == "super")
+    sink = []
+    install(interp, recording_link(sink, "super"), sup)
+    assert interp.run("B new m").value == 11
+    # With the send linked too, the hooked send sees the hooked `super`.
+    install(interp, recording_link(sink, "send"),
+            find_nodes(ast, "sends-of", "m")[0])
+    assert interp.run("B new m").value == 11
+    assert sink == [("super",), ("super",), ("send",)]
+
+
+# Differential: no-op before- and after-links on every installable node
+# send each evaluation through the hook path (`_eval_hook`, `_trigger`);
+# output and value must equal those of the unlinked fast path.
+
+BLOCK_PROGRAM = """class Base [ | total |
+    initialize [ total := 0 ]
+    add: n [ total := total + n. ^ total ]
+    find: x in: items [
+        items do: [ :e | e = x ifTrue: [ ^ e * 10 ] ]. ^ 0 ]
+]
+class Sub extends Base [
+    add: n [ | r | r := super add: n * 2. r > 50 ifTrue: [ ^ r - 1 ]. ^ r ]
+    loop [ | i | i := 0. [ i < 5 ] whileTrue: [ self add: i. i := i + 1 ].
+        ^ (self find: 3 in: #(1 2 3 4)) + (self add: 0) ]
+]
+| s |
+s := Sub new.
+s loop logCr.
+(s add: 40) logCr.
+(s find: 9 in: #(1 2)) logCr
+"""
+
+
+def test_hook_path_matches_fast_path_on_every_node():
+    sources = [gen_program(random.Random(seed))[0] for seed in range(60)]
+    for source in sources + [BLOCK_PROGRAM]:
+        classes, driver = source.split("\n| ", 1)
+        driver = "| " + driver
+        plain = Interpreter()
+        plain.run(classes)
+        expected = plain.run(driver)
+
+        interp = Interpreter()
+        interp.run(classes)
+        # Kernel methods written in the language are linked too.
+        records = [rec for cls in interp.classes.values()
+                   for rec in cls.methods.values()
+                   if isinstance(rec, CompiledMethodRecord)]
+        fired = []
+        for control in ("before", "after"):
+            link = MetaLink()
+            link.set_meta_object(HostFunction(
+                lambda *a: fired.append(1), "a no-op"))
+            link.set_selector("value")
+            link.set_control(control)
+            for rec in records:
+                for node in installable_nodes(rec):
+                    install(interp, link, node)
+        actual = interp.run(driver)
+        assert fired and interp.hook_visits > 0
+        assert (actual.output, actual.value) == \
+            (expected.output, expected.value), source

@@ -9,7 +9,7 @@ from mklang.nodes import (
     ASSIGNMENT, BLOCK, LITERAL, MESSAGE_SEND, METHOD_DEF, RETURN, SEQUENCE,
     VAR_READ, dump, find_nodes, selector_arity, unparse,
 )
-from mklang.parser import parse, parse_method, tokenize
+from mklang.parser import MAX_NESTING, parse, parse_method, tokenize
 from progen import gen_program
 
 
@@ -159,6 +159,28 @@ def test_syntax_errors_have_spans(source):
     with pytest.raises(MkSyntaxError) as exc:
         parse(source)
     assert exc.value.span is not None
+
+
+@pytest.mark.parametrize("opener, wrap", [
+    ("(", lambda inner: "(%s)" % inner),
+    ("[", lambda inner: "[ %s ] value" % inner),
+    ("a", lambda inner: "a := %s" % inner),
+])
+def test_nesting_limit(opener, wrap):
+    def nested(levels):
+        source = "1"
+        for _ in range(levels):
+            source = wrap(source)
+        return "| a | " + source
+    parse(nested(MAX_NESTING))
+    source = nested(MAX_NESTING + 1)
+    with pytest.raises(MkSyntaxError, match="nesting deeper than") as exc:
+        parse(source)
+    # The span is the opening token of the first level past the limit.
+    span = exc.value.span
+    assert source[span.start:span.end] == opener
+    assert source[:span.start].count(opener) == MAX_NESTING + \
+        (opener == "a")                 # the `| a |` declaration
 
 
 def test_selector_arity():

@@ -30,6 +30,33 @@ def test_integer_overflow_is_an_error():
         run_program(huge)
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*", "<", "<=", ">", ">="])
+@pytest.mark.parametrize("arg", ["'a'", "true", "nil", "#(1)"])
+def test_integer_primitives_reject_non_integers(op, arg):
+    with pytest.raises(MkRuntimeError,
+                       match="an Integer argument is required"):
+        run_program("3 %s %s" % (op, arg))
+
+
+@pytest.mark.parametrize("expr, value", [
+    ("9223372036854775806 + 1", 2 ** 63 - 1),
+    ("9223372036854775807 + 1", None),
+    ("0 - 9223372036854775807 - 1", -2 ** 63),
+    ("0 - 9223372036854775807 - 2", None),
+    ("3037000499 * 3037000499", 3037000499 ** 2),
+    ("4294967296 * 4294967296", None),
+])
+def test_integer_range_is_64_bit_with_a_trace(expr, value):
+    source = "class A [ m [ ^ %s ] ]\nA new m" % expr
+    if value is not None:
+        assert run_program(source).value == value
+        return
+    with pytest.raises(MkRuntimeError, match="integer overflow") as exc:
+        run_program(source)
+    assert exc.value.trace[0].startswith("A>>m ")
+    assert exc.value.trace[1].startswith("top-level ")
+
+
 def test_division_by_zero():
     with pytest.raises(MkRuntimeError, match="division by zero"):
         run_program("1 // 0")
@@ -245,3 +272,78 @@ def test_method_running_when_recompiled_finishes_with_old_code():
     # The next call sees the new definition (and the link is gone with
     # the old AST).
     assert interp.run("A new m").output == "new-first\nnew-second\n"
+
+
+# Each lookup is cached per class; these sends warm the cache first, then
+# change what the lookup should find.
+
+def test_method_cache_sees_recompile():
+    interp = Interpreter()
+    interp.run("class A [ m [ ^ 1 ] ]")
+    a = interp.send(interp.class_named("A"), "new", [])
+    assert interp.send(a, "m", []) == 1
+    interp.recompile("A", "m", "m [ ^ 2 ]")
+    assert interp.send(a, "m", []) == 2
+
+
+def test_method_cache_sees_subclass_override():
+    interp = Interpreter()
+    interp.run("class A [ m [ ^ 1 ] ]\nclass B extends A [ ]")
+    assert interp.run("B new m").value == 1
+    interp.run("class B extends A [ m [ ^ 2 ] ]")
+    assert interp.run("B new m").value == 2
+    assert interp.run("A new m").value == 1
+
+
+def test_method_cache_sees_object_methods_after_integer_send():
+    interp = Interpreter()
+    assert interp.run("3 isNil").value is False
+    interp.run("class Object [ isNil [ ^ #redefined ] double [ ^ 2 ] ]")
+    assert interp.run("3 isNil").value == "redefined"
+    assert interp.run("3 double").value == 2
+
+
+def test_method_cache_sees_methods_of_a_load_that_failed_halfway():
+    from mklang.errors import UnknownClass
+    interp = Interpreter()
+    interp.run("class A [ m [ ^ 1 ] ]")
+    a = interp.send(interp.class_named("A"), "new", [])
+    assert interp.send(a, "m", []) == 1
+    with pytest.raises(UnknownClass):
+        interp.load("class A [ m [ ^ 2 ] ]\nclass B extends Nope [ ]")
+    # Class A was installed before B failed; its new `m` is in effect.
+    assert interp.send(a, "m", []) == 2
+
+
+def test_method_cache_sees_new_superclass():
+    interp = Interpreter()
+    interp.run("class A [ m [ ^ 1 ] ]\nclass B [ m [ ^ 2 ] ]\n"
+               "class C extends A [ ]")
+    assert interp.run("C new m").value == 1
+    interp.run("class C extends B [ ]")
+    assert interp.run("C new m").value == 2
+
+
+def test_recursion_150_deep_completes():
+    result = run_program("""class D [
+    down: n [ n = 0 ifTrue: [ ^ 0 ]. ^ (self down: n - 1) + 1 ]
+]
+D new down: 150""")
+    assert result.value == 150
+
+
+def test_unlinked_sends_leave_no_cyclic_garbage():
+    import gc
+    interp = Interpreter()
+    interp.run("class A [ m: n [ | t | t := n + 1. ^ self k: t ] "
+               "k: n [ n > 2 ifTrue: [ ^ n ]. ^ 0 ] ]")
+    a = interp.send(interp.class_named("A"), "new", [])
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(100):
+            interp.send(a, "m:", [n])
+        # Activations are freed by reference counting as they return.
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
