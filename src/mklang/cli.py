@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 syntax error, 2 runtime error, 3 halted by a
-breakpoint (Halt), 64 usage error.
+breakpoint (Halt), 64 usage error, 70 internal error (a fault of mklang
+itself, not of the program it ran).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ EXIT_SYNTAX = 1
 EXIT_RUNTIME = 2
 EXIT_HALT = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70      # EX_SOFTWARE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +98,12 @@ def cmd_run(args):
         sys.stdout.write(interp.output_text())
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RUNTIME
+    except Exception as exc:
+        # Last resort: the program's own errors are all MkErrors above.
+        sys.stdout.write(interp.output_text())
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(result.output)
     if result.signal is not None:
         print("halted:", file=sys.stderr)

@@ -32,8 +32,8 @@ from functools import partial
 
 from . import links as _links
 from .errors import (
-    HaltSignal, MethodReturn, MkRuntimeError, SelectorMismatch,
-    UnknownClass, UnknownSelector,
+    HaltSignal, MethodReturn, MkRuntimeError, MkSyntaxError,
+    SelectorMismatch, UnknownClass, UnknownSelector,
 )
 from .nodes import (
     ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, META_HOOK,
@@ -46,6 +46,11 @@ from .values import Array, Block, HostFunction, Instance, Symbol
 
 INT_MIN = -(2 ** 63)
 INT_MAX = 2 ** 63 - 1
+
+# `parser.MAX_NESTING` bounds brackets, not a long chain of sends, whose
+# depth the recursive passes of loading (`link_parents`, `walk`) may not
+# survive.
+TOO_DEEP = "expression nested too deeply"
 
 
 class PrimitiveMethod:
@@ -202,8 +207,11 @@ class Interpreter:
 
     def load(self, source, file="<string>"):
         """Parse and install class definitions; returns the Program."""
-        program = parse(source, file, self._node_counter)
-        self._install_classes(program)
+        try:
+            program = parse(source, file, self._node_counter)
+            self._install_classes(program)
+        except RecursionError:
+            raise MkSyntaxError(TOO_DEEP) from None
         return program
 
     def _install_classes(self, program):
@@ -327,14 +335,17 @@ class Interpreter:
         if old is None or not isinstance(old, CompiledMethodRecord):
             raise UnknownSelector(
                 "%s has no compiled method #%s" % (class_name, selector))
-        mdef = parse_method(new_source, id_counter=self._node_counter)
+        try:
+            mdef = parse_method(new_source, id_counter=self._node_counter)
+            sig = MethodSignature(cls.name, selector, len(mdef.params))
+            record = CompiledMethodRecord(sig, mdef, new_source)
+        except RecursionError:
+            raise MkSyntaxError(TOO_DEEP) from None
         if mdef.selector != selector:
             raise SelectorMismatch(
                 "recompile of #%s got a method named #%s"
                 % (selector, mdef.selector))
         self._forget_method(old)
-        sig = MethodSignature(cls.name, selector, len(mdef.params))
-        record = CompiledMethodRecord(sig, mdef, new_source)
         cls.methods[selector] = record
         self._flush_method_caches()
         for nid in record.node_ids:
@@ -598,8 +609,8 @@ class Interpreter:
                          dict(zip(node.params, args)), defining, home)
         body = node.children[0] if node.children else None
         if block.hook_node is not None:
-            perform = (partial(self.eval_node, body, act) if body is not None
-                       else lambda: None)
+            perform = (partial(self._handlers[body.kind], body, act)
+                       if body is not None else lambda: None)
             return self._trigger(block.hook_node, act, perform, None, args)
         if body is None:
             return None
@@ -608,9 +619,13 @@ class Interpreter:
     # -- hooks and triggering ---------------------------------------------
 
     def applicable_links(self, node_id, receiver):
+        """The `(link, LinkConfig)` pairs that apply at a node for this
+        receiver: the node's cached plan, then its object-centric links."""
         self.registry_consults += 1
         reg = self.registry
-        result = reg.class_wide.get(node_id)
+        pairs = reg.plans.get(node_id)
+        if pairs is None:
+            pairs = reg.plan(node_id, self)
         per_obj = reg.object_centric.get(node_id)
         if per_obj is not None:
             try:
@@ -618,11 +633,13 @@ class Interpreter:
             except TypeError:  # unhashable receiver cannot be a target
                 oc = None
             if oc:
-                return (list(result) if result else []) + list(oc)
-        return list(result) if result else []
+                for link in oc:
+                    pairs += ((link, link.effective(self)),)
+        return pairs
 
     def _eval_hook(self, hook, act):
         self.hook_visits += 1
+        handlers = self._handlers
         inner = hook.children[0]
         orig = hook.original
         kind = inner.kind
@@ -630,41 +647,46 @@ class Interpreter:
         if kind == MESSAGE_SEND:
             children = inner.children
             rnode = children[0]
-            receiver = self.eval_node(rnode, act)
+            receiver = handlers[rnode.kind](rnode, act)
             send = (self._send_super
                     if (rnode.original or rnode).var_name == "super"
                     else self.send)
-            args = [self.eval_node(c, act) for c in children[1:]]
+            args = []
+            for c in children[1:]:
+                args.append(handlers[c.kind](c, act))
             perform = partial(send, receiver, inner.selector, args, act, orig)
         elif kind == ASSIGNMENT:
-            value = self.eval_node(inner.children[0], act)
+            expr = inner.children[0]
+            value = handlers[expr.kind](expr, act)
             perform = partial(self.write_var, inner.var_name, value, act, orig)
         elif kind == VAR_READ:
             perform = partial(self.read_var, inner.var_name, act, orig)
         elif kind == RETURN:
-            value = self.eval_node(inner.children[0], act)
+            expr = inner.children[0]
+            value = handlers[expr.kind](expr, act)
             raise MethodReturn(act.home, self._trigger(
                 orig, act, lambda: value, None, None, value, False))
         elif kind == BLOCK:
             # Fires at each invocation of the closure, not at its creation.
             return Block(inner, act, hook_node=orig)
         else:
-            perform = partial(self.eval_node, inner, act)
+            perform = partial(handlers[kind], inner, act)
         return self._trigger(orig, act, perform, receiver, args, value)
 
     def _trigger(self, orig, act, perform, receiver=None, args=None,
                  value=None, after=True):
         """Run `perform`, the pending operation at the hooked node `orig`,
         under the links that apply to it; unlinked, just run it."""
-        hook_links = self.applicable_links(orig.id, act.receiver)
-        if not hook_links:
+        pairs = self.applicable_links(orig.id, act.receiver)
+        if not pairs:
             return perform()
         op = OperationWrapper(perform, orig)
         ctx = TriggerContext(self, orig, act, receiver, args, value, op)
-        return self.run_trigger(hook_links, ctx, op, after)
+        return self.run_trigger(pairs, ctx, op, after)
 
-    def run_trigger(self, hook_links, ctx, op, after=True):
-        """Before/instead/after protocol over all applicable links.
+    def run_trigger(self, pairs, ctx, op, after=True):
+        """Before/instead/after protocol over the `(link, LinkConfig)`
+        pairs of all applicable links.
 
         Class-wide links come first (installation order), then
         object-centric ones. Before-links fire in that order, after-links
@@ -673,7 +695,6 @@ class Interpreter:
 
         `after` is False at a return: control leaves the method with the
         value, so there is no after phase and its after-links never fire."""
-        pairs = [(link, link.effective(self)) for link in hook_links]
         ctx.phase = "before"
         has_instead = False
         has_after = False
@@ -722,11 +743,15 @@ class Interpreter:
         self.meta_level += 1
         try:
             if cfg.condition is not None:
-                cond_vals = [resolve(k, ctx) for k in cfg.condition_args]
+                cond_vals = []
+                for k in cfg.condition_args:
+                    cond_vals.append(resolve(k, ctx))
                 if self._check_condition(cfg.condition, cond_vals,
                                          ctx.activation) is not True:
                     return (False, None)
-            args = [resolve(k, ctx) for k in cfg.arguments]
+            args = []
+            for k in cfg.arguments:
+                args.append(resolve(k, ctx))
             return (True, self.send(cfg.meta_object, cfg.selector, args,
                                     ctx.activation))
         finally:

@@ -11,6 +11,16 @@ node in place; removing a node's last link unwraps that one hook in
 place, and the twin disappears with its last hook. Invalidating a link
 never re-weaves: hooks consult the registry when they run, so the woven
 shape depends only on which nodes have links.
+
+A hook fires from its node's *plan*: the `(link, LinkConfig)` pairs of
+the node's class-wide links, built at the node's first trigger and kept
+in `LinkRegistry.plans`. A plan is dropped when a link is added to or
+removed from its node, when its node is forgotten (recompile), when a
+setter marks one of its links dirty, and when one of its links takes a
+new snapshot (install, lazy revalidation, `invalidate`). A plan that
+still holds a dirty link, whose revalidation failed, is not kept, so the
+next trigger tries again. Object-centric links are looked up per receiver
+at each trigger and are not planned.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ class MetaLink:
         self.condition_args = ()
         self.level = 0
         self.enabled = True
-        self.dirty = False
+        self.dirty = False          # changed since `_config` was taken
         self.installed_on = set()   # {(node_id, target-or-None)}
         self.interp = None
         self._config = None
@@ -103,8 +113,18 @@ class MetaLink:
         self.enabled = False
 
     def _touch(self):
-        if self.installed_on:
-            self.dirty = True
+        self.dirty = True
+        self._drop_plans()
+
+    def _snapshot(self):
+        """Fire from the current definition from now on."""
+        self._config = LinkConfig(self)
+        self.dirty = False
+        self._drop_plans()
+
+    def _drop_plans(self):
+        for node_id, _target in self.installed_on:
+            self.interp.registry.plans.pop(node_id, None)
 
     def effective(self, interp):
         """Current firing configuration; lazily revalidates a dirty link.
@@ -118,8 +138,7 @@ class MetaLink:
                 if self._config is None:
                     raise
                 return self._config
-            self._config = LinkConfig(self)
-            self.dirty = False
+            self._snapshot()
         return self._config
 
     def _installed_nodes(self, interp):
@@ -140,50 +159,59 @@ class MetaLink:
 
 
 class LinkRegistry:
-    """Installed links per node id, split by scope.
+    """Installed links per node id, split by scope, and the cached plans.
 
-    Entries exist only for nodes of methods that currently have a twin;
-    lists preserve installation order."""
+    Entries exist only for nodes of methods that currently have a twin.
+    Buckets are tuples in installation order; `add` and `remove` replace
+    them, so a trigger iterating one never sees it change."""
 
     def __init__(self):
-        self.class_wide = {}      # node_id -> [MetaLink]
-        self.object_centric = {}  # node_id -> {target: [MetaLink]}
+        self.class_wide = {}      # node_id -> (MetaLink, ...)
+        self.object_centric = {}  # node_id -> {target: (MetaLink, ...)}
+        self.plans = {}           # node_id -> ((MetaLink, LinkConfig), ...)
 
     def add(self, node_id, link, target=None):
         if target is None:
-            bucket = self.class_wide.setdefault(node_id, [])
+            bucket = self.class_wide.get(node_id, ())
+            if link not in bucket:
+                self.class_wide[node_id] = bucket + (link,)
+                self.plans.pop(node_id, None)
         else:
-            bucket = self.object_centric.setdefault(node_id, {}) \
-                                        .setdefault(target, [])
-        if link not in bucket:
-            bucket.append(link)
+            per_obj = self.object_centric.setdefault(node_id, {})
+            bucket = per_obj.get(target, ())
+            if link not in bucket:
+                per_obj[target] = bucket + (link,)
 
     def remove(self, node_id, link, target=None):
         if target is None:
-            bucket = self.class_wide.get(node_id)
-            if bucket and link in bucket:
-                bucket.remove(link)
-                if not bucket:
-                    del self.class_wide[node_id]
+            if link in self.class_wide.get(node_id, ()):
+                self.plans.pop(node_id, None)
+                _discard(self.class_wide, node_id, link)
         else:
             per_obj = self.object_centric.get(node_id)
-            if per_obj and target in per_obj:
-                bucket = per_obj[target]
-                if link in bucket:
-                    bucket.remove(link)
-                    if not bucket:
-                        del per_obj[target]
-                    if not per_obj:
-                        del self.object_centric[node_id]
+            if per_obj and link in per_obj.get(target, ()):
+                _discard(per_obj, target, link)
+                if not per_obj:
+                    del self.object_centric[node_id]
 
     def drop_node(self, node_id):
         """Forget every entry for a node (recompilation path); shrinks the
         installation sets of the affected links."""
-        for link in self.class_wide.pop(node_id, []):
+        self.plans.pop(node_id, None)
+        for link in self.class_wide.pop(node_id, ()):
             link.installed_on.discard((node_id, None))
         for target, links in self.object_centric.pop(node_id, {}).items():
             for link in links:
                 link.installed_on.discard((node_id, target))
+
+    def plan(self, node_id, interp):
+        """The `(link, LinkConfig)` pairs of a node's class-wide links,
+        kept for the next trigger unless a link is still dirty."""
+        pairs = tuple([(link, link.effective(interp))
+                       for link in self.class_wide.get(node_id, ())])
+        if pairs and not any(link.dirty for link, _cfg in pairs):
+            self.plans[node_id] = pairs
+        return pairs
 
     def has_links(self, node_id):
         return node_id in self.class_wide or node_id in self.object_centric
@@ -193,10 +221,22 @@ class LinkRegistry:
 
     def instead_installed(self, node_id, target=None):
         if target is None:
-            bucket = self.class_wide.get(node_id, [])
+            bucket = self.class_wide.get(node_id, ())
         else:
-            bucket = self.object_centric.get(node_id, {}).get(target, [])
+            bucket = self.object_centric.get(node_id, {}).get(target, ())
         return [l for l in bucket if l.control == "instead"]
+
+
+def _discard(buckets, key, link):
+    """Replace `buckets[key]` by the tuple without `link`; drop it once
+    empty."""
+    bucket = buckets[key]
+    i = bucket.index(link)
+    bucket = bucket[:i] + bucket[i + 1:]
+    if bucket:
+        buckets[key] = bucket
+    else:
+        del buckets[key]
 
 
 class ReflectiveMethod:
@@ -363,8 +403,10 @@ def install(interp, link, node, target=None):
     interp.registry.add(node.id, link, target)
     link.installed_on.add((node.id, target))
     link.interp = interp
-    link._config = LinkConfig(link)
-    link.dirty = False
+    # A clean link's snapshot already matches its definition; taking a
+    # new one would drop the plans of all its other sites.
+    if link._config is None or link.dirty:
+        link._snapshot()
     add_hook(interp, record, node.id)
 
 
@@ -388,5 +430,4 @@ def invalidate(interp, link):
     fire from the new snapshot."""
     if link.installed_on:
         validate_link(interp, link, link._installed_nodes(interp))
-        link._config = LinkConfig(link)
-    link.dirty = False
+        link._snapshot()

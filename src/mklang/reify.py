@@ -13,6 +13,7 @@ from .nodes import (
     ASSIGNMENT, BLOCK, MESSAGE_SEND, METHOD_DEF, RETURN, VAR_READ,
     find_nodes,
 )
+from .values import Instance, Symbol
 
 _ANY = frozenset({"message", "method", "block", "variable", "assignment",
                   "return", "other"})
@@ -56,13 +57,15 @@ def table_kind(node) -> str:
 class TriggerContext:
     """Everything a firing link may reify at one hook activation."""
 
-    __slots__ = ("interp", "node", "activation", "phase", "pending_receiver",
-                 "pending_args", "pending_value", "operation", "current_link")
+    __slots__ = ("interp", "node", "table_kind", "activation", "phase",
+                 "pending_receiver", "pending_args", "pending_value",
+                 "operation", "current_link")
 
     def __init__(self, interp, node, activation, pending_receiver=None,
                  pending_args=None, pending_value=None, operation=None):
         self.interp = interp
         self.node = node
+        self.table_kind = _TABLE_KIND.get(node.kind, "other")
         self.activation = activation
         self.phase = "before"
         self.pending_receiver = pending_receiver
@@ -70,10 +73,6 @@ class TriggerContext:
         self.pending_value = pending_value
         self.operation = operation
         self.current_link = None
-
-    @property
-    def table_kind(self):
-        return table_kind(self.node)
 
 
 class OperationWrapper:
@@ -216,59 +215,40 @@ def resolve(kind, ctx: TriggerContext):
     if node_kind not in allowed:
         raise InapplicableReification(
             "#%s is not applicable to %s nodes" % (kind, node_kind))
-    interp = ctx.interp
-    act = ctx.activation
+    return _RESOLVERS[kind](ctx)
 
-    if kind == "arguments":
-        if node_kind == "message":
-            return interp.new_array(list(ctx.pending_args or ()))
-        return interp.new_array(list(ctx.pending_args
-                                     if ctx.pending_args is not None
-                                     else act.arguments))
-    if kind == "class":
-        return interp.class_of(act.receiver)
-    if kind == "receiver":
-        if node_kind == "message":
-            return ctx.pending_receiver
-        return act.receiver
-    if kind == "entity":
-        return _owning_method_mirror(interp, ctx, woven=False)
-    if kind == "link":
-        return ctx.current_link
-    if kind == "method":
-        return _owning_method_mirror(interp, ctx, woven=True)
-    if kind == "originalMethod":
-        return _owning_method_mirror(interp, ctx, woven=False)
-    if kind == "name":
-        return ctx.node.var_name
-    if kind == "newValue":
-        if node_kind != "assignment":
-            _phase_error(kind, ctx)  # a read never changes the value
-        return ctx.pending_value
-    if kind == "node":
-        return NodeMirror(interp, ctx.node)
-    if kind == "object":
-        return act.receiver
-    if kind == "operation":
-        return ctx.operation
-    if kind == "selector":
-        from .values import Symbol
-        if node_kind == "message":
-            return Symbol(ctx.node.selector)
-        return Symbol(act.method.signature.selector)
-    if kind == "sender":
-        if act.sender is None:
-            return None
-        return ContextMirror(interp, act.sender)
-    if kind == "context":
-        return ContextMirror(interp, act)
-    if kind == "value":
-        return _resolve_value(ctx)
-    if kind == "variable":
-        if node_kind in ("variable", "assignment"):
-            return _variable_mirror(interp, ctx)
+
+def _arguments(ctx):
+    args = ctx.pending_args
+    if ctx.table_kind == "message":
+        return ctx.interp.new_array(list(args or ()))
+    return ctx.interp.new_array(
+        list(args if args is not None else ctx.activation.arguments))
+
+
+def _receiver(ctx):
+    if ctx.table_kind == "message":
+        return ctx.pending_receiver
+    return ctx.activation.receiver
+
+
+def _new_value(ctx):
+    if ctx.table_kind != "assignment":
+        _phase_error("newValue", ctx)  # a read never changes the value
+    return ctx.pending_value
+
+
+def _selector(ctx):
+    if ctx.table_kind == "message":
+        return Symbol(ctx.node.selector)
+    return Symbol(ctx.activation.method.signature.selector)
+
+
+def _sender(ctx):
+    sender = ctx.activation.sender
+    if sender is None:
         return None
-    raise InapplicableReification("unsupported reification #%s" % kind)
+    return ContextMirror(ctx.interp, sender)
 
 
 def _resolve_value(ctx):
@@ -286,14 +266,17 @@ def _resolve_value(ctx):
     return ctx.pending_value
 
 
-def _owning_method_mirror(interp, ctx, woven):
-    record = interp.node_owner.get(ctx.node.id)
+def _owning_method_mirror(ctx, woven):
+    record = ctx.interp.node_owner.get(ctx.node.id)
     if record is None:
         return None
-    return MethodMirror(interp, record, woven=woven)
+    return MethodMirror(ctx.interp, record, woven=woven)
 
 
-def _variable_mirror(interp, ctx):
+def _variable_mirror(ctx):
+    if ctx.table_kind not in ("variable", "assignment"):
+        return None
+    interp = ctx.interp
     name = ctx.node.var_name
     act = ctx.activation
     a = act
@@ -302,7 +285,29 @@ def _variable_mirror(interp, ctx):
             return VariableMirror(interp, "temp", name, a)
         a = a.lexical_parent
     recv = act.receiver
-    from .values import Instance
     if isinstance(recv, Instance) and name in recv.slots:
         return VariableMirror(interp, "slot", name, recv)
     return VariableMirror(interp, "global", name, interp)
+
+
+# Kind -> function of the trigger context; `resolve` has already checked
+# that the kind applies to the node.
+_RESOLVERS = {
+    "arguments": _arguments,
+    "class": lambda ctx: ctx.interp.class_of(ctx.activation.receiver),
+    "receiver": _receiver,
+    "entity": lambda ctx: _owning_method_mirror(ctx, False),
+    "link": lambda ctx: ctx.current_link,
+    "method": lambda ctx: _owning_method_mirror(ctx, True),
+    "originalMethod": lambda ctx: _owning_method_mirror(ctx, False),
+    "name": lambda ctx: ctx.node.var_name,
+    "newValue": _new_value,
+    "node": lambda ctx: NodeMirror(ctx.interp, ctx.node),
+    "object": lambda ctx: ctx.activation.receiver,
+    "operation": lambda ctx: ctx.operation,
+    "selector": _selector,
+    "sender": _sender,
+    "context": lambda ctx: ContextMirror(ctx.interp, ctx.activation),
+    "value": _resolve_value,
+    "variable": _variable_mirror,
+}

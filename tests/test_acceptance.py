@@ -314,6 +314,17 @@ def test_twin_lifecycle_500_step_fuzzer():
             for node in twin.woven_ast.walk():
                 for child in node.children:
                     assert child.parent is node
+        # Every cached plan equals one built now from the registry, and
+        # none holds a dirty link or sits on a node without class-wide
+        # links. Then plan every linked node, so the next step must keep
+        # the plans it leaves behind right.
+        reg = interp.registry
+        for nid, plan in reg.plans.items():
+            assert nid in reg.class_wide
+            assert plan == tuple((l, l._config) for l in reg.class_wide[nid])
+            assert not any(link.dirty for link, _cfg in plan)
+        for nid in list(reg.class_wide):
+            interp.applicable_links(nid, None)
 
     for step in range(500):
         action = rng.random()

@@ -1,6 +1,7 @@
 import pytest
 
-from mklang.cli import main
+from mklang.cli import EXIT_INTERNAL, main
+from mklang.interpreter import Interpreter
 
 
 def run_cli(args):
@@ -152,3 +153,31 @@ def test_run_deep_nesting_is_a_syntax_error_exit_1(tmp_path, capsys):
     assert captured.out == ""
     assert "syntax error: nesting deeper than" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("source", [
+    "1%s logCr" % (" + 1" * 1200),
+    "1%s" % (" negated" * 1200),
+    "class A [ m [ ^ 1%s ] ]\nA new m logCr" % (" + 1" * 1200),
+], ids=["binary", "unary", "in-method"])
+def test_run_long_send_chain_is_a_syntax_error_exit_1(tmp_path, capsys,
+                                                      source):
+    path = write(tmp_path, "p.mk", source)
+    assert run_cli(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "syntax error: expression nested too deeply" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_run_internal_error_exits_70(tmp_path, capsys, monkeypatch):
+    def broken(self, source, file="<string>"):
+        self.write("pre\n")
+        raise KeyError("lost")
+
+    monkeypatch.setattr(Interpreter, "run", broken)
+    path = write(tmp_path, "p.mk", "1 logCr")
+    assert run_cli(["run", path]) == EXIT_INTERNAL == 70
+    captured = capsys.readouterr()
+    assert captured.out == "pre\n"
+    assert captured.err == "internal error: KeyError: 'lost'\n"

@@ -344,12 +344,15 @@ def test_uninstall_and_invalidate_keep_the_twin(interp, monkeypatch):
     assert sink == [("b", "+")]         # fires with the new config
 
 
-def test_meta_object_removes_its_own_link_inside_a_loop():
-    interp = Interpreter()
-    interp.run("""class Loop [
+LOOP_SOURCE = """class Loop [
     run [ | s | s := 0. 1 to: 5 do: [ :i | s := s + i ]. ^ s ]
 ]
-""")
+"""
+
+
+def test_meta_object_removes_its_own_link_inside_a_loop():
+    interp = Interpreter()
+    interp.run(LOOP_SOURCE)
     record = interp.lookup_method("Loop", "run")
     node = find_nodes(record.original_ast, "sends-of", "+")[0]
     fires = []
@@ -369,6 +372,156 @@ def test_meta_object_removes_its_own_link_inside_a_loop():
     assert interp.run("Loop new run logCr").output == "15\n"
     assert fires == [1, 1]
     assert record.twin is None
+
+
+def test_meta_object_removes_its_own_link_while_another_stays():
+    interp = Interpreter()
+    interp.run(LOOP_SOURCE)
+    record = interp.lookup_method("Loop", "run")
+    node = find_nodes(record.original_ast, "sends-of", "+")[0]
+    fires = []
+    stays = recording_link(fires, "stays", control="after")
+    leaves = MetaLink()
+
+    def leave():
+        fires.append(("leaves",))
+        remove(interp, leaves, node)
+
+    leaves.set_meta_object(HostFunction(leave, "self-removing"))
+    leaves.set_selector("value")
+    install(interp, stays, node)
+    install(interp, leaves, node)
+    assert interp.run("Loop new run logCr").output == "15\n"
+    # The trigger that removed it finishes with the links it started with;
+    # the next ones run without it.
+    assert fires == [("leaves",), ("stays",)] + [("stays",)] * 4
+    assert list(record.twin.hook_table) == [node.id]
+
+
+# A hook fires from its node's cached plan; these change what the plan
+# must hold without touching the registry.
+
+def test_setter_on_an_installed_link_applies_at_the_next_trigger(interp):
+    sink = []
+    link = recording_link(sink, "a")
+    install(interp, link, increment_node(interp, "sends-of", "+"))
+    interp.run("Counter new increment")
+    link.set_control("after")
+    link.set_selector("value:")
+    link.set_arguments(("value",))      # a send has a value only after
+    interp.run("Counter new increment")
+    assert sink == [("a",), ("a", 1)]
+
+
+def test_disable_and_enable_apply_at_the_next_trigger(interp):
+    sink = []
+    link = recording_link(sink, "a")
+    install(interp, link, increment_node(interp))
+    interp.run("Counter new increment")
+    link.disable()
+    interp.run("Counter new increment")
+    link.enable()
+    interp.run("Counter new increment")
+    assert sink == [("a",), ("a",)]
+
+
+def test_invalid_mutation_waits_until_the_meta_object_understands(interp):
+    interp.run("class Probe [ first [ 'first' logCr ] ]")
+    link = MetaLink()
+    link.set_meta_object(interp.run("Probe new").value)
+    link.set_selector("first")
+    install(interp, link, increment_node(interp))
+    assert interp.run("Counter new increment").output == "first\n"
+    link.set_selector("second")         # Probe does not understand it yet
+    for _ in range(2):
+        assert interp.run("Counter new increment").output == "first\n"
+    interp.load("class Probe [ second [ 'second' logCr ] ]")
+    assert interp.run("Counter new increment").output == "second\n"
+
+
+def test_a_clean_link_installed_on_a_planned_node_fires_there(interp):
+    sink = []
+    write, plus = increment_node(interp), increment_node(interp, "sends-of",
+                                                         "+")
+    first, shared = recording_link(sink, "first"), recording_link(sink, "b")
+    install(interp, first, plus)
+    install(interp, shared, write)
+    interp.run("Counter new increment")     # plans both nodes
+    install(interp, shared, plus)           # no new snapshot: still clean
+    interp.run("Counter new increment")
+    assert sink == [("first",), ("b",), ("first",), ("b",), ("b",)]
+
+
+def test_snapshots_replace_the_cached_plans(interp):
+    write, plus = increment_node(interp), increment_node(interp, "sends-of",
+                                                         "+")
+    link = recording_link([], "a")
+    install(interp, link, write)
+    interp.run("Counter new increment")
+    plans = interp.registry.plans
+    assert plans[write.id] == ((link, link._config),)
+    install(interp, link, plus)         # a clean link keeps its snapshot
+    assert plans[write.id] == ((link, link._config),)
+    invalidate(interp, link)
+    assert write.id not in plans
+    interp.run("Counter new increment")
+    assert plans[write.id] == ((link, link._config),)
+    assert plans[plus.id] == ((link, link._config),)
+
+
+def test_class_wide_and_object_centric_links_on_one_node(interp):
+    sink = []
+    node = increment_node(interp)
+    target = interp.run("Counter new").value
+    other = interp.run("Counter new").value
+    oc_before = recording_link(sink, "oc-before")
+    cw_before = recording_link(sink, "cw-before")
+    oc_after = recording_link(sink, "oc-after", control="after")
+    cw_after = recording_link(sink, "cw-after", control="after")
+    install(interp, oc_before, node, target)
+    install(interp, cw_before, node)
+    install(interp, oc_after, node, target)
+    install(interp, cw_after, node)
+    for _ in range(2):                  # the second round reuses the plan
+        interp.send(target, "increment", [], None)
+        interp.send(other, "increment", [], None)
+    # Class-wide links first, then the target's own; after-links reversed.
+    for_target = [("cw-before",), ("oc-before",), ("oc-after",),
+                  ("cw-after",)]
+    for_other = [("cw-before",), ("cw-after",)]
+    assert sink == (for_target + for_other) * 2
+    assert interp.registry.plans[node.id] == \
+        ((cw_before, cw_before._config), (cw_after, cw_after._config))
+
+
+def raise_value_error():
+    raise ValueError("a host meta-object failed")
+
+
+@pytest.mark.parametrize("failing", ["host", "language", "condition"])
+def test_meta_level_returns_to_zero_after_any_exception(interp, failing):
+    interp.run("class Failing [ fail [ ^ nil boom ] ]")
+    link = MetaLink()
+    error = MkRuntimeError
+    if failing == "host":
+        link.set_meta_object(HostFunction(raise_value_error, "raising"))
+        link.set_selector("value")
+        error = ValueError
+    elif failing == "language":
+        link.set_meta_object(interp.run("Failing new").value)
+        link.set_selector("fail")
+    else:
+        link.set_meta_object(HostFunction(lambda: None, "a no-op"))
+        link.set_selector("value")
+        link.set_condition(interp.run("[ nil boom ]").value)
+    install(interp, link, increment_node(interp))
+    for _ in range(2):
+        with pytest.raises(error):
+            interp.run("Counter new increment")
+        assert interp.meta_level == 0
+    uninstall(interp, link)
+    assert interp.run("| c | c := Counter new. c increment. ^ c count").value \
+        == 1
 
 
 PROTOCOL_SOURCE = """class Base [ val: x [ Transcript show: 'v'. ^ x * 10 ] ]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mklang import Interpreter
-from mklang.errors import MkRuntimeError
+from mklang.errors import MkRuntimeError, MkSyntaxError
 from mklang.interpreter import run_program
 
 
@@ -347,3 +347,11 @@ def test_unlinked_sends_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_recompile_with_a_long_send_chain_is_a_syntax_error():
+    interp = Interpreter()
+    interp.run("class A [ m [ ^ 1 ] ]")
+    with pytest.raises(MkSyntaxError, match="expression nested too deeply"):
+        interp.recompile("A", "m", "m [ ^ 1%s ]" % (" + 1" * 1200))
+    assert interp.run("A new m").value == 1
