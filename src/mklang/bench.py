@@ -52,14 +52,6 @@ class BenchTarget [ |v|
 
 
 @dataclass
-class OverheadScenario:
-    workload: str                 # 'send' | 'varrw'
-    linkage: str                  # 'nolink' | 'empty' | 'full-...'
-    duration_budget: float = 5.0
-    repetitions: int = 3
-
-
-@dataclass
 class BenchReport:
     scenario: str
     rate: float                   # executions per second, median of reps

@@ -619,13 +619,11 @@ class Interpreter:
     # -- hooks and triggering ---------------------------------------------
 
     def applicable_links(self, node_id, receiver):
-        """The `(link, LinkConfig)` pairs that apply at a node for this
-        receiver: the node's cached plan, then its object-centric links."""
+        """The links that apply at a node for this receiver: the
+        registry's tuple of its class-wide links, then the receiver's."""
         self.registry_consults += 1
         reg = self.registry
-        pairs = reg.plans.get(node_id)
-        if pairs is None:
-            pairs = reg.plan(node_id, self)
+        links = reg.class_wide.get(node_id, ())
         per_obj = reg.object_centric.get(node_id)
         if per_obj is not None:
             try:
@@ -633,9 +631,8 @@ class Interpreter:
             except TypeError:  # unhashable receiver cannot be a target
                 oc = None
             if oc:
-                for link in oc:
-                    pairs += ((link, link.effective(self)),)
-        return pairs
+                links += oc
+        return links
 
     def _eval_hook(self, hook, act):
         self.hook_visits += 1
@@ -677,28 +674,32 @@ class Interpreter:
                  value=None, after=True):
         """Run `perform`, the pending operation at the hooked node `orig`,
         under the links that apply to it; unlinked, just run it."""
-        pairs = self.applicable_links(orig.id, act.receiver)
-        if not pairs:
+        links = self.applicable_links(orig.id, act.receiver)
+        if not links:
             return perform()
         op = OperationWrapper(perform, orig)
         ctx = TriggerContext(self, orig, act, receiver, args, value, op)
-        return self.run_trigger(pairs, ctx, op, after)
+        return self.run_trigger(links, ctx, op, after)
 
-    def run_trigger(self, pairs, ctx, op, after=True):
-        """Before/instead/after protocol over the `(link, LinkConfig)`
-        pairs of all applicable links.
+    def run_trigger(self, links, ctx, op, after=True):
+        """Before/instead/after protocol over all applicable links.
 
         Class-wide links come first (installation order), then
         object-centric ones. Before-links fire in that order, after-links
         in reverse. An instead-link's result replaces the node's value;
         the most specific (object-centric, latest installed) wins.
 
+        Each pass reads a link's `LinkConfig` snapshot when it reaches the
+        link (the before pass revalidates a dirty one first), so a change
+        a meta-object makes to a later link applies in the same trigger.
+
         `after` is False at a return: control leaves the method with the
         value, so there is no after phase and its after-links never fire."""
         ctx.phase = "before"
         has_instead = False
         has_after = False
-        for link, cfg in pairs:
+        for link in links:
+            cfg = link.effective(self) if link.dirty else link._config
             ctl = cfg.control
             if ctl == "before":
                 self.fire_link(link, cfg, ctx)
@@ -710,7 +711,8 @@ class Interpreter:
             ctx.phase = "instead"
             result = None
             fired_instead = False
-            for link, cfg in reversed(pairs):
+            for link in reversed(links):
+                cfg = link._config
                 if cfg.control == "instead":
                     fired, replacement = self.fire_link(link, cfg, ctx)
                     if fired:
@@ -724,7 +726,8 @@ class Interpreter:
         if has_after and after:
             ctx.phase = "after"
             ctx.pending_value = result
-            for link, cfg in reversed(pairs):
+            for link in reversed(links):
+                cfg = link._config
                 if cfg.control == "after":
                     self.fire_link(link, cfg, ctx)
         return result

@@ -12,21 +12,21 @@ place, and the twin disappears with its last hook. Invalidating a link
 never re-weaves: hooks consult the registry when they run, so the woven
 shape depends only on which nodes have links.
 
-A hook fires from its node's *plan*: the `(link, LinkConfig)` pairs of
-the node's class-wide links, built at the node's first trigger and kept
-in `LinkRegistry.plans`. A plan is dropped when a link is added to or
-removed from its node, when its node is forgotten (recompile), when a
-setter marks one of its links dirty, and when one of its links takes a
-new snapshot (install, lazy revalidation, `invalidate`). A plan that
-still holds a dirty link, whose revalidation failed, is not kept, so the
-next trigger tries again. Object-centric links are looked up per receiver
-at each trigger and are not planned.
+A hook fires from what the registry and the links already hold: the
+registry says where links sit (an immutable tuple of links per node, and
+per node and target), and each link's `LinkConfig` snapshot says how it
+fires. A setter only marks its link dirty; the next trigger that reaches
+the link revalidates it against the sites it sits on and takes a new
+snapshot, or keeps firing the old one if the new definition is invalid.
+Nothing is cached per node, so a change to a link applies at every site
+it sits on, in every interpreter it is installed in.
 """
 
 from __future__ import annotations
 
 from .errors import (
-    ArityMismatch, InsteadConflict, MkRuntimeError, NodeNotInstallable,
+    ArityMismatch, InsteadConflict, LinkError, MkRuntimeError,
+    NodeNotInstallable,
 )
 from .nodes import META_HOOK, NOT_INSTALLABLE, AstNode, selector_arity
 from .reify import APPLICABILITY, table_kind
@@ -70,7 +70,6 @@ class MetaLink:
         self.enabled = True
         self.dirty = False          # changed since `_config` was taken
         self.installed_on = set()   # {(node_id, target-or-None)}
-        self.interp = None
         self._config = None
 
     # Setters are unchecked; validity is established at install/invalidate
@@ -114,17 +113,11 @@ class MetaLink:
 
     def _touch(self):
         self.dirty = True
-        self._drop_plans()
 
     def _snapshot(self):
         """Fire from the current definition from now on."""
         self._config = LinkConfig(self)
         self.dirty = False
-        self._drop_plans()
-
-    def _drop_plans(self):
-        for node_id, _target in self.installed_on:
-            self.interp.registry.plans.pop(node_id, None)
 
     def effective(self, interp):
         """Current firing configuration; lazily revalidates a dirty link.
@@ -134,7 +127,7 @@ class MetaLink:
         if self._config is None or self.dirty:
             try:
                 validate_link(interp, self, self._installed_nodes(interp))
-            except ArityMismatch:
+            except LinkError:
                 if self._config is None:
                     raise
                 return self._config
@@ -159,23 +152,22 @@ class MetaLink:
 
 
 class LinkRegistry:
-    """Installed links per node id, split by scope, and the cached plans.
+    """Installed links per node id, split by scope.
 
     Entries exist only for nodes of methods that currently have a twin.
     Buckets are tuples in installation order; `add` and `remove` replace
-    them, so a trigger iterating one never sees it change."""
+    them, so a trigger iterating one never sees it change, and a trigger
+    can fire from a bucket without copying it."""
 
     def __init__(self):
         self.class_wide = {}      # node_id -> (MetaLink, ...)
         self.object_centric = {}  # node_id -> {target: (MetaLink, ...)}
-        self.plans = {}           # node_id -> ((MetaLink, LinkConfig), ...)
 
     def add(self, node_id, link, target=None):
         if target is None:
             bucket = self.class_wide.get(node_id, ())
             if link not in bucket:
                 self.class_wide[node_id] = bucket + (link,)
-                self.plans.pop(node_id, None)
         else:
             per_obj = self.object_centric.setdefault(node_id, {})
             bucket = per_obj.get(target, ())
@@ -185,7 +177,6 @@ class LinkRegistry:
     def remove(self, node_id, link, target=None):
         if target is None:
             if link in self.class_wide.get(node_id, ()):
-                self.plans.pop(node_id, None)
                 _discard(self.class_wide, node_id, link)
         else:
             per_obj = self.object_centric.get(node_id)
@@ -197,21 +188,11 @@ class LinkRegistry:
     def drop_node(self, node_id):
         """Forget every entry for a node (recompilation path); shrinks the
         installation sets of the affected links."""
-        self.plans.pop(node_id, None)
         for link in self.class_wide.pop(node_id, ()):
             link.installed_on.discard((node_id, None))
         for target, links in self.object_centric.pop(node_id, {}).items():
             for link in links:
                 link.installed_on.discard((node_id, target))
-
-    def plan(self, node_id, interp):
-        """The `(link, LinkConfig)` pairs of a node's class-wide links,
-        kept for the next trigger unless a link is still dirty."""
-        pairs = tuple([(link, link.effective(interp))
-                       for link in self.class_wide.get(node_id, ())])
-        if pairs and not any(link.dirty for link, _cfg in pairs):
-            self.plans[node_id] = pairs
-        return pairs
 
     def has_links(self, node_id):
         return node_id in self.class_wide or node_id in self.object_centric
@@ -249,15 +230,28 @@ class ReflectiveMethod:
         self.hook_table = {}  # original node id -> MetaHook node
 
 
-def copy_tree(node: AstNode, copies: dict, parent=None) -> AstNode:
-    dup = AstNode(
+def copy_tree(node: AstNode, copies: dict) -> AstNode:
+    """Deep-copy `node` with parent links, recording each copy under its
+    original's id. Iterative, so a long send chain cannot exhaust the
+    Python stack halfway through a weave."""
+    root = copies[node.id] = _copy_node(node, None)
+    stack = [(node, root)]
+    while stack:
+        node, dup = stack.pop()
+        for child in node.children:
+            copy = copies[child.id] = _copy_node(child, dup)
+            dup.children.append(copy)
+            if child.children:
+                stack.append((child, copy))
+    return root
+
+
+def _copy_node(node, parent):
+    return AstNode(
         kind=node.kind, span=node.span, id=node.id,
         selector=node.selector, var_name=node.var_name, value=node.value,
         name=node.name, superclass=node.superclass,
         params=list(node.params), temps=list(node.temps), parent=parent)
-    dup.children = [copy_tree(c, copies, dup) for c in node.children]
-    copies[node.id] = dup
-    return dup
 
 
 def weave(interp, record) -> "ReflectiveMethod | None":
@@ -392,7 +386,14 @@ def install(interp, link, node, target=None):
             and type(target).__name__ != "ClassRecord":
         raise MkRuntimeError("object-centric targets must be reference "
                              "objects with stable identity")
-    validate_link(interp, link, [node])
+    # A new snapshot applies at every site, so a new or mutated definition
+    # is checked against all of them; a clean link's snapshot already is,
+    # and checking only the new node keeps installing it on n nodes linear.
+    fresh = link._config is None or link.dirty
+    nodes = [node]
+    if fresh:
+        nodes += link._installed_nodes(interp)
+    validate_link(interp, link, nodes)
     if link.control == "instead":
         conflict = [l for l in interp.registry.instead_installed(
             node.id, target) if l is not link]
@@ -402,10 +403,7 @@ def install(interp, link, node, target=None):
                 "scope" % node.id)
     interp.registry.add(node.id, link, target)
     link.installed_on.add((node.id, target))
-    link.interp = interp
-    # A clean link's snapshot already matches its definition; taking a
-    # new one would drop the plans of all its other sites.
-    if link._config is None or link.dirty:
+    if fresh:
         link._snapshot()
     add_hook(interp, record, node.id)
 

@@ -16,9 +16,6 @@ class SourceSpan:
     end: int
     file: str = "<string>"
 
-    def contains(self, other: "SourceSpan") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
     def __str__(self):
         return "%s:%d..%d" % (self.file, self.start, self.end)
 

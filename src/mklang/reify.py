@@ -11,7 +11,6 @@ from __future__ import annotations
 from .errors import AlreadyInvoked, InapplicableReification, PhaseUnavailable
 from .nodes import (
     ASSIGNMENT, BLOCK, MESSAGE_SEND, METHOD_DEF, RETURN, VAR_READ,
-    find_nodes,
 )
 from .values import Instance, Symbol
 
@@ -141,9 +140,6 @@ class MethodMirror:
         if self.woven and self.record.twin is not None:
             return self.record.twin.woven_ast
         return self.record.original_ast
-
-    def navigate(self, query, arg=None):
-        return find_nodes(self.record.original_ast, query, arg)
 
     def describe(self):
         sig = self.record.signature

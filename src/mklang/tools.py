@@ -12,8 +12,6 @@ from .links import MetaLink, install, uninstall
 from .nodes import find_nodes
 from .values import HostFunction
 
-SITES = ("method-entry", "statement-at", "send-of")
-
 
 class Breakpoint:
     """A before-link to Halt>>now on one or more nodes of a method."""

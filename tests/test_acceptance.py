@@ -10,6 +10,7 @@ else is exact.
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,9 @@ from mklang.errors import (
     HaltSignal, InapplicableReification, MkError, PhaseUnavailable,
 )
 from mklang.interpreter import Activation
-from mklang.links import install, remove, uninstall, weave
+from mklang.links import (
+    install, remove, uninstall, validate_link, weave,
+)
 from mklang.listings import run_all
 from mklang.nodes import find_nodes
 from mklang.reify import (
@@ -314,17 +317,25 @@ def test_twin_lifecycle_500_step_fuzzer():
             for node in twin.woven_ast.walk():
                 for child in node.children:
                     assert child.parent is node
-        # Every cached plan equals one built now from the registry, and
-        # none holds a dirty link or sits on a node without class-wide
-        # links. Then plan every linked node, so the next step must keep
-        # the plans it leaves behind right.
+        # Every link in a bucket fires from a snapshot that is valid on
+        # every node it sits on.
         reg = interp.registry
-        for nid, plan in reg.plans.items():
-            assert nid in reg.class_wide
-            assert plan == tuple((l, l._config) for l in reg.class_wide[nid])
-            assert not any(link.dirty for link, _cfg in plan)
-        for nid in list(reg.class_wide):
-            interp.applicable_links(nid, None)
+        sites = {}
+        for nid, bucket in reg.class_wide.items():
+            for link in bucket:
+                sites.setdefault(link, []).append(nid)
+        for nid, per_obj in reg.object_centric.items():
+            for bucket in per_obj.values():
+                for link in bucket:
+                    sites.setdefault(link, []).append(nid)
+        for link, nids in sites.items():
+            cfg = link._config
+            snapshot = SimpleNamespace(
+                meta_object=cfg.meta_object, selector=cfg.selector,
+                reification_requests=cfg.arguments,
+                condition=cfg.condition, condition_args=cfg.condition_args)
+            validate_link(interp, snapshot, [
+                interp.node_owner[nid].node_index[nid] for nid in nids])
 
     for step in range(500):
         action = rng.random()

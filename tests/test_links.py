@@ -4,7 +4,8 @@ import pytest
 
 from mklang import Interpreter, MetaLink, links
 from mklang.errors import (
-    ArityMismatch, InsteadConflict, MkRuntimeError, NodeNotInstallable,
+    ArityMismatch, InapplicableReification, InsteadConflict, MkRuntimeError,
+    NodeNotInstallable,
 )
 from mklang.interpreter import CompiledMethodRecord
 from mklang.links import install, invalidate, remove, uninstall, weave
@@ -224,7 +225,6 @@ def test_block_meta_object_arity_checked(interp):
 
 
 def test_inapplicable_reification_rejected_at_install(interp):
-    from mklang.errors import InapplicableReification
     link = MetaLink()
     link.set_meta_object(HostFunction(lambda v: None, ""))
     link.set_selector("value:")
@@ -398,8 +398,8 @@ def test_meta_object_removes_its_own_link_while_another_stays():
     assert list(record.twin.hook_table) == [node.id]
 
 
-# A hook fires from its node's cached plan; these change what the plan
-# must hold without touching the registry.
+# A hook fires from each link's own snapshot; these change a link without
+# touching the registry.
 
 def test_setter_on_an_installed_link_applies_at_the_next_trigger(interp):
     sink = []
@@ -439,34 +439,121 @@ def test_invalid_mutation_waits_until_the_meta_object_understands(interp):
     assert interp.run("Counter new increment").output == "second\n"
 
 
-def test_a_clean_link_installed_on_a_planned_node_fires_there(interp):
+def test_a_clean_link_installed_on_a_node_that_already_fired(interp):
     sink = []
     write, plus = increment_node(interp), increment_node(interp, "sends-of",
                                                          "+")
     first, shared = recording_link(sink, "first"), recording_link(sink, "b")
     install(interp, first, plus)
     install(interp, shared, write)
-    interp.run("Counter new increment")     # plans both nodes
+    interp.run("Counter new increment")     # both nodes fire
     install(interp, shared, plus)           # no new snapshot: still clean
     interp.run("Counter new increment")
     assert sink == [("first",), ("b",), ("first",), ("b",), ("b",)]
 
 
-def test_snapshots_replace_the_cached_plans(interp):
+def recorder(sink, tag):
+    return HostFunction(lambda: sink.append(tag), "recorder %s" % tag)
+
+
+def test_each_snapshot_applies_at_every_site_at_the_next_trigger(interp):
+    sink = []
     write, plus = increment_node(interp), increment_node(interp, "sends-of",
                                                          "+")
-    link = recording_link([], "a")
+    link = MetaLink()
+    link.set_meta_object(recorder(sink, "install"))
+    link.set_selector("value")
     install(interp, link, write)
     interp.run("Counter new increment")
-    plans = interp.registry.plans
-    assert plans[write.id] == ((link, link._config),)
     install(interp, link, plus)         # a clean link keeps its snapshot
-    assert plans[write.id] == ((link, link._config),)
-    invalidate(interp, link)
-    assert write.id not in plans
     interp.run("Counter new increment")
-    assert plans[write.id] == ((link, link._config),)
-    assert plans[plus.id] == ((link, link._config),)
+    link.set_meta_object(recorder(sink, "invalidate"))
+    invalidate(interp, link)
+    interp.run("Counter new increment")
+    link.set_meta_object(recorder(sink, "lazy"))
+    interp.run("Counter new increment")
+    # `+` runs before the write it computes the value of.
+    assert sink == ["install"] * 3 + ["invalidate"] * 2 + ["lazy"] * 2
+
+
+def test_one_link_in_two_interpreters_follows_its_setters_in_both():
+    sink = []
+    first, second = Interpreter(), Interpreter()
+    link = MetaLink()
+    link.set_meta_object(recorder(sink, "before"))
+    link.set_selector("value")
+    for each in (first, second):
+        each.run(SOURCE)
+        install(each, link, increment_node(each))
+        each.run("Counter new increment")
+    link.set_meta_object(recorder(sink, "changed"))
+    for each in (first, second):
+        each.run("Counter new increment")
+    assert sink == ["before", "before", "changed", "changed"]
+
+
+def test_a_before_link_changing_a_later_link_is_seen_in_that_trigger(
+        interp):
+    sink = []
+    node = increment_node(interp)
+    later = MetaLink()
+    later.set_meta_object(recorder(sink, "old"))
+    later.set_selector("value")
+    changer = MetaLink()
+    changer.set_meta_object(HostFunction(
+        lambda: later.set_meta_object(recorder(sink, "new")), "a changer"))
+    changer.set_selector("value")
+    install(interp, changer, node)
+    install(interp, later, node)
+    interp.run("Counter new increment")
+    # The trigger reads each link's snapshot when it reaches it.
+    assert sink == ["new"]
+
+
+def test_installing_a_mutated_link_checks_its_earlier_sites(interp):
+    sink = []
+    write, plus = increment_node(interp), increment_node(interp, "sends-of",
+                                                         "+")
+    link = recording_link(sink, "a", reifs=("newValue",))
+    install(interp, link, write)
+    link.set_arguments(("selector",))   # not applicable to the write
+    with pytest.raises(InapplicableReification):
+        install(interp, link, plus)
+    assert not interp.registry.has_links(plus.id)
+    assert interp.run("| c | c := Counter new. c increment. ^ c count") \
+        .value == 1
+    assert sink == [("a", 1)]           # the old snapshot still fires
+
+
+def test_an_inapplicable_mutation_keeps_the_old_snapshot_firing(interp):
+    sink = []
+    link = recording_link(sink, "a", reifs=("newValue",))
+    install(interp, link, increment_node(interp))
+    link.set_arguments(("selector",))   # no `invalidate`
+    for _ in range(2):
+        assert interp.run("| c | c := Counter new. c increment. c increment."
+                          " ^ c count").value == 2
+    assert sink == [("a", 1), ("a", 2)] * 2
+    with pytest.raises(InapplicableReification):
+        invalidate(interp, link)
+
+
+def test_linking_the_root_of_a_long_send_chain_deep_in_the_stack():
+    interp = Interpreter()
+    interp.run("class A [ m [ ^ 1" + " + 1" * 600 + " ] ]")
+    root = interp.method_ast("A", "m")
+    sink = []
+    link = recording_link(sink, "a")
+
+    def install_at(depth):
+        if depth:
+            return install_at(depth - 1)
+        install(interp, link, root)
+
+    install_at(80)
+    assert interp.lookup_method("A", "m").twin is not None
+    assert interp.run("A new m").value == 601
+    assert sink == [("a",)]
 
 
 def test_class_wide_and_object_centric_links_on_one_node(interp):
@@ -482,7 +569,7 @@ def test_class_wide_and_object_centric_links_on_one_node(interp):
     install(interp, cw_before, node)
     install(interp, oc_after, node, target)
     install(interp, cw_after, node)
-    for _ in range(2):                  # the second round reuses the plan
+    for _ in range(2):
         interp.send(target, "increment", [], None)
         interp.send(other, "increment", [], None)
     # Class-wide links first, then the target's own; after-links reversed.
@@ -490,8 +577,6 @@ def test_class_wide_and_object_centric_links_on_one_node(interp):
                   ("cw-after",)]
     for_other = [("cw-before",), ("cw-after",)]
     assert sink == (for_target + for_other) * 2
-    assert interp.registry.plans[node.id] == \
-        ((cw_before, cw_before._config), (cw_after, cw_after._config))
 
 
 def raise_value_error():
