@@ -1,17 +1,14 @@
 """Benchmark harness: instrumentation overhead and link install cost.
 
-Overhead is measured as executions per second of a tiny workload method,
-comparing an unlinked run against an empty meta-call and a full set of
-reifications. Install cost compares recompiling a synthetic corpus with
-installing a trivial link on every method, cold (no twin yet) and hot
-(twin already woven), then removing the hot link node by node and
-uninstalling the cold one. Absolute numbers depend entirely on the host;
-only orderings and signs are meaningful.
+Overhead is executions per second of a tiny method, unlinked and under
+the LINKAGES rows. Install cost compares recompiling a synthetic corpus
+with installing, removing and uninstalling links on every method. Every
+figure is a median from `medians`, whose windows are `_timed`. Absolute
+numbers depend on the host; only orderings and signs are meaningful.
 """
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import statistics
 import time
@@ -23,32 +20,53 @@ from .links import MetaLink, install, remove, uninstall
 from .nodes import find_nodes
 from .values import HostFunction
 
-WORKLOADS = ("send", "varrw")
 INSTALL_CYCLES = 3
+CHUNK = 64          # sends between clock reads in a calibrating window
 
-SEND_WORKLOAD = """
+_META = """
 class BenchMeta [
     empty [ ]
     r1: a r2: b r3: c r4: d [ ]
     w1: a w2: b w3: c [ ]
 ]
+"""
+
+SEND_WORKLOAD = _META + """
 class BenchTarget [
     run [ ^ self step ]
     step [ ^ 1 ]
 ]
 """
 
-VARRW_WORKLOAD = """
-class BenchMeta [
-    empty [ ]
-    r1: a r2: b r3: c r4: d [ ]
-    w1: a w2: b w3: c [ ]
-]
+VARRW_WORKLOAD = _META + """
 class BenchTarget [ |v|
     initialize [ v := 0 ]
     run [ v := v + 1. ^ v ]
 ]
 """
+
+WORKLOADS = {"send": SEND_WORKLOAD, "varrw": VARRW_WORKLOAD}
+
+# Workload -> mode -> (sites: a node query on BenchTarget>>run, selector,
+# reifications, control). Each `full*` row has an `empty*` row on the same
+# sites and control, so the difference between them is reification.
+LINKAGES = {
+    "send": {
+        "nolink": (None, None, (), None),
+        "empty": (("sends-of", "step"), "empty", (), "before"),
+        "full": (("sends-of", "step"), "r1:r2:r3:r4:",
+                 ("object", "selector", "arguments", "receiver"), "before"),
+    },
+    "varrw": {
+        "nolink": (None, None, (), None),
+        "empty-write": (("writes-of", "v"), "empty", (), "before"),
+        "full-write": (("writes-of", "v"), "w1:w2:w3:",
+                       ("object", "name", "newValue"), "before"),
+        "empty-read": (("reads-of", "v"), "empty", (), "after"),
+        "full-read": (("reads-of", "v"), "w1:w2:w3:",
+                      ("object", "name", "value"), "after"),
+    },
+}
 
 
 @dataclass
@@ -80,87 +98,79 @@ class InstallCostReport:
                     self.remove_seconds, self.uninstall_seconds))
 
 
-def _new_target(interp):
-    counter = interp.class_named("BenchTarget")
-    return interp.send(counter, "new", [], None)
+def _timed(fn):
+    """Seconds one call of `fn` takes. As in `timeit`, the cyclic GC
+    collects first and stays off, so no collection lands in the window."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
-def _measure_rate(interp, target, budget, repetitions):
-    """Median executions/second over `repetitions` timed `gc_paused`
-    windows, after one untimed warm-up window."""
-    send = interp.send
-    chunk = 64
-    rates = []
-    for rep in range(repetitions + 1):          # first window is warm-up
-        count = 0
-        with gc_paused():
-            start = time.monotonic()
-            deadline = start + budget
-            while True:
-                for _ in range(chunk):
-                    send(target, "run", [], None)
-                count += chunk
-                now = time.monotonic()
-                if now >= deadline:
-                    break
-        if rep > 0:
-            rates.append(count / (now - start))
-    return statistics.median(rates)
+def medians(fns, rounds):
+    """Median seconds of each of `fns`, timed once per round in order."""
+    samples = [[] for _ in fns]
+    for _ in range(rounds):
+        for times, fn in zip(samples, fns):
+            times.append(_timed(fn))
+    return [statistics.median(times) for times in samples]
 
 
-def _empty_meta_link(interp):
-    meta = interp.send(interp.class_named("BenchMeta"), "new", [], None)
+def configure(interp, workload, mode):
+    """Install `mode`'s link from LINKAGES on the loaded `workload`."""
+    sites, selector, reifications, control = LINKAGES[workload][mode]
+    if sites is None:
+        return
     link = MetaLink()
-    link.set_meta_object(meta)
-    link.set_selector("empty")
-    link.set_control("before")
-    return link, meta
+    link.set_meta_object(
+        interp.send(interp.class_named("BenchMeta"), "new", [], None))
+    link.set_selector(selector)
+    link.set_arguments(reifications)
+    link.set_control(control)
+    for node in find_nodes(interp.method_ast("BenchTarget", "run"), *sites):
+        install(interp, link, node)
 
 
-def _configure_send(interp, linkage):
-    ast = interp.method_ast("BenchTarget", "run")
-    node = find_nodes(ast, "sends-of", "step")[0]
-    if linkage == "empty":
-        link, _ = _empty_meta_link(interp)
-    elif linkage == "full":
-        meta = interp.send(interp.class_named("BenchMeta"), "new", [], None)
-        link = MetaLink()
-        link.set_meta_object(meta)
-        link.set_selector("r1:r2:r3:r4:")
-        link.set_arguments(("object", "selector", "arguments", "receiver"))
-        link.set_control("before")
-    else:
-        raise ValueError("unknown linkage %r" % (linkage,))
-    install(interp, link, node)
+def runner(workload, mode, seed=0):
+    """`run(n)` sends #run n times to a new BenchTarget linked as `mode`."""
+    interp = Interpreter(seed=seed)
+    interp.load(WORKLOADS[workload])
+    configure(interp, workload, mode)
+    target = interp.send(interp.class_named("BenchTarget"), "new", [], None)
+    send = interp.send
+
+    def run(n):
+        for _ in range(n):
+            send(target, "run", [], None)
+    return run
 
 
-def _configure_varrw(interp, linkage):
-    ast = interp.method_ast("BenchTarget", "run")
-    write = find_nodes(ast, "writes-of", "v")[0]
-    reads = find_nodes(ast, "reads-of", "v")
-    meta = interp.send(interp.class_named("BenchMeta"), "new", [], None)
-    if linkage == "empty":
-        link, _ = _empty_meta_link(interp)
-        install(interp, link, write)
-        for r in reads:
-            install(interp, link, r)
-    elif linkage == "full-write":
-        link = MetaLink()
-        link.set_meta_object(meta)
-        link.set_selector("w1:w2:w3:")
-        link.set_arguments(("object", "name", "newValue"))
-        link.set_control("before")
-        install(interp, link, write)
-    elif linkage == "full-read":
-        link = MetaLink()
-        link.set_meta_object(meta)
-        link.set_selector("w1:w2:w3:")
-        link.set_arguments(("object", "name", "value"))
-        link.set_control("after")
-        for r in reads:
-            install(interp, link, r)
-    else:
-        raise ValueError("unknown linkage %r" % (linkage,))
+def _calls_per_budget(run, budget):
+    """Calls of `run` per `budget` seconds, from a warm-up window."""
+    count = 0
+    def fill():
+        nonlocal count
+        deadline = time.perf_counter() + budget
+        while time.perf_counter() < deadline:
+            run(CHUNK)
+            count += CHUNK
+    elapsed = _timed(fill)
+    return max(1, round(count * budget / elapsed))
+
+
+def rates(runs, budget, repetitions):
+    """Median executions/second of each `run(n)`, from fixed-count timed
+    windows, calibrated per run and interleaved across runs."""
+    counts = [_calls_per_budget(run, budget) for run in runs]
+    seconds = medians([lambda run=run, n=n: run(n)
+                       for run, n in zip(runs, counts)], repetitions)
+    return [n / s for n, s in zip(counts, seconds)]
 
 
 def bench_overhead(workload="send", budget=5.0, repetitions=3,
@@ -170,27 +180,12 @@ def bench_overhead(workload="send", budget=5.0, repetitions=3,
         raise ValueError("unknown workload %r" % (workload,))
     if budget <= 0:
         raise BudgetExceeded("duration budget must be positive")
-    source = SEND_WORKLOAD if workload == "send" else VARRW_WORKLOAD
-    modes = (["nolink", "empty", "full"] if workload == "send"
-             else ["nolink", "empty", "full-write", "full-read"])
-    reports = []
-    ref_rate = None
-    for mode in modes:
-        interp = Interpreter(seed=seed)
-        interp.load(source)
-        if mode != "nolink":
-            if workload == "send":
-                _configure_send(interp, mode)
-            else:
-                _configure_varrw(interp, mode)
-        target = _new_target(interp)
-        rate = _measure_rate(interp, target, budget, repetitions)
-        if ref_rate is None:
-            ref_rate = rate
-        overhead = (ref_rate / rate - 1.0) * 100.0
-        reports.append(BenchReport("%s/%s" % (workload, mode), rate,
-                                   overhead, repetitions))
-    return reports
+    modes = list(LINKAGES[workload])
+    found = rates([runner(workload, mode, seed) for mode in modes],
+                  budget, repetitions)
+    return [BenchReport("%s/%s" % (workload, mode), rate,
+                        (found[0] / rate - 1.0) * 100.0, repetitions)
+            for mode, rate in zip(modes, found)]
 
 
 # -- install cost -----------------------------------------------------------
@@ -209,85 +204,49 @@ def synthetic_corpus(method_count, methods_per_class=50):
     return "\n".join(classes)
 
 
-@contextlib.contextmanager
-def gc_paused():
-    """A timed window. As in `timeit`, garbage is collected first and the
-    cyclic collector stays off inside the window, so a collection
-    triggered by earlier work cannot land in it."""
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _timed(fn):
-    """Seconds one call of `fn` takes, in a `gc_paused` window."""
-    with gc_paused():
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
-
-
 def bench_install(method_count=2000, seed=0) -> InstallCostReport:
     """Times recompiling every corpus method vs. installing one trivial
     link on each, first with no twins woven (cold) then again when every
-    twin is already present (hot); then removing the hot link from each
-    method node by node (the twins stay) and uninstalling the cold link
-    (which drops them). Each figure is the median over INSTALL_CYCLES
-    cycles."""
+    twin is present (hot); then removing the hot link from each method
+    node by node (the twins stay) and uninstalling the cold link (which
+    drops them), so each of the INSTALL_CYCLES rounds starts alike."""
     interp = Interpreter(seed=seed)
     interp.load(synthetic_corpus(method_count))
-    records = []
-    for name, cls in interp.classes.items():
-        if name.startswith("Corpus"):
-            for sel, rec in cls.methods.items():
-                if sel != "base":
-                    records.append((cls.name, sel, rec))
-    records.sort(key=lambda t: (t[0], t[1]))
+    records = [rec for name, cls in interp.classes.items()
+               if name.startswith("Corpus")
+               for sel, rec in cls.methods.items() if sel != "base"]
 
     def recompile_all():
-        records[:] = [(cname, sel, interp.recompile(cname, sel,
-                                                    rec.original_source))
-                      for cname, sel, rec in records]
-
-    def trivial_link():
-        link = MetaLink()
-        link.set_meta_object(HostFunction(lambda: None, "a no-op"))
-        link.set_selector("value")
-        link.set_control("before")
-        return link
+        records[:] = [interp.recompile(rec.signature.class_name,
+                                       rec.signature.selector,
+                                       rec.original_source)
+                      for rec in records]
 
     def on_every_method(op, link):
-        for _cname, _sel, rec in records:
+        for rec in records:
             op(interp, link, rec.original_ast)
 
-    # Uninstalling the cold link drops every twin, so each cycle starts
-    # from the same state; the median of each operation over the cycles
-    # keeps one preempted window from deciding an ordering.
-    samples = []
-    for _ in range(INSTALL_CYCLES):
-        cold, hot = trivial_link(), trivial_link()
-        samples.append((_timed(recompile_all),
-                        _timed(lambda: on_every_method(install, cold)),
-                        _timed(lambda: on_every_method(install, hot)),
-                        _timed(lambda: on_every_method(remove, hot)),
-                        _timed(lambda: uninstall(interp, cold))))
-    return InstallCostReport(len(records), *(statistics.median(times)
-                                             for times in zip(*samples)))
+    # The median over the rounds keeps one preempted window from
+    # deciding an ordering.
+    cold, hot = MetaLink(), MetaLink()
+    for link in (cold, hot):
+        link.set_meta_object(HostFunction(lambda: None, "a no-op"))
+        link.set_selector("value")
+    return InstallCostReport(len(records), *medians(
+        [recompile_all,
+         lambda: on_every_method(install, cold),
+         lambda: on_every_method(install, hot),
+         lambda: on_every_method(remove, hot),
+         lambda: uninstall(interp, cold)], INSTALL_CYCLES))
 
 
 # -- formatting -------------------------------------------------------------
 
 def format_overhead_table(reports):
-    lines = ["%-18s %14s %12s" % ("scenario", "execs/sec", "overhead %")]
-    for r in reports:
-        lines.append("%-18s %14.1f %12.2f" % (r.scenario, r.rate,
-                                              r.overhead_percent))
-    return "\n".join(lines)
+    return "\n".join(
+        ["%-18s %14s %12s" % ("scenario", "execs/sec", "overhead %")]
+        + ["%-18s %14.1f %12.2f" % (r.scenario, r.rate, r.overhead_percent)
+           for r in reports])
 
 
 def format_install_table(report):
@@ -296,8 +255,6 @@ def format_install_table(report):
             ("install (hot)", report.hot_install_seconds),
             ("remove (hot)", report.remove_seconds),
             ("uninstall", report.uninstall_seconds)]
-    lines = ["%-16s %12s" % ("operation", "seconds"),
-             "methods: %d" % report.method_count]
-    for name, secs in rows:
-        lines.append("%-16s %12.4f" % (name, secs))
-    return "\n".join(lines)
+    return "\n".join(["%-16s %12s" % ("operation", "seconds"),
+                      "methods: %d" % report.method_count]
+                     + ["%-16s %12.4f" % row for row in rows])

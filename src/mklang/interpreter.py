@@ -25,7 +25,6 @@ The unlinked path is kept cheap:
 
 from __future__ import annotations
 
-import itertools
 import random as _random
 from dataclasses import dataclass
 from functools import partial
@@ -178,7 +177,6 @@ class Interpreter:
         self.hook_visits = 0
         self.registry_consults = 0
         self.random = _random.Random(seed)
-        self._node_counter = itertools.count(1)
         self._handlers = {
             LITERAL: self._eval_literal,
             LITERAL_ARRAY: self._eval_literal_array,
@@ -208,7 +206,7 @@ class Interpreter:
     def load(self, source, file="<string>"):
         """Parse and install class definitions; returns the Program."""
         try:
-            program = parse(source, file, self._node_counter)
+            program = parse(source, file)
             self._install_classes(program)
         except RecursionError:
             raise MkSyntaxError(TOO_DEEP) from None
@@ -336,7 +334,7 @@ class Interpreter:
             raise UnknownSelector(
                 "%s has no compiled method #%s" % (class_name, selector))
         try:
-            mdef = parse_method(new_source, id_counter=self._node_counter)
+            mdef = parse_method(new_source)
             sig = MethodSignature(cls.name, selector, len(mdef.params))
             record = CompiledMethodRecord(sig, mdef, new_source)
         except RecursionError:

@@ -29,7 +29,7 @@ from .errors import (
     NodeNotInstallable,
 )
 from .nodes import META_HOOK, NOT_INSTALLABLE, AstNode, selector_arity
-from .reify import APPLICABILITY, table_kind
+from .reify import check_applicable, table_kind
 from .values import Array, Block, HostFunction, Instance
 
 CONTROLS = ("before", "after", "instead")
@@ -351,18 +351,6 @@ def validate_link(interp, link, nodes):
             check_applicable(req, kind)
 
 
-def check_applicable(reification, node_table_kind):
-    from .errors import InapplicableReification
-    allowed = APPLICABILITY.get(reification)
-    if allowed is None:
-        raise InapplicableReification(
-            "unsupported reification #%s" % reification)
-    if node_table_kind not in allowed:
-        raise InapplicableReification(
-            "#%s is not applicable to %s nodes"
-            % (reification, node_table_kind))
-
-
 def _understands(interp, meta_object, selector, arity):
     if isinstance(meta_object, HostFunction):
         return True
@@ -415,10 +403,14 @@ def remove(interp, link, node, target=None):
 
 
 def uninstall(interp, link):
-    for node_id, target in list(link.installed_on):
+    """Remove `link` from every site it has in `interp`; its sites in
+    other interpreters stay."""
+    owned = interp.node_owner
+    for node_id, target in [(node_id, target) for node_id, target
+                            in link.installed_on if node_id in owned]:
         interp.registry.remove(node_id, link, target)
+        link.installed_on.discard((node_id, target))
         drop_hook(interp, node_id)
-    link.installed_on.clear()
 
 
 def invalidate(interp, link):

@@ -1,8 +1,9 @@
 """Typed AST for the toy language.
 
 Nodes are immutable after parse (link machinery never mutates them; weaving
-operates on copies). Node ids are assigned per parse, so a recompile yields
-fresh ids -- which is exactly why links are lost on recompilation.
+operates on copies). Node ids are unique in the process: every parse draws
+fresh ones, so a recompile yields fresh ids -- which is exactly why links
+are lost on recompilation -- and two interpreters never share one.
 """
 
 from __future__ import annotations

@@ -28,6 +28,11 @@ from .nodes import (
 from .values import Symbol
 
 BINOP_CHARS = set("+-*/\\~<>=&@%,?!")
+
+# Node ids are unique in the process, not only per parse: a link keeps its
+# sites as node ids, and may sit on nodes of several interpreters.
+_NODE_IDS = itertools.count(1)
+
 # Deepest nesting of parentheses, blocks and assignments the parser
 # accepts. Each level costs up to eight frames of this recursive-descent
 # parser, so the limit keeps a legal program clear of Python's recursion
@@ -155,13 +160,12 @@ def tokenize(source: str, file: str = "<string>"):
 
 
 class Parser:
-    def __init__(self, source, file="<string>", id_counter=None):
+    def __init__(self, source, file="<string>"):
         self.source = source
         self.file = file
         self.tokens = tokenize(source, file)
         self.pos = 0
         self.depth = 0
-        self.ids = id_counter if id_counter is not None else itertools.count(1)
 
     # -- token helpers ----------------------------------------------------
 
@@ -193,7 +197,7 @@ class Parser:
         return SourceSpan(start_tok.start, max(end, start_tok.start), self.file)
 
     def node(self, kind, start_tok, **kw):
-        return AstNode(kind, self.span(start_tok), next(self.ids), **kw)
+        return AstNode(kind, self.span(start_tok), next(_NODE_IDS), **kw)
 
     def nest(self, open_tok):
         """Enter one nesting level opened by `open_tok`; the caller leaves
@@ -429,14 +433,14 @@ class Parser:
         return self.node(BLOCK, start, params=params, children=children)
 
 
-def parse(source: str, file: str = "<string>", id_counter=None) -> Program:
+def parse(source: str, file: str = "<string>") -> Program:
     """Parse a full program; raises MkSyntaxError on malformed input."""
-    return Parser(source, file, id_counter).parse_program()
+    return Parser(source, file).parse_program()
 
 
-def parse_method(source: str, file: str = "<string>", id_counter=None) -> AstNode:
+def parse_method(source: str, file: str = "<string>") -> AstNode:
     """Parse a single method definition (used by recompile)."""
-    p = Parser(source, file, id_counter)
+    p = Parser(source, file)
     method = p.parse_method()
     p.expect("eof", "end of method source")
     link_parents(method)

@@ -39,6 +39,18 @@ APPLICABILITY = {
     "variable": _ANY,
 }
 
+
+def check_applicable(kind, node_table_kind):
+    """Raise InapplicableReification unless `kind` may be reified at nodes
+    of `node_table_kind`."""
+    allowed = APPLICABILITY.get(kind)
+    if allowed is None:
+        raise InapplicableReification("unsupported reification #%s" % kind)
+    if node_table_kind not in allowed:
+        raise InapplicableReification(
+            "#%s is not applicable to %s nodes" % (kind, node_table_kind))
+
+
 _TABLE_KIND = {
     MESSAGE_SEND: "message",
     METHOD_DEF: "method",
@@ -204,13 +216,9 @@ def _phase_error(kind, ctx):
 
 def resolve(kind, ctx: TriggerContext):
     """Produce the reified value for `kind` from a trigger context."""
-    node_kind = ctx.table_kind
     allowed = APPLICABILITY.get(kind)
-    if allowed is None:
-        raise InapplicableReification("unsupported reification #%s" % kind)
-    if node_kind not in allowed:
-        raise InapplicableReification(
-            "#%s is not applicable to %s nodes" % (kind, node_kind))
+    if allowed is None or ctx.table_kind not in allowed:
+        check_applicable(kind, ctx.table_kind)
     return _RESOLVERS[kind](ctx)
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from mklang import Interpreter, MetaLink
 from mklang.bench import (
-    SEND_WORKLOAD, bench_install, bench_overhead, gc_paused,
+    SEND_WORKLOAD, bench_install, bench_overhead, rates, runner,
 )
 from mklang.errors import (
     HaltSignal, InapplicableReification, MkError, PhaseUnavailable,
@@ -367,59 +367,22 @@ def test_twin_lifecycle_500_step_fuzzer():
 #    sits within +-5% of zero, and hot install <= cold install <= full
 #    recompile over a 2000-method corpus. Whole harness < 3 min.
 
-def _send_setup(linkage):
-    from mklang.bench import _configure_send
-    interp = Interpreter()
-    interp.load(SEND_WORKLOAD)
-    if linkage != "nolink":
-        _configure_send(interp, linkage)
-    target = interp.send(interp.class_named("BenchTarget"), "new", [], None)
-    return interp, target
-
-
-def _window(interp, target, budget):
-    with gc_paused():
-        count, t0 = 0, time.monotonic()
-        while time.monotonic() - t0 < budget:
-            for _ in range(64):
-                interp.send(target, "run", [], None)
-            count += 64
-        return count / (time.monotonic() - t0)
-
-
-def _interleaved_rates(setups, budget=0.4, repetitions=3):
-    """Median rate per setup, with the timed windows of all setups
-    interleaved so host-load drift hits every mode equally."""
-    import statistics
-    for interp, target in setups:               # one warm-up window each
-        _window(interp, target, budget / 2)
-    rates = [[] for _ in setups]
-    for _ in range(repetitions):
-        for k, (interp, target) in enumerate(setups):
-            rates[k].append(_window(interp, target, budget))
-    return [statistics.median(r) for r in rates]
-
-
 def test_benchmark_orderings():
     start = time.monotonic()
-    # The shipped harness must at least produce well-formed reports.
-    reports = bench_overhead("send", budget=0.05, repetitions=1)
+    # The shipped harness, with its modes' windows interleaved.
+    reports = bench_overhead("send", budget=0.4, repetitions=3)
     assert [r.scenario for r in reports] == \
         ["send/nolink", "send/empty", "send/full"]
-    assert reports[0].overhead_percent == 0.0
-
-    nolink, empty, full = _interleaved_rates(
-        [_send_setup("nolink"), _send_setup("empty"), _send_setup("full")])
-    overhead_empty = (nolink / empty - 1.0) * 100.0
-    overhead_full = (nolink / full - 1.0) * 100.0
-    assert overhead_empty > 0.0
-    assert overhead_full >= overhead_empty
+    nolink, empty, full = reports
+    assert nolink.overhead_percent == 0.0
+    assert empty.overhead_percent > 0.0
+    assert full.overhead_percent >= empty.overhead_percent
 
     # Self-compare: two identical no-link setups agree within +-5% of 0.
     # Five interleaved windows per side: one load spike cannot become
     # either median.
-    a, b = _interleaved_rates([_send_setup("nolink"), _send_setup("nolink")],
-                              repetitions=5)
+    a, b = rates([runner("send", "nolink"), runner("send", "nolink")],
+                 budget=0.4, repetitions=5)
     assert abs((a / b - 1.0) * 100.0) <= 5.0
 
     install_report = bench_install(method_count=2000)

@@ -1,8 +1,9 @@
 import pytest
 
 from mklang.bench import (
-    SEND_WORKLOAD, VARRW_WORKLOAD, bench_install, bench_overhead,
-    format_install_table, format_overhead_table, synthetic_corpus,
+    CHUNK, LINKAGES, WORKLOADS, _calls_per_budget, bench_install,
+    bench_overhead, configure, format_install_table, format_overhead_table,
+    runner, synthetic_corpus,
 )
 from mklang.errors import BudgetExceeded
 from mklang.interpreter import Interpreter
@@ -24,8 +25,15 @@ def test_send_reports_are_well_formed():
 def test_varrw_reports_are_well_formed():
     reports = bench_overhead("varrw", budget=BUDGET, repetitions=2)
     assert [r.scenario for r in reports] == \
-        ["varrw/nolink", "varrw/empty", "varrw/full-write", "varrw/full-read"]
+        ["varrw/nolink", "varrw/empty-write", "varrw/full-write",
+         "varrw/empty-read", "varrw/full-read"]
     assert all(r.rate > 0 for r in reports)
+
+
+def test_warm_up_window_calibrates_the_call_count():
+    # A 0.05 s budget holds thousands of no-link sends on any host this
+    # suite runs on; a count of one chunk or less would time call overhead.
+    assert _calls_per_budget(runner("send", "nolink"), 0.05) > CHUNK
 
 
 def test_unknown_workload_rejected():
@@ -42,22 +50,27 @@ def test_non_positive_budget_rejected():
 
 def test_workloads_are_semantically_neutral():
     """Every linkage mode computes the same answers as the plain run."""
-    from mklang.bench import _configure_send, _configure_varrw
+    expected = {"send": [1] * 5, "varrw": [1, 2, 3, 4, 5]}
+    for workload, modes in LINKAGES.items():
+        for mode in modes:
+            interp = Interpreter()
+            interp.load(WORKLOADS[workload])
+            configure(interp, workload, mode)
+            target = interp.send(interp.class_named("BenchTarget"), "new",
+                                 [], None)
+            assert [interp.send(target, "run", [], None)
+                    for _ in range(5)] == expected[workload], mode
 
-    def results(source, configure, mode, n=5):
-        interp = Interpreter()
-        interp.load(source)
-        if mode != "nolink":
-            configure(interp, mode)
-        target = interp.send(interp.class_named("BenchTarget"), "new",
-                             [], None)
-        return [interp.send(target, "run", [], None) for _ in range(n)]
 
-    for mode in ("nolink", "empty", "full"):
-        assert results(SEND_WORKLOAD, _configure_send, mode) == [1] * 5
-    for mode in ("nolink", "empty", "full-write", "full-read"):
-        assert results(VARRW_WORKLOAD, _configure_varrw, mode) \
-            == [1, 2, 3, 4, 5]
+def test_every_full_mode_has_an_empty_mode_on_its_sites():
+    """A full row's overhead is comparable only with an empty meta-call on
+    the same sites under the same control."""
+    for modes in LINKAGES.values():
+        empties = {(sites, control) for mode, (sites, _sel, _reifs, control)
+                   in modes.items() if mode.startswith("empty")}
+        for mode, (sites, _sel, _reifs, control) in modes.items():
+            if mode.startswith("full"):
+                assert (sites, control) in empties, mode
 
 
 def test_synthetic_corpus_method_count():

@@ -492,6 +492,43 @@ def test_one_link_in_two_interpreters_follows_its_setters_in_both():
     assert sink == ["before", "before", "changed", "changed"]
 
 
+def linked_twice(link):
+    """Two interpreters loaded from one source, `link` on the same node of
+    each."""
+    pair = Interpreter(), Interpreter()
+    for each in pair:
+        each.run(SOURCE)
+        install(each, link, increment_node(each))
+    return pair
+
+
+def assert_unlinked(sink, interps):
+    for each in interps:
+        assert not each.registry.has_links(increment_node(each).id)
+        assert each.class_named("Counter").methods["increment"].twin is None
+        each.run("Counter new increment")
+    assert sink == []
+
+
+def test_remove_in_one_interpreter_then_uninstall_in_the_other():
+    sink = []
+    link = recording_link(sink, "fired")
+    first, second = linked_twice(link)
+    remove(first, link, increment_node(first))
+    uninstall(second, link)
+    assert link.installed_on == set()
+    assert_unlinked(sink, (first, second))
+
+
+def test_uninstall_in_one_interpreter_keeps_the_others_sites():
+    sink = []
+    link = recording_link(sink, "fired")
+    first, second = linked_twice(link)
+    uninstall(second, link)
+    uninstall(first, link)
+    assert_unlinked(sink, (first, second))
+
+
 def test_a_before_link_changing_a_later_link_is_seen_in_that_trigger(
         interp):
     sink = []
