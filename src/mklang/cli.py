@@ -11,7 +11,9 @@ import argparse
 import sys
 
 from . import bench, listings
-from .errors import MkError, MkRuntimeError, MkSyntaxError
+from .errors import (
+    MkError, MkRuntimeError, MkSyntaxError, UnknownClass, UnknownSelector,
+)
 from .interpreter import Interpreter
 from .nodes import dump
 
@@ -77,7 +79,10 @@ def _read(path):
             return f.read()
     except OSError as exc:
         print("mklang: %s" % exc, file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    except UnicodeDecodeError as exc:
+        print("mklang: %s is not UTF-8 text: %s" % (path, exc),
+              file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def cmd_run(args):
@@ -143,19 +148,26 @@ def cmd_dump_ast(args):
     interp = Interpreter()
     try:
         program = interp.load(source, file=args.file)
-        if args.class_name:
-            node = interp.method_ast(args.class_name, args.selector)
-            print(dump(node))
-        else:
-            for cdef in program.classes:
-                print(dump(cdef))
-            print(dump(program.main))
     except MkSyntaxError as exc:
         print("syntax error: %s" % exc, file=sys.stderr)
         return EXIT_SYNTAX
     except MkRuntimeError as exc:
         print("runtime error: %s" % exc, file=sys.stderr)
         return EXIT_RUNTIME
+    except MkError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_RUNTIME
+    if args.class_name:
+        try:
+            node = interp.method_ast(args.class_name, args.selector)
+        except (UnknownClass, UnknownSelector) as exc:
+            print("mklang: %s" % exc, file=sys.stderr)
+            return EXIT_USAGE
+        print(dump(node))
+    else:
+        for cdef in program.classes:
+            print(dump(cdef))
+        print(dump(program.main))
     return EXIT_OK
 
 

@@ -687,46 +687,40 @@ class Interpreter:
         in reverse. An instead-link's result replaces the node's value;
         the most specific (object-centric, latest installed) wins.
 
-        Each pass reads a link's `LinkConfig` snapshot when it reaches the
-        link (the before pass revalidates a dirty one first), so a change
-        a meta-object makes to a later link applies in the same trigger.
+        The before pass reads each link's registry snapshot when it reaches
+        the link (revalidated if a setter changed the link), so a change a
+        meta-object makes to a later link applies in the same trigger; the
+        instead and after passes fire those snapshots. A link left with no
+        snapshot here (uninstalled earlier in this trigger) is skipped.
 
         `after` is False at a return: control leaves the method with the
         value, so there is no after phase and its after-links never fire."""
         ctx.phase = "before"
-        has_instead = False
-        has_after = False
+        configs = self.registry.configs
+        later = ()
         for link in links:
-            cfg = link.effective(self) if link.dirty else link._config
-            ctl = cfg.control
-            if ctl == "before":
+            cfg = configs.get(link)
+            if cfg is None:
+                continue
+            if cfg.version != link.version:
+                cfg = self.registry.effective(self, link)
+            if cfg.control == "before":
                 self.fire_link(link, cfg, ctx)
-            elif ctl == "instead":
-                has_instead = True
             else:
-                has_after = True
-        if has_instead:
-            ctx.phase = "instead"
-            result = None
-            fired_instead = False
-            for link in reversed(links):
-                cfg = link._config
-                if cfg.control == "instead":
-                    fired, replacement = self.fire_link(link, cfg, ctx)
-                    if fired:
-                        result = replacement
-                        fired_instead = True
-                        break
-            if not fired_instead:
-                result = op.invoke_base()
+                later += ((link, cfg),)
+        for link, cfg in reversed(later):
+            if cfg.control == "instead":
+                ctx.phase = "instead"
+                fired, result = self.fire_link(link, cfg, ctx)
+                if fired:
+                    break
         else:
             result = op.invoke_base()
-        if has_after and after:
-            ctx.phase = "after"
-            ctx.pending_value = result
-            for link in reversed(links):
-                cfg = link._config
+        if after:
+            for link, cfg in reversed(later):
                 if cfg.control == "after":
+                    ctx.phase = "after"
+                    ctx.pending_value = result
                     self.fire_link(link, cfg, ctx)
         return result
 

@@ -23,6 +23,14 @@ BUILTIN_CLASSES = (
     "VariableMirror", "Operation",
 )
 
+# Classes whose instances only the host makes: `new` answers none of them,
+# nor an instance of any subclass (a MetaLink subclass included).
+HOST_MADE = frozenset((
+    "Boolean", "Integer", "String", "Symbol", "UndefinedObject", "Block",
+    "NodeMirror", "MethodMirror", "ContextMirror", "VariableMirror",
+    "Operation", "Breakpoint", "Watch", "TraceCounter", "MetaLink",
+))
+
 KERNEL_SOURCE = """
 class Object [
     logCr [ Transcript logCr: self printString ]
@@ -71,6 +79,18 @@ def _need_string(v):
     return v
 
 
+def _need_items(v):
+    if not isinstance(v, Array):
+        raise MkRuntimeError("a collection argument is required")
+    return v.items
+
+
+def _need_link(v):
+    if not isinstance(v, MetaLink):
+        raise MkRuntimeError("a MetaLink argument is required")
+    return v
+
+
 def install_kernel(interp):
     classes = interp.classes
     obj = ClassRecord("Object")
@@ -105,8 +125,15 @@ def _object_protocol(interp, obj):
             raise MkRuntimeError("only classes respond to #new")
         if recv.name == "MetaLink":
             return MetaLink()
-        if recv.name in ("Array", "OrderedCollection"):
-            return Array(recv, [])
+        cls = recv
+        while cls is not None:
+            if cls.name == "Array":
+                return Array(recv, [])
+            if cls.name in HOST_MADE:
+                raise MkRuntimeError(
+                    "%s cannot be instantiated with #new" % recv.name,
+                    trace=interp.stack_snapshot(sender))
+            cls = cls.superclass
         inst = Instance(recv, {name: None for name in recv.all_slot_names()})
         init = recv.lookup("initialize")
         if init is not None and not isinstance(init, PrimitiveMethod):
@@ -355,7 +382,7 @@ def _collection_protocol(interp, array_cls, oc_cls):
 
     _prim(oc_cls, "add:", add)
     _prim(oc_cls, "addAll:",
-          lambda i, r, a, s: (r.items.extend(a[0].items), a[0])[1])
+          lambda i, r, a, s: (r.items.extend(_need_items(a[0])), a[0])[1])
     _prim(oc_cls, "removeFirst", remove_first)
     _prim(oc_cls, "removeAll", lambda i, r, a, s: (r.items.clear(), r)[1])
 
@@ -398,13 +425,13 @@ def _reflection_protocol(interp, classes):
     _prim(link_cls, "level:",
           lambda i, r, a, s: (r.set_level(_need_int(a[0])), r)[1])
     _prim(link_cls, "arguments:",
-          lambda i, r, a, s: (r.set_arguments([str(x) for x in a[0].items]),
-                              r)[1])
+          lambda i, r, a, s: (r.set_arguments(
+              [str(x) for x in _need_items(a[0])]), r)[1])
     _prim(link_cls, "condition:",
           lambda i, r, a, s: (r.set_condition(a[0]), r)[1])
     _prim(link_cls, "condition:arguments:",
           lambda i, r, a, s: (r.set_condition(
-              a[0], [str(x) for x in a[1].items]), r)[1])
+              a[0], [str(x) for x in _need_items(a[1])]), r)[1])
     _prim(link_cls, "invalidate", lambda i, r, a, s: (i.invalidate(r), r)[1])
     _prim(link_cls, "uninstall", lambda i, r, a, s: (i.uninstall(r), r)[1])
     _prim(link_cls, "enable", lambda i, r, a, s: (r.enable(), r)[1])
@@ -428,15 +455,17 @@ def _reflection_protocol(interp, classes):
                 i, find_nodes(r.node, name, str(a[0])))
         return lambda i, r, a, s: mirrors(i, find_nodes(r.node, name))
 
-    _prim(node_cls, "link:", lambda i, r, a, s: (i.install(a[0], r.node),
-                                                 a[0])[1])
+    _prim(node_cls, "link:",
+          lambda i, r, a, s: (i.install(_need_link(a[0]), r.node), a[0])[1])
     _prim(node_cls, "link:forObject:",
-          lambda i, r, a, s: (i.install_for_object(a[0], r.node, a[1]),
-                              a[0])[1])
+          lambda i, r, a, s: (i.install_for_object(_need_link(a[0]), r.node,
+                                                   a[1]), a[0])[1])
     _prim(node_cls, "removeLink:",
-          lambda i, r, a, s: (i.remove_link(r.node, a[0]), a[0])[1])
+          lambda i, r, a, s: (i.remove_link(r.node, _need_link(a[0])),
+                              a[0])[1])
     _prim(node_cls, "removeLink:forObject:",
-          lambda i, r, a, s: (i.remove_link(r.node, a[0], a[1]), a[0])[1])
+          lambda i, r, a, s: (i.remove_link(r.node, _need_link(a[0]), a[1]),
+                              a[0])[1])
     _prim(node_cls, "allNodes", query("all-nodes", False))
     _prim(node_cls, "sends", query("all-sends", False))
     _prim(node_cls, "sendsOf:", query("sends-of", True))

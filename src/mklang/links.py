@@ -12,14 +12,15 @@ place, and the twin disappears with its last hook. Invalidating a link
 never re-weaves: hooks consult the registry when they run, so the woven
 shape depends only on which nodes have links.
 
-A hook fires from what the registry and the links already hold: the
-registry says where links sit (an immutable tuple of links per node, and
-per node and target), and each link's `LinkConfig` snapshot says how it
-fires. A setter only marks its link dirty; the next trigger that reaches
-the link revalidates it against the sites it sits on and takes a new
-snapshot, or keeps firing the old one if the new definition is invalid.
-Nothing is cached per node, so a change to a link applies at every site
-it sits on, in every interpreter it is installed in.
+A link is a definition only. Each interpreter's `LinkRegistry` says
+where the link sits there (an immutable tuple of links per node, and per
+node and target, plus each link's sites) and which `LinkConfig` snapshot
+it fires from there. A setter only bumps the link's version; the next
+trigger in each interpreter that reaches the link revalidates it on that
+interpreter's sites and takes a new snapshot, or keeps firing the old one
+if the new definition is invalid there. Nothing is cached per node, so a
+change to a link applies at every site it sits on, in every interpreter
+it is installed in, and nothing of an interpreter is kept on a link.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ CONTROLS = ("before", "after", "instead")
 
 
 class LinkConfig:
-    """Immutable snapshot of a link's definition, captured at install or
-    (re)validation time. The evaluator fires from the snapshot so that a
-    failed invalidate leaves the previously woven definition active."""
+    """Immutable snapshot of a link's definition, validated on the link's
+    sites in one interpreter and stamped with the link's `version`; an
+    invalid definition is never snapshot, so the old one keeps firing."""
 
     __slots__ = ("meta_object", "selector", "control", "arguments",
-                 "condition", "condition_args", "level")
+                 "condition", "condition_args", "level", "version")
 
     def __init__(self, link):
         self.meta_object = link.meta_object
@@ -51,11 +52,13 @@ class LinkConfig:
         self.condition = link.condition
         self.condition_args = tuple(link.condition_args)
         self.level = link.level
+        self.version = link.version
 
 
 class MetaLink:
     """First-class behavioral annotation (meta-object, selector, control,
-    reification requests, condition, execution level)."""
+    reification requests, condition, execution level). Only a definition:
+    each interpreter's `LinkRegistry` keeps the link's sites and snapshot."""
 
     mk_class_name = "MetaLink"
 
@@ -68,9 +71,7 @@ class MetaLink:
         self.condition_args = ()
         self.level = 0
         self.enabled = True
-        self.dirty = False          # changed since `_config` was taken
-        self.installed_on = set()   # {(node_id, target-or-None)}
-        self._config = None
+        self.version = 0            # bumped by every setter
 
     # Setters are unchecked; validity is established at install/invalidate
     # (or lazily at the next trigger for an already-installed link).
@@ -112,58 +113,36 @@ class MetaLink:
         self.enabled = False
 
     def _touch(self):
-        self.dirty = True
-
-    def _snapshot(self):
-        """Fire from the current definition from now on."""
-        self._config = LinkConfig(self)
-        self.dirty = False
-
-    def effective(self, interp):
-        """Current firing configuration; lazily revalidates a dirty link.
-
-        If the mutated definition is invalid, the previous snapshot stays
-        active (same contract as a failed explicit invalidate)."""
-        if self._config is None or self.dirty:
-            try:
-                validate_link(interp, self, self._installed_nodes(interp))
-            except LinkError:
-                if self._config is None:
-                    raise
-                return self._config
-            self._snapshot()
-        return self._config
-
-    def _installed_nodes(self, interp):
-        nodes = []
-        for node_id, _target in self.installed_on:
-            record = interp.node_owner.get(node_id)
-            if record is not None:
-                nodes.append(record.node_index[node_id])
-        return nodes
+        self.version += 1
 
     def describe(self):
         return "a MetaLink"
 
     def __repr__(self):
-        return "<MetaLink %s->%s %s level=%d sites=%d>" % (
+        return "<MetaLink %s->%s %s level=%d>" % (
             self.control, self.selector, list(self.reification_requests),
-            self.level, len(self.installed_on))
+            self.level)
 
 
 class LinkRegistry:
-    """Installed links per node id, split by scope.
+    """One interpreter's installed links: per node id, split by scope, and
+    per link, its sites and the snapshot it fires from here.
 
-    Entries exist only for nodes of methods that currently have a twin.
-    Buckets are tuples in installation order; `add` and `remove` replace
-    them, so a trigger iterating one never sees it change, and a trigger
-    can fire from a bucket without copying it."""
+    Node entries exist only for nodes of methods that currently have a
+    twin. Buckets are tuples in installation order; `add` and `remove`
+    replace them, so a trigger iterating one never sees it change, and a
+    trigger can fire from a bucket without copying it. A link is in
+    `sites` and `configs` from its first site here to its last, so
+    nothing of an interpreter outlives it on a link."""
 
     def __init__(self):
         self.class_wide = {}      # node_id -> (MetaLink, ...)
         self.object_centric = {}  # node_id -> {target: (MetaLink, ...)}
+        self.sites = {}           # MetaLink -> {(node_id, target): node}
+        self.configs = {}         # MetaLink -> LinkConfig
 
-    def add(self, node_id, link, target=None):
+    def add(self, node, link, target=None):
+        node_id = node.id
         if target is None:
             bucket = self.class_wide.get(node_id, ())
             if link not in bucket:
@@ -173,6 +152,7 @@ class LinkRegistry:
             bucket = per_obj.get(target, ())
             if link not in bucket:
                 per_obj[target] = bucket + (link,)
+        self.sites.setdefault(link, {})[(node_id, target)] = node
 
     def remove(self, node_id, link, target=None):
         if target is None:
@@ -184,15 +164,34 @@ class LinkRegistry:
                 _discard(per_obj, target, link)
                 if not per_obj:
                     del self.object_centric[node_id]
+        self._forget_site(link, node_id, target)
 
     def drop_node(self, node_id):
-        """Forget every entry for a node (recompilation path); shrinks the
-        installation sets of the affected links."""
+        """Forget every entry for a node (recompilation path)."""
         for link in self.class_wide.pop(node_id, ()):
-            link.installed_on.discard((node_id, None))
+            self._forget_site(link, node_id, None)
         for target, links in self.object_centric.pop(node_id, {}).items():
             for link in links:
-                link.installed_on.discard((node_id, target))
+                self._forget_site(link, node_id, target)
+
+    def _forget_site(self, link, node_id, target):
+        sites = self.sites.get(link)
+        if sites is not None:
+            sites.pop((node_id, target), None)
+            if not sites:
+                del self.sites[link]
+                self.configs.pop(link, None)
+
+    def effective(self, interp, link):
+        """Retake the snapshot of a link a setter changed, validated on this
+        interpreter's sites only; if the new definition is invalid, the
+        old snapshot keeps firing (as after a failed `invalidate`)."""
+        try:
+            validate_link(interp, link, self.sites[link].values())
+        except LinkError:
+            return self.configs[link]
+        cfg = self.configs[link] = LinkConfig(link)
+        return cfg
 
     def has_links(self, node_id):
         return node_id in self.class_wide or node_id in self.object_centric
@@ -374,50 +373,49 @@ def install(interp, link, node, target=None):
             and type(target).__name__ != "ClassRecord":
         raise MkRuntimeError("object-centric targets must be reference "
                              "objects with stable identity")
-    # A new snapshot applies at every site, so a new or mutated definition
-    # is checked against all of them; a clean link's snapshot already is,
+    # A new snapshot applies at every site here, so a new or changed
+    # definition is checked against all of them; a current one already is,
     # and checking only the new node keeps installing it on n nodes linear.
-    fresh = link._config is None or link.dirty
+    reg = interp.registry
+    cfg = reg.configs.get(link)
+    fresh = cfg is None or cfg.version != link.version
     nodes = [node]
     if fresh:
-        nodes += link._installed_nodes(interp)
+        nodes += reg.sites.get(link, {}).values()
     validate_link(interp, link, nodes)
     if link.control == "instead":
-        conflict = [l for l in interp.registry.instead_installed(
-            node.id, target) if l is not link]
+        conflict = [l for l in reg.instead_installed(node.id, target)
+                    if l is not link]
         if conflict:
             raise InsteadConflict(
                 "an instead-link is already installed on node #%d for this "
                 "scope" % node.id)
-    interp.registry.add(node.id, link, target)
-    link.installed_on.add((node.id, target))
+    reg.add(node, link, target)
     if fresh:
-        link._snapshot()
+        reg.configs[link] = LinkConfig(link)
     add_hook(interp, record, node.id)
 
 
 def remove(interp, link, node, target=None):
     interp.registry.remove(node.id, link, target)
-    link.installed_on.discard((node.id, target))
     drop_hook(interp, node.id)
 
 
 def uninstall(interp, link):
     """Remove `link` from every site it has in `interp`; its sites in
     other interpreters stay."""
-    owned = interp.node_owner
-    for node_id, target in [(node_id, target) for node_id, target
-                            in link.installed_on if node_id in owned]:
+    for node_id, target in list(interp.registry.sites.get(link, ())):
         interp.registry.remove(node_id, link, target)
-        link.installed_on.discard((node_id, target))
         drop_hook(interp, node_id)
 
 
 def invalidate(interp, link):
-    """Revalidate a mutated link and snapshot its new definition.
+    """Revalidate a mutated link on its sites in `interp` and snapshot its
+    new definition there; other interpreters revalidate it lazily.
 
     Nothing is re-woven: the hooks stay where the link's nodes are and
     fire from the new snapshot."""
-    if link.installed_on:
-        validate_link(interp, link, link._installed_nodes(interp))
-        link._snapshot()
+    sites = interp.registry.sites.get(link)
+    if sites:
+        validate_link(interp, link, sites.values())
+        interp.registry.configs[link] = LinkConfig(link)

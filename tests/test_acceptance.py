@@ -317,25 +317,30 @@ def test_twin_lifecycle_500_step_fuzzer():
             for node in twin.woven_ast.walk():
                 for child in node.children:
                     assert child.parent is node
-        # Every link in a bucket fires from a snapshot that is valid on
-        # every node it sits on.
+        # The registry's sites are exactly the inverse of its buckets, each
+        # site with a snapshot, and every snapshot is valid on every node
+        # its link sits on.
         reg = interp.registry
-        sites = {}
+        inverse = {}
         for nid, bucket in reg.class_wide.items():
             for link in bucket:
-                sites.setdefault(link, []).append(nid)
+                inverse.setdefault(link, set()).add((nid, None))
         for nid, per_obj in reg.object_centric.items():
-            for bucket in per_obj.values():
+            for target, bucket in per_obj.items():
                 for link in bucket:
-                    sites.setdefault(link, []).append(nid)
-        for link, nids in sites.items():
-            cfg = link._config
+                    inverse.setdefault(link, set()).add((nid, target))
+        assert {link: set(sites) for link, sites in reg.sites.items()} \
+            == inverse
+        assert reg.configs.keys() == reg.sites.keys()
+        for link, sites in reg.sites.items():
+            for (nid, _target), node in sites.items():
+                assert interp.node_owner[nid].node_index[nid] is node
+            cfg = reg.configs[link]
             snapshot = SimpleNamespace(
                 meta_object=cfg.meta_object, selector=cfg.selector,
                 reification_requests=cfg.arguments,
                 condition=cfg.condition, condition_args=cfg.condition_args)
-            validate_link(interp, snapshot, [
-                interp.node_owner[nid].node_index[nid] for nid in nids])
+            validate_link(interp, snapshot, sites.values())
 
     for step in range(500):
         action = rng.random()

@@ -110,6 +110,34 @@ def test_dump_ast_syntax_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("class_name, selector", [("Nope", "m"),
+                                                  ("A", "nope")])
+def test_dump_ast_unknown_method_is_a_usage_error(tmp_path, capsys,
+                                                  class_name, selector):
+    path = write(tmp_path, "p.mk", "class A [ m [ ^ 1 ] ]")
+    assert run_cli(["dump-ast", path, "--class", class_name,
+                    "--selector", selector]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mklang: ")
+
+
+def test_dump_ast_load_error_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "p.mk", "class A extends Nope [ ]")
+    assert run_cli(["dump-ast", path]) == 2
+    assert capsys.readouterr().err == "error: unknown superclass Nope\n"
+
+
+@pytest.mark.parametrize("command", ["run", "dump-ast"])
+def test_a_file_that_is_not_utf8_exits_64(tmp_path, capsys, command):
+    path = tmp_path / "p.mk"
+    path.write_bytes(b"\xff\xfe 1 logCr")
+    assert run_cli([command, str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mklang: %s is not UTF-8 text" % path)
+
+
 def test_bench_overhead_records_format(capsys):
     assert run_cli(["bench-overhead", "send", "--budget", "0.01",
                     "--format", "records"]) == 0

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -67,7 +69,7 @@ def test_twin_exists_iff_links(interp):
     install(interp, link, node)
     uninstall(interp, link)
     assert record.twin is None
-    assert not link.installed_on
+    assert link not in interp.registry.sites
 
 
 def test_second_install_reuses_the_twin_incrementally(interp):
@@ -398,8 +400,9 @@ def test_meta_object_removes_its_own_link_while_another_stays():
     assert list(record.twin.hook_table) == [node.id]
 
 
-# A hook fires from each link's own snapshot; these change a link without
-# touching the registry.
+# A hook fires from the snapshot each link has in the registry; these
+# change a link through its setters, which only bump its version, and the
+# next trigger revalidates it.
 
 def test_setter_on_an_installed_link_applies_at_the_next_trigger(interp):
     sink = []
@@ -516,7 +519,7 @@ def test_remove_in_one_interpreter_then_uninstall_in_the_other():
     first, second = linked_twice(link)
     remove(first, link, increment_node(first))
     uninstall(second, link)
-    assert link.installed_on == set()
+    assert all(link not in each.registry.sites for each in (first, second))
     assert_unlinked(sink, (first, second))
 
 
@@ -527,6 +530,38 @@ def test_uninstall_in_one_interpreter_keeps_the_others_sites():
     uninstall(second, link)
     uninstall(first, link)
     assert_unlinked(sink, (first, second))
+
+
+def test_a_live_link_keeps_nothing_of_a_dead_interpreter():
+    link = recording_link([], "a")
+    interp = Interpreter()
+    interp.run(SOURCE)
+    target = interp.class_named("Counter")
+    install(interp, link, increment_node(interp))
+    install(interp, link, increment_node(interp, "sends-of", "+"), target)
+    dead = weakref.ref(interp), weakref.ref(target)
+    del interp, target
+    gc.collect()
+    assert [ref() for ref in dead] == [None, None]
+    assert set(vars(link)) == {
+        "meta_object", "selector", "control", "reification_requests",
+        "condition", "condition_args", "level", "enabled", "version"}
+
+
+def test_a_mutation_valid_in_one_interpreter_only_is_fired_only_there():
+    sink = []
+    link = recording_link(sink, "a")
+    on_send, on_write = Interpreter(), Interpreter()
+    for each in (on_send, on_write):
+        each.run(SOURCE)
+    install(on_send, link, increment_node(on_send, "sends-of", "+"))
+    install(on_write, link, increment_node(on_write))
+    link.set_selector("value:")
+    link.set_arguments(("selector",))   # applies to the send only
+    for _ in range(2):
+        on_send.run("Counter new increment")
+        on_write.run("Counter new increment")   # the old snapshot fires
+    assert sink == [("a", "+"), ("a",)] * 2
 
 
 def test_a_before_link_changing_a_later_link_is_seen_in_that_trigger(
@@ -545,6 +580,24 @@ def test_a_before_link_changing_a_later_link_is_seen_in_that_trigger(
     interp.run("Counter new increment")
     # The trigger reads each link's snapshot when it reaches it.
     assert sink == ["new"]
+
+
+@pytest.mark.parametrize("control", ["before", "after"])
+def test_a_link_uninstalled_earlier_in_a_trigger_does_not_fire_in_it(
+        interp, control):
+    sink = []
+    node = increment_node(interp)
+    later = recording_link(sink, "later", control=control)
+    remover = MetaLink()
+    remover.set_meta_object(HostFunction(
+        lambda: uninstall(interp, later), "a remover"))
+    remover.set_selector("value")
+    install(interp, remover, node)
+    install(interp, later, node)
+    assert interp.run("| c | c := Counter new. c increment. ^ c count") \
+        .value == 1
+    assert sink == []
+    assert later not in interp.registry.sites
 
 
 def test_installing_a_mutated_link_checks_its_earlier_sites(interp):

@@ -38,6 +38,36 @@ def test_integer_primitives_reject_non_integers(op, arg):
         run_program("3 %s %s" % (op, arg))
 
 
+@pytest.mark.parametrize("source, outcome", [
+    ("Integer new + 1", "Integer cannot be instantiated with #new"),
+    ("Integer new negated", "Integer cannot be instantiated"),
+    ("(Integer new) < 3", "Integer cannot be instantiated"),
+    ("String new size", "String cannot be instantiated"),
+    ("Block new value", "Block cannot be instantiated"),
+    ("NodeMirror new allNodes", "NodeMirror cannot be instantiated"),
+    ("Breakpoint new remove", "Breakpoint cannot be instantiated"),
+    ("class I extends Integer [ ]\nI new + 1", "I cannot be instantiated"),
+    ("class A2 extends Array [ ]\nA2 new size", 0),
+    ("class A2 extends Array [ ]\nA2 new class == A2", True),
+    ("MetaLink new isNil", False),
+    ("OrderedCollection new size", 0),
+    ("Random new next < 1000", True),
+    ("class L extends MetaLink [ ]\nL new selector: #x",
+     "L cannot be instantiated"),
+    ("(Reflect class: Object selector: #logCr) link: 3",
+     "a MetaLink argument is required"),
+    ("MetaLink new arguments: 3", "a collection argument is required"),
+    ("OrderedCollection new addAll: 3", "a collection argument is required"),
+])
+def test_primitives_answer_a_value_or_a_runtime_error(source, outcome):
+    """`outcome` is the program's value, or the message of its error."""
+    if isinstance(outcome, str):
+        with pytest.raises(MkRuntimeError, match=outcome):
+            Interpreter().run(source)
+    else:
+        assert Interpreter().run(source).value == outcome
+
+
 @pytest.mark.parametrize("expr, value", [
     ("9223372036854775806 + 1", 2 ** 63 - 1),
     ("9223372036854775807 + 1", None),
