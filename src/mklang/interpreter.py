@@ -40,7 +40,7 @@ from .nodes import (
     MethodSignature, selector_arity,
 )
 from .parser import parse, parse_method
-from .reify import OperationWrapper, TriggerContext, resolve
+from .reify import TriggerContext, resolve
 from .values import Array, Block, HostFunction, Instance, Symbol
 
 INT_MIN = -(2 ** 63)
@@ -90,15 +90,18 @@ class ClassRecord:
         self.class_methods = {}
         self.cache = {}
 
-    def all_slot_names(self):
-        names = []
-        cls = self
-        chain = []
+    def lineage(self):
+        """This class, then its superclasses up to the root."""
+        chain, cls = [], self
         while cls is not None:
             chain.append(cls)
             cls = cls.superclass
-        for cls in reversed(chain):
-            names.extend(cls.slot_names)
+        return chain
+
+    def all_slot_names(self):
+        names = []
+        for cls in reversed(self.lineage()):
+            names += cls.slot_names
         return names
 
     def lookup(self, selector):
@@ -216,34 +219,40 @@ class Interpreter:
         # No send runs while classes install, so flushing first also
         # covers a load that fails halfway.
         self._flush_method_caches()
-        # Two passes so classes may reference each other.
+        # Classes, superclass links, then slots and methods: classes may refer
+        # to each other in any order; an unknown superclass fails in turn.
         for cdef in program.classes:
             if cdef.name not in self.classes:
                 self.classes[cdef.name] = ClassRecord(cdef.name)
         for cdef in program.classes:
             cls = self.classes[cdef.name]
-            sup_name = cdef.superclass or "Object"
-            if cdef.name != "Object":
-                sup = self.classes.get(sup_name)
-                if sup is None:
-                    raise UnknownClass("unknown superclass %s" % sup_name)
+            sup = self.classes.get(cdef.superclass or "Object")
+            if sup is not None and cdef.name != "Object":
+                if cls in sup.lineage():
+                    raise MkRuntimeError(
+                        "class %s cannot inherit from itself" % cls.name)
                 cls.superclass = sup
-            inherited = set()
-            sup = cls.superclass
-            while sup is not None:
-                inherited.update(sup.slot_names)
-                sup = sup.superclass
+        array = self.classes["Array"]
+        for cdef in program.classes:
+            cls = self.classes[cdef.name]
+            sup_name = cdef.superclass or "Object"
+            if cdef.name != "Object" and sup_name not in self.classes:
+                raise UnknownClass("unknown superclass %s" % sup_name)
+            lineage = cls.lineage()
             for slot in cdef.temps:
-                if slot in inherited:
+                if array in lineage:  # `new` on it makes a slotless Array
+                    raise MkRuntimeError(
+                        "slot %s declared in %s, but Array and its "
+                        "subclasses cannot have slots" % (slot, cdef.name))
+                if any(slot in sup.slot_names for sup in lineage[1:]):
                     raise MkRuntimeError(
                         "slot %s already declared in a superclass of %s"
                         % (slot, cdef.name))
                 if slot not in cls.slot_names:
                     cls.slot_names.append(slot)
             for mdef in cdef.children:
-                if mdef.kind != METHOD_DEF:
-                    continue
-                self._compile_method(cls, mdef, program.source)
+                if mdef.kind == METHOD_DEF:
+                    self._compile_method(cls, mdef, program.source)
 
     def _flush_method_caches(self):
         """Forget every cached lookup; run after any change to a method
@@ -261,7 +270,6 @@ class Interpreter:
         cls.methods[mdef.selector] = record
         for nid in record.node_ids:
             self.node_owner[nid] = record
-        return record
 
     def _forget_method(self, record):
         for nid in record.node_ids:
@@ -378,9 +386,7 @@ class Interpreter:
         cls = self._type_classes.get(t)
         if cls is not None:
             return cls
-        if isinstance(v, ClassRecord):
-            return self.classes["Object"]
-        if isinstance(v, HostFunction):
+        if isinstance(v, (ClassRecord, HostFunction)):
             return self.classes["Object"]
         name = getattr(type(v), "mk_class_name", None)
         if name is not None and name in self.classes:
@@ -616,22 +622,6 @@ class Interpreter:
 
     # -- hooks and triggering ---------------------------------------------
 
-    def applicable_links(self, node_id, receiver):
-        """The links that apply at a node for this receiver: the
-        registry's tuple of its class-wide links, then the receiver's."""
-        self.registry_consults += 1
-        reg = self.registry
-        links = reg.class_wide.get(node_id, ())
-        per_obj = reg.object_centric.get(node_id)
-        if per_obj is not None:
-            try:
-                oc = per_obj.get(receiver)
-            except TypeError:  # unhashable receiver cannot be a target
-                oc = None
-            if oc:
-                links += oc
-        return links
-
     def _eval_hook(self, hook, act):
         self.hook_visits += 1
         handlers = self._handlers
@@ -671,31 +661,37 @@ class Interpreter:
     def _trigger(self, orig, act, perform, receiver=None, args=None,
                  value=None, after=True):
         """Run `perform`, the pending operation at the hooked node `orig`,
-        under the links that apply to it; unlinked, just run it."""
-        links = self.applicable_links(orig.id, act.receiver)
+        under the node's class-wide links, then the receiver's object-centric
+        ones; unlinked, just run it. An `Operation` is built only on demand."""
+        self.registry_consults += 1
+        reg = self.registry
+        links = reg.class_wide.get(orig.id, ())
+        per_obj = reg.object_centric.get(orig.id)
+        if per_obj is not None:
+            try:
+                links += per_obj.get(act.receiver, ())
+            except TypeError:  # unhashable receiver cannot be a target
+                pass
         if not links:
             return perform()
-        op = OperationWrapper(perform, orig)
-        ctx = TriggerContext(self, orig, act, receiver, args, value, op)
-        return self.run_trigger(links, ctx, op, after)
+        return self.run_trigger(links, TriggerContext(
+            self, orig, act, perform, receiver, args, value), after)
 
-    def run_trigger(self, links, ctx, op, after=True):
-        """Before/instead/after protocol over all applicable links.
-
-        Class-wide links come first (installation order), then
-        object-centric ones. Before-links fire in that order, after-links
-        in reverse. An instead-link's result replaces the node's value;
-        the most specific (object-centric, latest installed) wins.
+    def run_trigger(self, links, ctx, after=True):
+        """Before/instead/after protocol over all applicable links:
+        class-wide ones first (installation order), then object-centric
+        ones. Before-links fire in that order, after-links in reverse. An
+        instead-link's result replaces the node's value; the most specific
+        (object-centric, latest installed) wins. If none fires, the base
+        runs through the `Operation` a link reified, else `ctx.perform`.
+        `after` is False at a return: control leaves the method with the
+        value, so there is no after phase and its after-links never fire.
 
         The before pass reads each link's registry snapshot when it reaches
         the link (revalidated if a setter changed the link), so a change a
         meta-object makes to a later link applies in the same trigger; the
         instead and after passes fire those snapshots. A link left with no
-        snapshot here (uninstalled earlier in this trigger) is skipped.
-
-        `after` is False at a return: control leaves the method with the
-        value, so there is no after phase and its after-links never fire."""
-        ctx.phase = "before"
+        snapshot here (uninstalled earlier in this trigger) is skipped."""
         configs = self.registry.configs
         later = ()
         for link in links:
@@ -715,7 +711,11 @@ class Interpreter:
                 if fired:
                     break
         else:
-            result = op.invoke_base()
+            if ctx.operation is None:
+                result = ctx.perform()
+                ctx.perform = None
+            else:
+                result = ctx.operation.invoke_base()
         if after:
             for link, cfg in reversed(later):
                 if cfg.control == "after":
@@ -725,19 +725,17 @@ class Interpreter:
         return result
 
     def fire_link(self, link, cfg, ctx):
-        """Level-gated, condition-gated dispatch to the meta-object.
-
-        Returns (fired, value); the meta level is incremented for the
-        whole activation (condition included) and restored on every exit
-        path, signals included."""
-        if not link.enabled:
-            return (False, None)
-        if self.meta_level != cfg.level:
+        """Level-gated, condition-gated dispatch to the meta-object; the
+        snapshot says if the condition is evaluated, and a host
+        meta-object is called without a send. Returns (fired, value); the
+        meta level is incremented for the whole activation (condition
+        included) and restored on every exit path, signals included."""
+        if not link.enabled or self.meta_level != cfg.level or cfg.blocked:
             return (False, None)
         ctx.current_link = link
         self.meta_level += 1
         try:
-            if cfg.condition is not None:
+            if cfg.guarded:
                 cond_vals = []
                 for k in cfg.condition_args:
                     cond_vals.append(resolve(k, ctx))
@@ -747,6 +745,8 @@ class Interpreter:
             args = []
             for k in cfg.arguments:
                 args.append(resolve(k, ctx))
+            if cfg.host is not None:
+                return (True, cfg.host.fn(*args))
             return (True, self.send(cfg.meta_object, cfg.selector, args,
                                     ctx.activation))
         finally:

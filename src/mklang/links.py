@@ -21,6 +21,12 @@ interpreter's sites and takes a new snapshot, or keeps firing the old one
 if the new definition is invalid there. Nothing is cached per node, so a
 change to a link applies at every site it sits on, in every interpreter
 it is installed in, and nothing of an interpreter is kept on a link.
+
+A snapshot also carries what firing the link takes, decided once when
+it is taken: a host meta-object to call directly, and whether the
+condition needs evaluating at all. A fire then pays only for what the
+link asks for: the reifications it requests, no `Operation` unless one
+of them is `#operation`, and no message send to a host meta-object.
 """
 
 from __future__ import annotations
@@ -39,20 +45,40 @@ CONTROLS = ("before", "after", "instead")
 class LinkConfig:
     """Immutable snapshot of a link's definition, validated on the link's
     sites in one interpreter and stamped with the link's `version`; an
-    invalid definition is never snapshot, so the old one keeps firing."""
+    invalid definition is never snapshot, so the old one keeps firing.
+
+    It also holds what a fire needs to know of the definition, worked out
+    once here rather than at every fire:
+
+    * `host`: the meta-object if it is a `HostFunction`, which a fire
+      calls directly instead of sending to it; else None.
+    * `guarded`: the condition must be evaluated at each fire. It is not
+      for `nil` (always fires), nor for a constant `true` or `false`
+      without condition arguments.
+    * `blocked`: the condition is a constant `false` without condition
+      arguments, so the link never fires; such a fire ends before the
+      meta level is raised. With arguments, they are still reified first.
+    """
 
     __slots__ = ("meta_object", "selector", "control", "arguments",
-                 "condition", "condition_args", "level", "version")
+                 "condition", "condition_args", "level", "version",
+                 "host", "guarded", "blocked")
 
     def __init__(self, link):
         self.meta_object = link.meta_object
         self.selector = link.selector
         self.control = link.control
         self.arguments = tuple(link.reification_requests)
-        self.condition = link.condition
+        self.condition = cond = link.condition
         self.condition_args = tuple(link.condition_args)
         self.level = link.level
         self.version = link.version
+        self.host = (self.meta_object
+                     if isinstance(self.meta_object, HostFunction) else None)
+        constant = cond is None or (
+            (cond is True or cond is False) and not self.condition_args)
+        self.guarded = not constant
+        self.blocked = constant and cond is False
 
 
 class MetaLink:

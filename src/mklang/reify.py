@@ -66,28 +66,37 @@ def table_kind(node) -> str:
 
 
 class TriggerContext:
-    """Everything a firing link may reify at one hook activation."""
+    """Everything a firing link may reify at one hook activation.
+
+    `perform` is the pending base operation. Its `OperationWrapper` is
+    built on the first `#operation` request and kept in `operation`, so
+    every link of one trigger gets the same object, and a trigger whose
+    links ask for none builds none. Once the base ran without a wrapper,
+    `perform` is None."""
 
     __slots__ = ("interp", "node", "table_kind", "activation", "phase",
-                 "pending_receiver", "pending_args", "pending_value",
-                 "operation", "current_link")
+                 "perform", "pending_receiver", "pending_args",
+                 "pending_value", "operation", "current_link")
 
-    def __init__(self, interp, node, activation, pending_receiver=None,
-                 pending_args=None, pending_value=None, operation=None):
+    def __init__(self, interp, node, activation, perform,
+                 pending_receiver=None, pending_args=None,
+                 pending_value=None):
         self.interp = interp
         self.node = node
         self.table_kind = _TABLE_KIND.get(node.kind, "other")
         self.activation = activation
         self.phase = "before"
+        self.perform = perform
         self.pending_receiver = pending_receiver
         self.pending_args = pending_args
         self.pending_value = pending_value
-        self.operation = operation
+        self.operation = None
         self.current_link = None
 
 
 class OperationWrapper:
-    """One-shot executable wrapper around the pending base operation."""
+    """One-shot executable wrapper around the pending base operation; a
+    wrapper without a thunk stands for one that already ran."""
 
     __slots__ = ("node", "_thunk", "invoked", "result")
     mk_class_name = "Operation"
@@ -95,7 +104,7 @@ class OperationWrapper:
     def __init__(self, thunk, node):
         self._thunk = thunk
         self.node = node
-        self.invoked = False
+        self.invoked = thunk is None
         self.result = None
 
     def invoke(self):
@@ -216,10 +225,12 @@ def _phase_error(kind, ctx):
 
 def resolve(kind, ctx: TriggerContext):
     """Produce the reified value for `kind` from a trigger context."""
-    allowed = APPLICABILITY.get(kind)
-    if allowed is None or ctx.table_kind not in allowed:
+    try:
+        resolver = _RESOLVERS[kind][ctx.table_kind]
+    except KeyError:
         check_applicable(kind, ctx.table_kind)
-    return _RESOLVERS[kind](ctx)
+        raise
+    return resolver(ctx)
 
 
 def _arguments(ctx):
@@ -277,6 +288,13 @@ def _owning_method_mirror(ctx, woven):
     return MethodMirror(ctx.interp, record, woven=woven)
 
 
+def _operation(ctx):
+    op = ctx.operation
+    if op is None:
+        op = ctx.operation = OperationWrapper(ctx.perform, ctx.node)
+    return op
+
+
 def _variable_mirror(ctx):
     if ctx.table_kind not in ("variable", "assignment"):
         return None
@@ -294,8 +312,8 @@ def _variable_mirror(ctx):
     return VariableMirror(interp, "global", name, interp)
 
 
-# Kind -> function of the trigger context; `resolve` has already checked
-# that the kind applies to the node.
+# Kind -> function of the trigger context, filed below under each node
+# category the kind applies to, so one lookup checks applicability too.
 _RESOLVERS = {
     "arguments": _arguments,
     "class": lambda ctx: ctx.interp.class_of(ctx.activation.receiver),
@@ -308,10 +326,12 @@ _RESOLVERS = {
     "newValue": _new_value,
     "node": lambda ctx: NodeMirror(ctx.interp, ctx.node),
     "object": lambda ctx: ctx.activation.receiver,
-    "operation": lambda ctx: ctx.operation,
+    "operation": _operation,
     "selector": _selector,
     "sender": _sender,
     "context": lambda ctx: ContextMirror(ctx.interp, ctx.activation),
     "value": _resolve_value,
     "variable": _variable_mirror,
 }
+_RESOLVERS = {kind: dict.fromkeys(APPLICABILITY[kind], fn)
+              for kind, fn in _RESOLVERS.items()}

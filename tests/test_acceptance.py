@@ -28,7 +28,7 @@ from mklang.links import (
 from mklang.listings import run_all
 from mklang.nodes import find_nodes
 from mklang.reify import (
-    APPLICABILITY, OperationWrapper, TriggerContext, resolve, table_kind,
+    APPLICABILITY, TriggerContext, resolve, table_kind,
 )
 from mklang.values import HostFunction
 from progen import gen_link, gen_program, installable_nodes, user_records
@@ -84,9 +84,8 @@ def _matrix_fixture():
 
 
 def _context(interp, node, act, kind):
-    ctx = TriggerContext(interp, node, act, pending_receiver=3,
-                         pending_args=[1], pending_value=4,
-                         operation=OperationWrapper(lambda: 4, node))
+    ctx = TriggerContext(interp, node, act, lambda: 4, pending_receiver=3,
+                         pending_args=[1], pending_value=4)
     ctx.current_link = MetaLink()
     # #value exists only after a send/read has produced it, but on a
     # return node only before the unwind discards the frame.

@@ -128,6 +128,17 @@ def test_dump_ast_load_error_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown superclass Nope\n"
 
 
+def test_run_slots_on_an_array_subclass_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "p.mk",
+                 "class A2 extends Array [ | x | setX [ x := 3. ^ x ] ]\n"
+                 "A2 new setX")
+    assert run_cli(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("runtime error: slot x declared in A2")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["run", "dump-ast"])
 def test_a_file_that_is_not_utf8_exits_64(tmp_path, capsys, command):
     path = tmp_path / "p.mk"

@@ -4,16 +4,17 @@ import weakref
 
 import pytest
 
-from mklang import Interpreter, MetaLink, links
+import mklang.interpreter as mk_interp
+from mklang import Interpreter, MetaLink, links, reify
 from mklang.errors import (
-    ArityMismatch, InapplicableReification, InsteadConflict, MkRuntimeError,
-    NodeNotInstallable,
+    AlreadyInvoked, ArityMismatch, InapplicableReification, InsteadConflict,
+    MkRuntimeError, NodeNotInstallable, PhaseUnavailable,
 )
 from mklang.interpreter import CompiledMethodRecord
 from mklang.links import install, invalidate, remove, uninstall, weave
 from mklang.nodes import META_HOOK, find_nodes, unparse
 from mklang.parser import parse_method
-from mklang.values import HostFunction
+from mklang.values import Array, HostFunction
 from progen import gen_program, installable_nodes
 
 SOURCE = """class Counter [ | count |
@@ -188,8 +189,12 @@ def test_level_gate(interp):
     sink = []
     node = increment_node(interp)
     install(interp, recording_link(sink, "lvl1", level=1), node)
+    always = recording_link(sink, "lvl1 true", reifs=("object",), level=1)
+    always.set_condition(True)
+    install(interp, always, node)
     interp.run("Counter new increment")
     assert sink == []                   # base level is 0, link wants 1
+    assert interp.meta_level == 0
 
 
 def test_link_not_fully_configured_rejected_at_install(interp):
@@ -882,3 +887,329 @@ def test_hook_path_matches_fast_path_on_every_node():
         assert fired and interp.hook_visits > 0
         assert (actual.output, actual.value) == \
             (expected.output, expected.value), source
+
+
+# The lazy operation: a trigger builds its `Operation` only when a link
+# reifies `#operation`, and every link of the trigger gets that one object.
+
+@pytest.mark.parametrize("kind", sorted(set(INSTEAD_RESULTS) - {"return"}))
+def test_links_of_one_trigger_share_one_operation(kind):
+    interp = Interpreter()
+    interp.run(PROTOCOL_SOURCE)
+    seen = []
+    for control in ("before", "after"):
+        link = MetaLink()
+        link.set_meta_object(HostFunction(
+            lambda op, c=control: seen.append((c, op, op.invoked)), "peek"))
+        link.set_selector("value:")
+        link.set_arguments(("operation",))
+        link.set_control(control)
+        install(interp, link, protocol_site(interp, kind))
+    result = interp.run("Proto new run: 4")
+    assert (result.value, result.output) == (108, "bv")
+    (before, op, ran_before), (after, op_after, ran_after) = seen
+    assert (before, after) == ("before", "after")
+    assert op_after is op
+    assert (ran_before, ran_after) == (False, True)
+
+
+def test_a_trigger_without_operation_builds_none(monkeypatch):
+    built = []
+
+    class CountingOperation(reify.OperationWrapper):
+        __slots__ = ()
+
+        def __init__(self, thunk, node):
+            built.append(node)
+            super().__init__(thunk, node)
+
+    monkeypatch.setattr(reify, "OperationWrapper", CountingOperation)
+    interp = Interpreter()
+    interp.run(PROTOCOL_SOURCE)
+    sink = []
+    for kind in INSTEAD_RESULTS:
+        for control in ("before", "after"):
+            install(interp, recording_link(sink, control, control,
+                                           reifs=("object",)),
+                    protocol_site(interp, kind))
+    assert interp.run("Proto new run: 4").value == 108
+    assert len(sink) == 15 and built == []  # no after phase at a return
+    install(interp, recording_link(sink, "op", reifs=("operation",)),
+            protocol_site(interp, "message"))
+    assert interp.run("Proto new run: 4").value == 108
+    assert built == [protocol_site(interp, "message")]
+
+
+# Output of `Proto new run: 4` when an instead-link replaces the node:
+# the block prints "b", `Base>>val:` prints "v"; unlinked it is "bv".
+INSTEAD_OUTPUTS = {
+    "message": "b", "super-send": "b", "method": "", "block": "v",
+    "variable": "bv", "assignment": "bv", "return": "bv", "literal": "bv",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INSTEAD_RESULTS))
+def test_an_instead_link_without_operation_never_runs_the_base(kind):
+    interp = Interpreter()
+    interp.run(PROTOCOL_SOURCE)
+    link = MetaLink()
+    link.set_meta_object(HostFunction(lambda: 3, "three"))
+    link.set_selector("value")
+    link.set_control("instead")
+    install(interp, link, protocol_site(interp, kind))
+    result = interp.run("Proto new run: 4")
+    assert (result.value, result.output) == \
+        (INSTEAD_RESULTS[kind], INSTEAD_OUTPUTS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(INSTEAD_RESULTS))
+def test_an_operation_kept_past_its_trigger_was_already_invoked(kind):
+    interp = Interpreter()
+    interp.run(PROTOCOL_SOURCE + "class Keeper [ | op |\n"
+               "    keep: o [ op := o ] replay [ ^ op value ] ]")
+    keeper = interp.send(interp.class_named("Keeper"), "new", [])
+    interp.globals["keeper"] = keeper
+    link = MetaLink()
+    link.set_meta_object(keeper)
+    link.set_selector("keep:")
+    link.set_arguments(("operation",))
+    install(interp, link, protocol_site(interp, kind))
+    assert interp.run("Proto new run: 4").value == 108
+    with pytest.raises(AlreadyInvoked):
+        interp.run("keeper replay")
+    assert interp.meta_level == 0
+
+
+@pytest.mark.parametrize("kind", sorted(set(INSTEAD_RESULTS) - {"return"}))
+def test_an_operation_first_reified_after_the_base_was_invoked(kind):
+    interp = Interpreter()
+    interp.run(PROTOCOL_SOURCE)
+    link = MetaLink()
+    link.set_meta_object(HostFunction(lambda op: op.invoke(), "replayer"))
+    link.set_selector("value:")
+    link.set_arguments(("operation",))
+    link.set_control("after")
+    install(interp, link, protocol_site(interp, kind))
+    with pytest.raises(AlreadyInvoked):
+        interp.run("Proto new run: 4")
+    assert interp.meta_level == 0
+
+
+def same_reification(a, b):
+    """Equal reified values: the same object, or mirrors and arrays built
+    from the same parts."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Array):
+        return len(a.items) == len(b.items) and all(
+            same_reification(x, y) for x, y in zip(a.items, b.items))
+    slots = getattr(type(a), "__slots__", ())
+    if type(a).__module__ == reify.__name__ and slots:
+        return all(same_reification(getattr(a, s), getattr(b, s))
+                   for s in slots)
+    return a is b or a == b
+
+
+@pytest.mark.parametrize("site", sorted(INSTEAD_RESULTS))
+def test_each_reification_a_link_receives_equals_resolve(site, monkeypatch):
+    contexts = []
+    fire_link = Interpreter.fire_link
+
+    def spy(*args):
+        contexts.append(args[3])
+        return fire_link(*args)
+
+    monkeypatch.setattr(Interpreter, "fire_link", spy)
+    interp = Interpreter()
+    interp.run(PROTOCOL_SOURCE)
+    node = protocol_site(interp, site)
+    category = reify.table_kind(node)
+    expected, checked = set(), []
+    for kind, allowed in sorted(reify.APPLICABILITY.items()):
+        if category not in allowed or (kind, category) == \
+                ("newValue", "variable"):
+            continue    # a read never changes the value
+        expected.add(kind)
+
+        def check(got, kind=kind):
+            checked.append(kind)
+            assert same_reification(got, reify.resolve(kind, contexts[-1]))
+
+        link = MetaLink()
+        link.set_meta_object(HostFunction(check, "check %s" % kind))
+        link.set_selector("value:")
+        link.set_arguments((kind,))
+        # A send's or a read's value exists only after it ran.
+        if kind == "value" and category in ("message", "variable"):
+            link.set_control("after")
+        install(interp, link, node)
+    assert interp.run("Proto new run: 4").value == 108
+    assert set(checked) == expected and len(checked) == len(expected)
+
+
+# The snapshot's fire-time facts (host meta-object, constant condition)
+# follow every change of the link, in every interpreter it is in.
+
+META_SOURCE = """class Meta [ | hits |
+    initialize [ hits := 0 ]
+    hit [ hits := hits + 1 ]
+]
+"""
+
+
+@pytest.mark.parametrize("revalidate", ["lazily", "invalidate"])
+def test_swapping_host_and_mklang_meta_objects_in_two_interpreters(
+        revalidate):
+    interps = []
+    for _ in range(2):
+        i = Interpreter()
+        i.run(SOURCE + META_SOURCE)
+        interps.append(i)
+    calls = []
+    link = MetaLink()
+    link.set_selector("hit")
+    link.set_meta_object(HostFunction(lambda: calls.append("h1"), "h1"))
+    for i in interps:
+        install(i, link, increment_node(i))
+    meta = interps[0].send(interps[0].class_named("Meta"), "new", [])
+
+    def trigger_all(meta_object=None):
+        if meta_object is not None:
+            link.set_meta_object(meta_object)
+            if revalidate == "invalidate":
+                for i in interps:
+                    i.invalidate(link)
+        for i in interps:
+            i.run("Counter new increment")
+            assert i.meta_level == 0
+
+    trigger_all()
+    assert calls == ["h1", "h1"] and meta.slots["hits"] == 0
+    trigger_all(meta)
+    assert calls == ["h1", "h1"] and meta.slots["hits"] == 2
+    trigger_all(HostFunction(lambda: calls.append("h2"), "h2"))
+    assert calls == ["h1", "h1", "h2", "h2"] and meta.slots["hits"] == 2
+    trigger_all(meta)
+    assert len(calls) == 4 and meta.slots["hits"] == 4
+
+
+# (condition, condition arguments, fires, condition reifications)
+CONDITIONS = [
+    ("nil", (), True, 0),
+    ("nil", ("object",), True, 0),       # nil ignores its arguments
+    ("true", (), True, 0),
+    ("true", ("object",), True, 1),
+    ("false", (), False, 0),
+    ("false", ("object",), False, 1),    # reified, then not fired
+    ("[ true ]", (), True, 0),
+    ("[ false ]", (), False, 0),
+    ("[ :o | o notNil ]", ("object",), True, 1),
+    ("[ :o | o isNil ]", ("object",), False, 1),
+]
+
+
+@pytest.mark.parametrize("condition, kinds, fires, resolves", CONDITIONS)
+def test_constant_and_block_conditions(monkeypatch, interp, condition, kinds,
+                                       fires, resolves):
+    count = []
+    resolve = mk_interp.resolve
+
+    def counting(*args):
+        count.append(args[0])
+        return resolve(*args)
+
+    monkeypatch.setattr(mk_interp, "resolve", counting)
+    sink = []
+    link = recording_link(sink, "c")
+    link.set_condition(interp.run(condition).value, kinds)
+    install(interp, link, increment_node(interp))
+    interp.run("| c | c := Counter new. c increment. c increment")
+    assert len(sink) == (2 if fires else 0)
+    assert len(count) == 2 * resolves
+    assert interp.meta_level == 0
+    # The same, reached through a setter at the next trigger.
+    link.set_condition(None)
+    interp.run("Counter new increment")
+    assert len(sink) == (3 if fires else 1)
+
+
+def test_a_false_condition_still_reifies_its_arguments(interp):
+    sink = []
+    link = recording_link(sink, "f")
+    link.set_condition(False, ("value",))  # no value before the send ran
+    install(interp, link, increment_node(interp, "sends-of", "+"))
+    with pytest.raises(PhaseUnavailable):
+        interp.run("Counter new increment")
+    assert interp.meta_level == 0
+    link.set_condition(False)
+    interp.run("Counter new increment")
+    assert sink == [] and interp.meta_level == 0
+
+
+# The traced benchmark run wraps `run_trigger`, `fire_link` and
+# `interpreter.resolve` and counts their calls: one per linked trigger,
+# one per fire attempt (fired or not), one per reification.
+
+CONTRACT_SOURCE = """class P [ | s |
+    run: n [ | t | t := n + 1. s := t. ^ t * 2 ]
+]
+"""
+
+
+def test_traced_boundaries_count_triggers_attempts_and_reifications(
+        monkeypatch):
+    calls = []
+
+    def positional(fn, name):
+        def traced(*args):
+            calls.append(name)
+            return fn(*args)
+        return traced
+
+    for name in ("run_trigger", "fire_link"):
+        monkeypatch.setattr(Interpreter, name,
+                            positional(getattr(Interpreter, name), name))
+    monkeypatch.setattr(mk_interp, "resolve",
+                        positional(mk_interp.resolve, "resolve"))
+    interp = Interpreter()
+    interp.run(CONTRACT_SOURCE)
+    ast = interp.method_ast("P", "run:")
+    plus = find_nodes(ast, "sends-of", "+")[0]
+    write = find_nodes(ast, "writes-of", "s")[0]
+    ret = next(n for n in ast.walk() if n.kind == "Return")
+    sink = []
+    # s := t: 1 attempt, 2 reifications
+    install(interp, recording_link(sink, "w", reifs=("object", "newValue")),
+            write)
+    # n + 1: 2 attempts (one disabled), 1 reification
+    install(interp, recording_link(sink, "v", "after", reifs=("value",)),
+            plus)
+    disabled = recording_link(sink, "off")
+    install(interp, disabled, plus)
+    disabled.disable()
+    # the method: 3 attempts (wrong level, false, false with an argument),
+    # 1 reification
+    install(interp, recording_link(sink, "meta", level=1), ast)
+    never = recording_link(sink, "never")
+    never.set_condition(False)
+    install(interp, never, ast)
+    never_reified = recording_link(sink, "never reified")
+    never_reified.set_condition(False, ("receiver",))
+    install(interp, never_reified, ast)
+    # ^ t * 2: 1 attempt, 1 reification
+    instead = MetaLink()
+    instead.set_meta_object(HostFunction(lambda op: op.invoke(), "around"))
+    instead.set_selector("value:")
+    instead.set_arguments(("operation",))
+    instead.set_control("instead")
+    install(interp, instead, ret)
+    del calls[:]
+    result = interp.run("| p | p := P new. (p run: 1) logCr. "
+                        "(p run: 2) logCr. (p run: 3) logCr")
+    assert result.output == "4\n6\n8\n"
+    assert [tag for tag, *_ in sink] == ["v", "w"] * 3
+    runs = 3
+    assert calls.count("run_trigger") == 4 * runs
+    assert calls.count("fire_link") == 7 * runs
+    assert calls.count("resolve") == 5 * runs
+    assert interp.hook_visits == interp.registry_consults == 4 * runs

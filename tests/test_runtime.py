@@ -165,6 +165,42 @@ b x logCr. b kind logCr. b class logCr
 """) == "5\nba\nB\n"
 
 
+@pytest.mark.parametrize("source, cls, slot", [
+    ("class A2 extends Array [ | x | setX [ x := 3. ^ x ] ]", "A2", "x"),
+    ("class O2 extends OrderedCollection [ | y | ]", "O2", "y"),
+    ("class A3 extends A4 [ | z | ]\nclass A4 extends Array [ ]", "A3", "z"),
+    ("class Array [ | w | ]", "Array", "w"),
+])
+def test_array_classes_cannot_declare_slots(source, cls, slot):
+    """`new` on a class that is or inherits from Array makes an Array,
+    which has no slots, so a slot it declared could never be bound."""
+    with pytest.raises(MkRuntimeError, match="slot %s declared in %s, but "
+                       "Array and its subclasses cannot have slots"
+                       % (slot, cls)):
+        Interpreter().load(source)
+
+
+def test_a_slotless_array_subclass_still_works():
+    assert out("""class Stack extends OrderedCollection [
+    push: x [ self add: x ]
+    depth [ ^ self size ]
+]
+class Pair extends Array [ isPair [ ^ true ] ]
+| s |
+s := Stack new. s push: 4. s push: 5.
+s depth logCr. s printString logCr. Pair new isPair logCr. Pair new size logCr
+""") == "2\na Stack (4 5)\ntrue\n0\n"
+
+
+@pytest.mark.parametrize("source", [
+    "class A extends A [ ]",
+    "class A extends B [ | a | ]\nclass B extends A [ | b | ]",
+])
+def test_a_superclass_cycle_is_a_load_error(source):
+    with pytest.raises(MkRuntimeError, match="cannot inherit from itself"):
+        Interpreter().load(source)
+
+
 def test_does_not_understand_reports_class_and_selector():
     with pytest.raises(MkRuntimeError, match="A doesNotUnderstand: #missing"):
         run_program("class A [ ] A new missing")
