@@ -31,8 +31,8 @@ from functools import partial
 
 from . import links as _links
 from .errors import (
-    HaltSignal, MethodReturn, MkRuntimeError, MkSyntaxError,
-    SelectorMismatch, UnknownClass, UnknownSelector,
+    HaltSignal, MethodReturn, MkRuntimeError, SelectorMismatch,
+    UnknownClass, UnknownSelector,
 )
 from .nodes import (
     ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, META_HOOK,
@@ -45,11 +45,6 @@ from .values import Array, Block, HostFunction, Instance, Symbol
 
 INT_MIN = -(2 ** 63)
 INT_MAX = 2 ** 63 - 1
-
-# `parser.MAX_NESTING` bounds brackets, not a long chain of sends, whose
-# depth the recursive passes of loading (`link_parents`, `walk`) may not
-# survive.
-TOO_DEEP = "expression nested too deeply"
 
 
 class PrimitiveMethod:
@@ -72,7 +67,7 @@ class CompiledMethodRecord:
         self.original_source = original_source
         self.twin = None
         self.node_index = {n.id: n for n in original_ast.walk()}
-        self.node_ids = frozenset(self.node_index)
+        self.node_ids = self.node_index.keys()
 
 
 class ClassRecord:
@@ -193,9 +188,12 @@ class Interpreter:
             TEMP_DECL: self._eval_temp_decl,
             META_HOOK: self._eval_hook,
         }
+        self.kernel_classes = frozenset()
         from .kernel import install_kernel
         install_kernel(self)
         classes = self.classes
+        # A program may add methods to these, but not move them.
+        self.kernel_classes = frozenset(classes)
         # Class of every value whose Python type fixes it; Instance and
         # Array carry their own, the rest go through `class_of`.
         self._type_classes = {
@@ -208,11 +206,8 @@ class Interpreter:
 
     def load(self, source, file="<string>"):
         """Parse and install class definitions; returns the Program."""
-        try:
-            program = parse(source, file)
-            self._install_classes(program)
-        except RecursionError:
-            raise MkSyntaxError(TOO_DEEP) from None
+        program = parse(source, file)
+        self._install_classes(program)
         return program
 
     def _install_classes(self, program):
@@ -226,8 +221,15 @@ class Interpreter:
                 self.classes[cdef.name] = ClassRecord(cdef.name)
         for cdef in program.classes:
             cls = self.classes[cdef.name]
+            if cdef.superclass is None and cls.superclass is not None:
+                continue  # reopened without `extends`: keeps its superclass
             sup = self.classes.get(cdef.superclass or "Object")
             if sup is not None and cdef.name != "Object":
+                if cdef.name in self.kernel_classes \
+                        and sup is not cls.superclass:
+                    raise MkRuntimeError(
+                        "class %s is defined by the kernel; its superclass "
+                        "must stay %s" % (cls.name, cls.superclass.name))
                 if cls in sup.lineage():
                     raise MkRuntimeError(
                         "class %s cannot inherit from itself" % cls.name)
@@ -268,8 +270,7 @@ class Interpreter:
         if old is not None and isinstance(old, CompiledMethodRecord):
             self._forget_method(old)
         cls.methods[mdef.selector] = record
-        for nid in record.node_ids:
-            self.node_owner[nid] = record
+        self.node_owner.update(dict.fromkeys(record.node_ids, record))
 
     def _forget_method(self, record):
         for nid in record.node_ids:
@@ -341,12 +342,9 @@ class Interpreter:
         if old is None or not isinstance(old, CompiledMethodRecord):
             raise UnknownSelector(
                 "%s has no compiled method #%s" % (class_name, selector))
-        try:
-            mdef = parse_method(new_source)
-            sig = MethodSignature(cls.name, selector, len(mdef.params))
-            record = CompiledMethodRecord(sig, mdef, new_source)
-        except RecursionError:
-            raise MkSyntaxError(TOO_DEEP) from None
+        mdef = parse_method(new_source)
+        sig = MethodSignature(cls.name, selector, len(mdef.params))
+        record = CompiledMethodRecord(sig, mdef, new_source)
         if mdef.selector != selector:
             raise SelectorMismatch(
                 "recompile of #%s got a method named #%s"
@@ -354,8 +352,7 @@ class Interpreter:
         self._forget_method(old)
         cls.methods[selector] = record
         self._flush_method_caches()
-        for nid in record.node_ids:
-            self.node_owner[nid] = record
+        self.node_owner.update(dict.fromkeys(record.node_ids, record))
         for hook in list(self.recompile_hooks):
             hook(self, record)
         return record

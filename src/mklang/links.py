@@ -365,11 +365,11 @@ def validate_link(interp, link, nodes):
     if not _understands(interp, link.meta_object, link.selector, want):
         raise ArityMismatch("meta-object does not understand #%s"
                             % link.selector)
-    if isinstance(link.condition, Block) \
-            and link.condition.arity != len(link.condition_args):
-        raise ArityMismatch(
-            "condition block takes %d argument(s) but %d reification(s) "
-            "requested" % (link.condition.arity, len(link.condition_args)))
+    cond, n = link.condition, len(link.condition_args)
+    selector = "value:" * n or "value"
+    if cond is not None and not isinstance(cond, bool) \
+            and not _understands(interp, cond, selector, n):
+        raise ArityMismatch("condition does not understand #%s" % selector)
     for node in nodes:
         kind = table_kind(node)
         for req in link.reification_requests + link.condition_args:
@@ -380,8 +380,8 @@ def _understands(interp, meta_object, selector, arity):
     if isinstance(meta_object, HostFunction):
         return True
     if isinstance(meta_object, Block):
-        expected = "value" if arity == 0 else "value:" * arity
-        return selector == expected and meta_object.arity == arity
+        return selector == ("value:" * arity or "value") \
+            and meta_object.arity == arity
     return interp.lookup_selector(meta_object, selector) is not None
 
 

@@ -1,9 +1,10 @@
 """Typed AST for the toy language.
 
 Nodes are immutable after parse (link machinery never mutates them; weaving
-operates on copies). Node ids are unique in the process: every parse draws
-fresh ones, so a recompile yields fresh ids -- which is exactly why links
-are lost on recompilation -- and two interpreters never share one.
+operates on copies); the parser sets each node's `parent` as it builds the
+parent. Node ids are unique in the process: every parse draws fresh ones,
+so a recompile yields fresh ids -- which is exactly why links are lost on
+recompilation -- and two interpreters never share one.
 """
 
 from __future__ import annotations
@@ -57,9 +58,13 @@ class AstNode:
     original: "AstNode | None" = field(default=None, repr=False)  # MetaHook only
 
     def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        """Pre-order, from an explicit stack: a chain may be any depth."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack += node.children[::-1]
 
     def __repr__(self):
         extra = self.selector or self.var_name or self.name or ""
@@ -87,12 +92,6 @@ def selector_arity(selector: str) -> int:
     if selector and not selector[0].isalpha() and selector[0] != "_":
         return 1
     return 0
-
-
-def link_parents(node: AstNode, parent: AstNode | None = None):
-    node.parent = parent
-    for c in node.children:
-        link_parents(c, node)
 
 
 # --- queries ---------------------------------------------------------------
@@ -254,18 +253,20 @@ def _argstr(parent, child):
     return s
 
 
-def dump(node: AstNode, indent: int = 0) -> str:
+def dump(node: AstNode) -> str:
     """Indented one-node-per-line rendering with ids and spans."""
-    extra = node.selector or node.var_name or node.name or ""
-    if node.kind == LITERAL:
-        extra = _print_literal(node.value)
-    elif node.kind == LITERAL_ARRAY:
-        extra = unparse(node)
-    elif node.kind in (METHOD_DEF, BLOCK) and node.params:
-        extra += " (%s)" % " ".join(node.params)
-    line = "%s%s#%d %s [%d..%d]" % ("  " * indent, node.kind, node.id,
-                                    extra, node.span.start, node.span.end)
-    lines = [line.rstrip()]
-    for c in node.children:
-        lines.append(dump(c, indent + 1))
+    depth = {node.parent: -1}
+    lines = []
+    for n in node.walk():
+        depth[n] = d = depth[n.parent] + 1
+        extra = n.selector or n.var_name or n.name or ""
+        if n.kind == LITERAL:
+            extra = _print_literal(n.value)
+        elif n.kind == LITERAL_ARRAY:
+            extra = unparse(n)
+        elif n.kind in (METHOD_DEF, BLOCK) and n.params:
+            extra += " (%s)" % " ".join(n.params)
+        line = "%s%s#%d %s [%d..%d]" % ("  " * d, n.kind, n.id, extra,
+                                        n.span.start, n.span.end)
+        lines.append(line.rstrip())
     return "\n".join(lines)

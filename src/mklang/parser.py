@@ -12,7 +12,8 @@ Grammar (informally):
 
 Comments are double-quoted, Smalltalk style. Parsing is reentrant and
 produces no partial results: any malformed input raises MkSyntaxError
-with a span.
+with a span. `node` sets each node's `parent` as it builds the parent.
+Only bracket nesting recurses (see MAX_NESTING); send chains are loops.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import MkSyntaxError
 from .nodes import (
     ASSIGNMENT, BLOCK, CLASS_DEF, LITERAL, LITERAL_ARRAY, MESSAGE_SEND,
     METHOD_DEF, RETURN, SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ,
-    AstNode, Program, SourceSpan, link_parents,
+    AstNode, Program, SourceSpan,
 )
 from .values import Symbol
 
@@ -197,7 +198,10 @@ class Parser:
         return SourceSpan(start_tok.start, max(end, start_tok.start), self.file)
 
     def node(self, kind, start_tok, **kw):
-        return AstNode(kind, self.span(start_tok), next(_NODE_IDS), **kw)
+        node = AstNode(kind, self.span(start_tok), next(_NODE_IDS), **kw)
+        for child in node.children:
+            child.parent = node
+        return node
 
     def nest(self, open_tok):
         """Enter one nesting level opened by `open_tok`; the caller leaves
@@ -219,10 +223,8 @@ class Parser:
         if decl is not None:
             main.children.insert(0, decl)
             main.temps = list(decl.temps)
+            decl.parent = main
         self.expect("eof", "end of input")
-        for c in classes:
-            link_parents(c)
-        link_parents(main)
         return Program(classes=classes, main=main, source=self.source)
 
     def parse_class(self):
@@ -443,5 +445,4 @@ def parse_method(source: str, file: str = "<string>") -> AstNode:
     p = Parser(source, file)
     method = p.parse_method()
     p.expect("eof", "end of method source")
-    link_parents(method)
     return method

@@ -199,14 +199,55 @@ def test_run_deep_nesting_is_a_syntax_error_exit_1(tmp_path, capsys):
     "1%s" % (" negated" * 1200),
     "class A [ m [ ^ 1%s ] ]\nA new m logCr" % (" + 1" * 1200),
 ], ids=["binary", "unary", "in-method"])
-def test_run_long_send_chain_is_a_syntax_error_exit_1(tmp_path, capsys,
-                                                      source):
+def test_run_long_send_chain_is_a_stack_overflow_exit_2(tmp_path, capsys,
+                                                        source):
+    # A chain is not nesting: it loads, and evaluating it deeper than
+    # Python's limit fails at run time like deep recursion does.
     path = write(tmp_path, "p.mk", source)
-    assert run_cli(["run", path]) == 1
+    assert run_cli(["run", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "syntax error: expression nested too deeply" in captured.err
+    assert "runtime error: stack overflow" in captured.err
     assert "Traceback" not in captured.err
+
+
+UNCALLED_CHAIN = "class A [ m [ ^ 1%s ] ]\n'loaded' logCr" % (" + 1" * 5000)
+
+
+def test_run_a_long_send_chain_in_an_uncalled_method(tmp_path, capsys):
+    path = write(tmp_path, "p.mk", UNCALLED_CHAIN)
+    assert run_cli(["run", path]) == 0
+    assert capsys.readouterr() == ("loaded\n", "")
+
+
+def test_dump_ast_a_long_send_chain(tmp_path, capsys):
+    path = write(tmp_path, "p.mk", UNCALLED_CHAIN)
+    assert run_cli(["dump-ast", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ClassDef#")
+    # ClassDef, MethodDef, Sequence, Return, 5000 sends, then a literal.
+    assert max(len(l) - len(l.lstrip()) for l in lines) == 2 * 5004
+
+
+def test_run_reopened_kernel_class_keeps_its_superclass(tmp_path, capsys):
+    path = write(tmp_path, "p.mk",
+                 "class OrderedCollection [ ]\n"
+                 "| c | c := OrderedCollection new. c add: 1. c add: 2.\n"
+                 "c size logCr")
+    assert run_cli(["run", path]) == 0
+    assert capsys.readouterr() == ("2\n", "")
+
+
+def test_run_moving_a_kernel_class_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "p.mk",
+                 "class OrderedCollection extends Object [ ]\n"
+                 "(OrderedCollection new add: 1) logCr")
+    assert run_cli(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("runtime error: class OrderedCollection is "
+                            "defined by the kernel; its superclass must "
+                            "stay Array\n")
 
 
 def test_run_internal_error_exits_70(tmp_path, capsys, monkeypatch):

@@ -231,6 +231,52 @@ def test_block_meta_object_arity_checked(interp):
         install(interp, link, increment_node(interp))
 
 
+@pytest.mark.parametrize("condition, kinds", [
+    ("3", ()),
+    ("'yes'", ()),
+    ("[ :a | a ]", ()),
+    ("[ true ]", ("object",)),
+    ("Counter new", ()),
+])
+def test_a_condition_that_cannot_answer_is_rejected(interp, condition,
+                                                     kinds):
+    link = recording_link([], "c")
+    link.set_condition(interp.run("^ " + condition).value, kinds)
+    with pytest.raises(ArityMismatch, match="condition does not understand"):
+        install(interp, link, increment_node(interp))
+    ok = recording_link([], "ok")
+    install(interp, ok, increment_node(interp))
+    ok.set_condition(interp.run("^ " + condition).value, kinds)
+    with pytest.raises(ArityMismatch, match="condition does not understand"):
+        invalidate(interp, ok)
+
+
+def test_a_condition_changed_to_one_that_cannot_answer_keeps_firing_the_old(
+        interp):
+    sink = []
+    link = recording_link(sink, "c")
+    link.set_condition(True)
+    install(interp, link, increment_node(interp))
+    link.set_condition(3)               # no `invalidate`
+    interp.run("| c | c := Counter new. c increment. c increment")
+    assert sink == [("c",), ("c",)]
+
+
+def test_an_instance_that_understands_value_is_a_condition(interp):
+    interp.run("class Every [ | n | value [ n := (n ifNil: [ 0 ]) + 1. "
+               "^ n \\\\ 2 = 0 ] value: x [ ^ x > 1 ] ]")
+    sink = []
+    every_other = recording_link(sink, "every other")
+    every_other.set_condition(interp.run("^ Every new").value)
+    install(interp, every_other, increment_node(interp))
+    above_one = recording_link(sink, "above one", "after", ("newValue",))
+    above_one.set_condition(interp.run("^ Every new").value, ("newValue",))
+    install(interp, above_one, increment_node(interp))
+    interp.run("| c | c := Counter new. 4 timesRepeat: [ c increment ]")
+    assert sink == [("every other",), ("above one", 2),
+                    ("above one", 3), ("every other",), ("above one", 4)]
+
+
 def test_inapplicable_reification_rejected_at_install(interp):
     link = MetaLink()
     link.set_meta_object(HostFunction(lambda v: None, ""))
@@ -649,6 +695,18 @@ def test_linking_the_root_of_a_long_send_chain_deep_in_the_stack():
     assert interp.lookup_method("A", "m").twin is not None
     assert interp.run("A new m").value == 601
     assert sink == [("a",)]
+
+
+def test_a_link_on_the_root_of_a_5000_term_chain_weaves_a_whole_twin():
+    interp = Interpreter()
+    interp.run("class A [ m [ ^ 1" + " + 1" * 5000 + " ] ]")
+    record = interp.lookup_method("A", "m")
+    install(interp, recording_link([], "a"), record.original_ast)
+    hook = record.twin.woven_ast
+    assert hook.kind == META_HOOK and hook.parent is None
+    original = [(n.kind, n.id) for n in record.original_ast.walk()]
+    assert [(n.kind, n.id) for n in hook.children[0].walk()] == original
+    assert all(c.parent is n for n in hook.walk() for c in n.children)
 
 
 def test_class_wide_and_object_centric_links_on_one_node(interp):

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mklang.errors import MkSyntaxError
+from mklang.kernel import KERNEL_SOURCE
 from mklang.nodes import (
     ASSIGNMENT, BLOCK, LITERAL, MESSAGE_SEND, METHOD_DEF, RETURN, SEQUENCE,
-    VAR_READ, dump, find_nodes, selector_arity, unparse,
+    TEMP_DECL, VAR_READ, dump, find_nodes, selector_arity, unparse,
 )
 from mklang.parser import MAX_NESTING, parse, parse_method, tokenize
 from progen import gen_program
@@ -122,9 +123,30 @@ def test_node_ids_unique_and_spans_inside_source():
 def test_parent_links():
     program = parse(SAMPLE)
     for root in program.classes + [program.main]:
+        assert root.parent is None
         for n in root.walk():
             for c in n.children:
                 assert c.parent is n
+    decl = program.main.children[0]
+    assert decl.kind == TEMP_DECL and decl.parent is program.main
+    method = parse_method("at: i put: v [ | t | t := v. ^ t ]")
+    assert method.parent is None
+    assert all(c.parent is n for n in method.walk() for c in n.children)
+
+
+def recursive_preorder(node):
+    yield node
+    for c in node.children:
+        yield from recursive_preorder(c)
+
+
+def test_walk_is_the_recursive_preorder():
+    roots = [parse(KERNEL_SOURCE).main, parse(SAMPLE).main]
+    for source in [KERNEL_SOURCE, SAMPLE] + [
+            gen_program(random.Random(seed))[0] for seed in range(30)]:
+        roots += parse(source).classes
+    for root in roots:
+        assert list(root.walk()) == list(recursive_preorder(root))
 
 
 def test_find_nodes_queries():
@@ -199,6 +221,19 @@ def test_dump_contains_ids_and_kinds():
     program = parse("x := 1")
     text = dump(program.main)
     assert "Assignment" in text and "#" in text
+
+
+def test_dump_indents_each_node_by_its_depth_below_the_root():
+    def depths(node, depth=0):
+        yield depth
+        for c in node.children:
+            yield from depths(c, depth + 1)
+
+    cdef = parse(SAMPLE).classes[0]
+    for root in [cdef] + cdef.children:    # methods have a parent
+        lines = dump(root).splitlines()
+        assert [(len(l) - len(l.lstrip())) // 2 for l in lines] \
+            == list(depths(root))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mklang import Interpreter
-from mklang.errors import MkRuntimeError, MkSyntaxError
+from mklang.errors import MkRuntimeError
 from mklang.interpreter import run_program
 
 
@@ -415,9 +415,35 @@ def test_unlinked_sends_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def test_recompile_with_a_long_send_chain_is_a_syntax_error():
+def test_recompile_with_a_long_send_chain_overflows_only_when_run():
     interp = Interpreter()
     interp.run("class A [ m [ ^ 1 ] ]")
-    with pytest.raises(MkSyntaxError, match="expression nested too deeply"):
-        interp.recompile("A", "m", "m [ ^ 1%s ]" % (" + 1" * 1200))
-    assert interp.run("A new m").value == 1
+    record = interp.recompile("A", "m", "m [ ^ 1%s ]" % (" + 1" * 1200))
+    assert interp.lookup_method("A", "m") is record
+    with pytest.raises(MkRuntimeError, match="stack overflow"):
+        interp.run("A new m")
+
+
+def test_reopened_kernel_class_keeps_its_superclass():
+    assert out("class Symbol [ twice [ ^ self , self ] ]\n"
+               "#ab twice logCr") == "abab\n"
+
+
+def test_reopened_user_subclass_keeps_its_superclass():
+    interp = Interpreter()
+    interp.run("class A [ a [ ^ 1 ] ] class B extends A [ b [ ^ 2 ] ]")
+    interp.run("class B [ c [ ^ 3 ] ]")
+    assert interp.class_named("B").superclass is interp.class_named("A")
+    assert interp.run("| b | b := B new. ^ b a + b b + b c").value == 6
+
+
+def test_a_kernel_class_cannot_change_its_superclass():
+    interp = Interpreter()
+    with pytest.raises(MkRuntimeError, match="class Symbol is defined by "
+                       "the kernel; its superclass must stay String"):
+        interp.run("class Symbol extends Object [ ]")
+    assert interp.class_named("Symbol").superclass \
+        is interp.class_named("String")
+    # Naming the superclass it already has is a reopening.
+    interp.run("class Symbol extends String [ twice [ ^ self , self ] ]")
+    assert interp.run("#ab twice").value == "abab"
