@@ -137,9 +137,9 @@ def configure(interp, workload, mode):
         install(interp, link, node)
 
 
-def runner(workload, mode, seed=0):
+def runner(workload, mode):
     """`run(n)` sends #run n times to a new BenchTarget linked as `mode`."""
-    interp = Interpreter(seed=seed)
+    interp = Interpreter()
     interp.load(WORKLOADS[workload])
     configure(interp, workload, mode)
     target = interp.send(interp.class_named("BenchTarget"), "new", [], None)
@@ -173,15 +173,15 @@ def rates(runs, budget, repetitions):
     return [n / s for n, s in zip(counts, seconds)]
 
 
-def bench_overhead(workload="send", budget=5.0, repetitions=3,
-                   seed=0) -> list[BenchReport]:
+def bench_overhead(workload="send", budget=5.0,
+                   repetitions=3) -> list[BenchReport]:
     """One report per linkage mode; overhead is relative to 'nolink'."""
     if workload not in WORKLOADS:
         raise ValueError("unknown workload %r" % (workload,))
     if budget <= 0:
         raise BudgetExceeded("duration budget must be positive")
     modes = list(LINKAGES[workload])
-    found = rates([runner(workload, mode, seed) for mode in modes],
+    found = rates([runner(workload, mode) for mode in modes],
                   budget, repetitions)
     return [BenchReport("%s/%s" % (workload, mode), rate,
                         (found[0] / rate - 1.0) * 100.0, repetitions)
@@ -204,13 +204,13 @@ def synthetic_corpus(method_count, methods_per_class=50):
     return "\n".join(classes)
 
 
-def bench_install(method_count=2000, seed=0) -> InstallCostReport:
+def bench_install(method_count=2000) -> InstallCostReport:
     """Times recompiling every corpus method vs. installing one trivial
     link on each, first with no twins woven (cold) then again when every
     twin is present (hot); then removing the hot link from each method
     node by node (the twins stay) and uninstalling the cold link (which
     drops them), so each of the INSTALL_CYCLES rounds starts alike."""
-    interp = Interpreter(seed=seed)
+    interp = Interpreter()
     interp.load(synthetic_corpus(method_count))
     records = [rec for name, cls in interp.classes.items()
                if name.startswith("Corpus")

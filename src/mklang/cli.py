@@ -62,14 +62,12 @@ def build_parser():
     bo.add_argument("--budget", type=float, default=5.0,
                     help="seconds per timed window (default 5)")
     bo.add_argument("--format", choices=("text", "records"), default="text")
-    bo.add_argument("--seed", type=int, default=0)
 
     bi = sub.add_parser("bench-install",
                         help="link install cost vs. recompilation")
     bi.add_argument("methods", nargs="?", type=int, default=2000,
                     help="synthetic corpus size (default 2000)")
     bi.add_argument("--format", choices=("text", "records"), default="text")
-    bi.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -173,8 +171,7 @@ def cmd_dump_ast(args):
 
 def cmd_bench_overhead(args):
     try:
-        reports = bench.bench_overhead(args.workload, budget=args.budget,
-                                       seed=args.seed)
+        reports = bench.bench_overhead(args.workload, budget=args.budget)
     except MkError as exc:
         print("mklang: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -190,7 +187,7 @@ def cmd_bench_install(args):
     if args.methods < 0:
         print("mklang: corpus size must be non-negative", file=sys.stderr)
         return EXIT_USAGE
-    report = bench.bench_install(args.methods, seed=args.seed)
+    report = bench.bench_install(args.methods)
     if args.format == "records":
         print(report.record_line())
     else:

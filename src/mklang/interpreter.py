@@ -211,47 +211,58 @@ class Interpreter:
         return program
 
     def _install_classes(self, program):
-        # No send runs while classes install, so flushing first also
-        # covers a load that fails halfway.
-        self._flush_method_caches()
-        # Classes, superclass links, then slots and methods: classes may refer
-        # to each other in any order; an unknown superclass fails in turn.
+        """Check every class against the class table the load would make,
+        then install them all: a load that fails changes nothing. Classes
+        may refer to each other in any order."""
+        classes = self.classes
+        supers = {name: cls.superclass.name for name, cls in classes.items()
+                  if cls.superclass is not None}
+        slots = {name: cls.slot_names for name, cls in classes.items()}
+        known = classes.keys() | {cdef.name for cdef in program.classes}
+
+        def lineage(name):
+            chain = []
+            while name is not None:
+                chain.append(name)
+                name = supers.get(name)
+            return chain
+
         for cdef in program.classes:
-            if cdef.name not in self.classes:
-                self.classes[cdef.name] = ClassRecord(cdef.name)
-        for cdef in program.classes:
-            cls = self.classes[cdef.name]
-            if cdef.superclass is None and cls.superclass is not None:
+            name, sup = cdef.name, cdef.superclass or "Object"
+            if name != "Object" and sup not in known:
+                raise UnknownClass("unknown superclass %s" % sup)
+            if name == "Object" or cdef.superclass is None and name in supers:
                 continue  # reopened without `extends`: keeps its superclass
-            sup = self.classes.get(cdef.superclass or "Object")
-            if sup is not None and cdef.name != "Object":
-                if cdef.name in self.kernel_classes \
-                        and sup is not cls.superclass:
-                    raise MkRuntimeError(
-                        "class %s is defined by the kernel; its superclass "
-                        "must stay %s" % (cls.name, cls.superclass.name))
-                if cls in sup.lineage():
-                    raise MkRuntimeError(
-                        "class %s cannot inherit from itself" % cls.name)
-                cls.superclass = sup
-        array = self.classes["Array"]
+            if name in self.kernel_classes and sup != supers[name]:
+                raise MkRuntimeError(
+                    "class %s is defined by the kernel; its superclass "
+                    "must stay %s" % (name, supers[name]))
+            if name in lineage(sup):
+                raise MkRuntimeError(
+                    "class %s cannot inherit from itself" % name)
+            supers[name] = sup
         for cdef in program.classes:
-            cls = self.classes[cdef.name]
-            sup_name = cdef.superclass or "Object"
-            if cdef.name != "Object" and sup_name not in self.classes:
-                raise UnknownClass("unknown superclass %s" % sup_name)
-            lineage = cls.lineage()
+            chain = lineage(cdef.name)
+            own = slots[cdef.name] = list(slots.get(cdef.name, ()))
             for slot in cdef.temps:
-                if array in lineage:  # `new` on it makes a slotless Array
+                if "Array" in chain:  # `new` on it makes a slotless Array
                     raise MkRuntimeError(
                         "slot %s declared in %s, but Array and its "
                         "subclasses cannot have slots" % (slot, cdef.name))
-                if any(slot in sup.slot_names for sup in lineage[1:]):
+                if any(slot in slots.get(s, ()) for s in chain[1:]):
                     raise MkRuntimeError(
                         "slot %s already declared in a superclass of %s"
                         % (slot, cdef.name))
-                if slot not in cls.slot_names:
-                    cls.slot_names.append(slot)
+                if slot not in own:
+                    own.append(slot)
+        self._flush_method_caches()
+        for cdef in program.classes:
+            classes.setdefault(cdef.name, ClassRecord(cdef.name))
+        for cdef in program.classes:
+            cls = classes[cdef.name]
+            if cdef.name in supers:
+                cls.superclass = classes[supers[cdef.name]]
+            cls.slot_names = slots[cdef.name]
             for mdef in cdef.children:
                 if mdef.kind == METHOD_DEF:
                     self._compile_method(cls, mdef, program.source)
@@ -437,8 +448,7 @@ class Interpreter:
 
     def execute_method(self, record, receiver, args, sender):
         twin = record.twin
-        ast = twin.woven_ast if twin is not None else record.original_ast
-        mdef = ast.children[0] if ast.kind == META_HOOK else ast
+        mdef = twin.woven_ast if twin is not None else record.original_ast
         if len(args) != len(mdef.params):
             raise MkRuntimeError(
                 "wrong number of arguments for #%s: expected %d, got %d"
@@ -449,9 +459,9 @@ class Interpreter:
             temps[t] = None
         act = Activation(receiver, record, list(args), sender, temps)
         act.current_node = mdef
-        if ast.kind == META_HOOK:
+        if mdef.kind == META_HOOK:
             self.hook_visits += 1
-            return self._trigger(ast.original, act,
+            return self._trigger(mdef.original, act,
                                  partial(self._run_method_body, mdef, act),
                                  None, args)
         return self._run_method_body(mdef, act)
@@ -577,9 +587,9 @@ class Interpreter:
         args = []
         for c in children[1:]:
             args.append(handlers[c.kind](c, act))
-        # `super` makes a super send, hooked or not: only a MetaHook has
-        # an `original`, and only `super` is named "super".
-        if (rnode.original or rnode).var_name == "super":
+        # `super` makes a super send, hooked or not: a hook keeps the
+        # `var_name` of the node it marks, and only `super` is so named.
+        if rnode.var_name == "super":
             return self._send_super(receiver, node.selector, args, act, node)
         return self.send(receiver, node.selector, args, act, node)
 
@@ -620,39 +630,39 @@ class Interpreter:
     # -- hooks and triggering ---------------------------------------------
 
     def _eval_hook(self, hook, act):
+        """Evaluate a marked copy as the node it copies, under its links.
+        `orig` is read once: if its link goes meanwhile, it ends as a hook."""
         self.hook_visits += 1
         handlers = self._handlers
-        inner = hook.children[0]
         orig = hook.original
-        kind = inner.kind
+        kind = orig.kind
         receiver = args = value = None
         if kind == MESSAGE_SEND:
-            children = inner.children
+            children = hook.children
             rnode = children[0]
             receiver = handlers[rnode.kind](rnode, act)
-            send = (self._send_super
-                    if (rnode.original or rnode).var_name == "super"
+            send = (self._send_super if rnode.var_name == "super"
                     else self.send)
             args = []
             for c in children[1:]:
                 args.append(handlers[c.kind](c, act))
-            perform = partial(send, receiver, inner.selector, args, act, orig)
+            perform = partial(send, receiver, hook.selector, args, act, orig)
         elif kind == ASSIGNMENT:
-            expr = inner.children[0]
+            expr = hook.children[0]
             value = handlers[expr.kind](expr, act)
-            perform = partial(self.write_var, inner.var_name, value, act, orig)
+            perform = partial(self.write_var, hook.var_name, value, act, orig)
         elif kind == VAR_READ:
-            perform = partial(self.read_var, inner.var_name, act, orig)
+            perform = partial(self.read_var, hook.var_name, act, orig)
         elif kind == RETURN:
-            expr = inner.children[0]
+            expr = hook.children[0]
             value = handlers[expr.kind](expr, act)
             raise MethodReturn(act.home, self._trigger(
                 orig, act, lambda: value, None, None, value, False))
         elif kind == BLOCK:
             # Fires at each invocation of the closure, not at its creation.
-            return Block(inner, act, hook_node=orig)
+            return Block(hook, act, hook_node=orig)
         else:
-            perform = partial(handlers[kind], inner, act)
+            perform = partial(handlers[kind], hook, act)
         return self._trigger(orig, act, perform, receiver, args, value)
 
     def _trigger(self, orig, act, perform, receiver=None, args=None,

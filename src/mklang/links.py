@@ -2,15 +2,16 @@
 
 A MetaLink is a first-class, mutable annotation. Installing one on an AST
 node creates (or extends) the owning method's woven twin: a deep copy of
-the original AST in which every linked node is wrapped in a MetaHook.
-The evaluator executes the twin when present; the original AST and source
-are never touched.
+the original AST in which the copy of every linked node is marked as a
+hook (kind `MetaHook`, `original` the node it copies) and keeps its own
+fields and children. The evaluator executes the twin when present; the
+original AST and source are never touched.
 
-Only a method's first link copies its AST. Later installs wrap one more
-node in place; removing a node's last link unwraps that one hook in
-place, and the twin disappears with its last hook. Invalidating a link
-never re-weaves: hooks consult the registry when they run, so the woven
-shape depends only on which nodes have links.
+Only a method's first link copies its AST. Later installs mark one more
+copy; removing a node's last link unmarks that copy, and the twin
+disappears with its last hook. Invalidating a link never re-weaves: hooks
+consult the registry when they run, so the woven twin depends only on
+which nodes have links.
 
 A link is a definition only. Each interpreter's `LinkRegistry` says
 where the link sits there (an immutable tuple of links per node, and per
@@ -248,11 +249,10 @@ def _discard(buckets, key, link):
 class ReflectiveMethod:
     """Woven twin of a compiled method; replaces it at execution time."""
 
-    def __init__(self, record):
-        self.record = record
+    def __init__(self):
         self.woven_ast = None
         self.copies = {}      # original node id -> woven copy node
-        self.hook_table = {}  # original node id -> MetaHook node
+        self.hook_table = {}  # original node id -> its copy, marked a hook
 
 
 def copy_tree(node: AstNode, copies: dict) -> AstNode:
@@ -283,12 +283,12 @@ def weave(interp, record) -> "ReflectiveMethod | None":
     """Build the twin from scratch from the current registry state.
 
     This is the cold path, taken by a method's first link; every later
-    change to the twin is made in place by `add_hook` and `drop_hook`."""
+    change to the twin marks or unmarks one copy (`add_hook`, `drop_hook`)."""
     linked = interp.registry.linked_ids(record.node_ids)
     if not linked:
         record.twin = None
         return None
-    twin = ReflectiveMethod(record)
+    twin = ReflectiveMethod()
     twin.woven_ast = copy_tree(record.original_ast, twin.copies)
     for node_id in linked:
         _wrap(twin, node_id, record.node_index[node_id])
@@ -297,22 +297,15 @@ def weave(interp, record) -> "ReflectiveMethod | None":
 
 
 def _wrap(twin, node_id, original):
-    target = twin.copies[node_id]
-    hook = AstNode(kind=META_HOOK, span=target.span, id=-node_id,
-                   children=[target], original=original)
-    parent = target.parent
-    if parent is None:
-        twin.woven_ast = hook
-    else:
-        parent.children[parent.children.index(target)] = hook
-    hook.parent = parent
-    target.parent = hook
-    twin.hook_table[node_id] = hook
+    """Mark the copy of `original` as its hook."""
+    copy = twin.hook_table[node_id] = twin.copies[node_id]
+    copy.original = original
+    copy.kind = META_HOOK
 
 
 def add_hook(interp, record, node_id):
-    """Hook one more node into the twin; only the first link of a method
-    weaves (copies its AST).
+    """Mark one more node of the twin as a hook; only the first link of a
+    method weaves (copies its AST).
 
     Avoids re-copying the whole method, which is what makes a second
     install on an already-instrumented method (hot path) cheap."""
@@ -326,27 +319,23 @@ def add_hook(interp, record, node_id):
 
 
 def drop_hook(interp, node_id):
-    """Mirror of `add_hook`: once a node has no link left, put it back
-    where its hook was in the twin, and drop the twin with its last hook.
+    """Mirror of `add_hook`: once a node has no link left, unmark its copy
+    in the twin (restore its kind, clear `original`), and drop the twin
+    with its last hook.
 
-    The hook keeps its child, so an activation that is evaluating the hook
-    right now finishes on it; later evaluations see the bare node."""
+    An activation that is evaluating the hook right now already holds the
+    original node, so it finishes as a hook; later evaluations see the
+    plain copy."""
     record = interp.node_owner.get(node_id)
     if record is None or record.twin is None \
             or interp.registry.has_links(node_id):
         return
-    twin = record.twin
-    hook = twin.hook_table.pop(node_id, None)
+    hook = record.twin.hook_table.pop(node_id, None)
     if hook is None:
         return
-    target = hook.children[0]
-    parent = hook.parent
-    if parent is None:
-        twin.woven_ast = target
-    else:
-        parent.children[parent.children.index(hook)] = target
-    target.parent = parent
-    if not twin.hook_table:
+    hook.kind = hook.original.kind
+    hook.original = None
+    if not record.twin.hook_table:
         record.twin = None
 
 

@@ -35,7 +35,9 @@ LITERAL = "Literal"
 LITERAL_ARRAY = "LiteralArray"
 BLOCK = "Block"
 SELF_REF = "SelfRef"
-META_HOOK = "MetaHook"  # only ever present in woven twin ASTs
+# The kind of a twin's copy of a linked node, marked in place; its
+# `original` is then the node it copies. Never present in an original AST.
+META_HOOK = "MetaHook"
 
 # Kinds a metalink may not be installed on.
 NOT_INSTALLABLE = {CLASS_DEF, TEMP_DECL}
@@ -55,7 +57,7 @@ class AstNode:
     params: list = field(default_factory=list)  # MethodDef / Block argument names
     temps: list = field(default_factory=list)   # MethodDef / TempDecl / ClassDef slots
     parent: "AstNode | None" = field(default=None, repr=False)
-    original: "AstNode | None" = field(default=None, repr=False)  # MetaHook only
+    original: "AstNode | None" = field(default=None, repr=False)  # while a MetaHook
 
     def walk(self):
         """Pre-order, from an explicit stack: a chain may be any depth."""

@@ -91,9 +91,9 @@ def tokenize(source: str, file: str = "<string>"):
                 toks.append(Token("ident", word, start, j))
                 i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             toks.append(Token("int", source[i:j], start, j))
             i = j

@@ -26,7 +26,7 @@ from mklang.links import (
     install, remove, uninstall, validate_link, weave,
 )
 from mklang.listings import run_all
-from mklang.nodes import find_nodes
+from mklang.nodes import META_HOOK, find_nodes
 from mklang.reify import (
     APPLICABILITY, TriggerContext, resolve, table_kind,
 )
@@ -294,12 +294,18 @@ def test_twin_lifecycle_500_step_fuzzer():
     interp = Interpreter()
     interp.run(classes)
     live = []                                   # [(link, node)]
+    originals = {}          # node id -> (kind, child ids, original)
 
     def shape(root):
         return [(n.kind, n.id) for n in root.walk()]
 
     def check_invariant():
         for rec in user_records(interp):
+            # Weaving and unweaving never write an original node.
+            for nid, node in rec.node_index.items():
+                seen = (node.kind, [c.id for c in node.children],
+                        node.original)
+                assert originals.setdefault(nid, seen) == seen
             has_links = any(interp.registry.has_links(nid)
                             for nid in rec.node_ids)
             assert (rec.twin is not None) == has_links
@@ -316,6 +322,13 @@ def test_twin_lifecycle_500_step_fuzzer():
             for node in twin.woven_ast.walk():
                 for child in node.children:
                     assert child.parent is node
+                # A hook is the twin's own copy, marked in place.
+                original = rec.node_index[node.id]
+                assert node is not original
+                assert twin.copies[node.id] is node
+                hooked = node.id in twin.hook_table
+                assert (node.kind == META_HOOK) == hooked
+                assert node.original is (original if hooked else None)
         # The registry's sites are exactly the inverse of its buckets, each
         # site with a snapshot, and every snapshot is valid on every node
         # its link sits on.
@@ -341,6 +354,7 @@ def test_twin_lifecycle_500_step_fuzzer():
                 condition=cfg.condition, condition_args=cfg.condition_args)
             validate_link(interp, snapshot, sites.values())
 
+    check_invariant()
     for step in range(500):
         action = rng.random()
         records = user_records(interp)

@@ -149,6 +149,18 @@ def test_a_file_that_is_not_utf8_exits_64(tmp_path, capsys, command):
     assert captured.err.startswith("mklang: %s is not UTF-8 text" % path)
 
 
+@pytest.mark.parametrize("command", ["run", "dump-ast"])
+def test_a_digit_int_cannot_read_is_a_syntax_error_exit_1(tmp_path, capsys,
+                                                          command):
+    # "²" is a digit to `str.isdigit` but not to `int`.
+    path = write(tmp_path, "p.mk", "x := 2²")
+    assert run_cli([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "syntax error: unexpected character '²'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_bench_overhead_records_format(capsys):
     assert run_cli(["bench-overhead", "send", "--budget", "0.01",
                     "--format", "records"]) == 0

@@ -704,8 +704,10 @@ def test_a_link_on_the_root_of_a_5000_term_chain_weaves_a_whole_twin():
     install(interp, recording_link([], "a"), record.original_ast)
     hook = record.twin.woven_ast
     assert hook.kind == META_HOOK and hook.parent is None
+    assert hook.original is record.original_ast
     original = [(n.kind, n.id) for n in record.original_ast.walk()]
-    assert [(n.kind, n.id) for n in hook.children[0].walk()] == original
+    assert [(n.kind, n.id) for n in hook.walk()] == \
+        [(META_HOOK, original[0][1])] + original[1:]
     assert all(c.parent is n for n in hook.walk() for c in n.children)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mklang import Interpreter
-from mklang.errors import MkRuntimeError
+from mklang.errors import MkError, MkRuntimeError
 from mklang.interpreter import run_program
 
 
@@ -377,8 +377,50 @@ def test_method_cache_sees_methods_of_a_load_that_failed_halfway():
     assert interp.send(a, "m", []) == 1
     with pytest.raises(UnknownClass):
         interp.load("class A [ m [ ^ 2 ] ]\nclass B extends Nope [ ]")
-    # Class A was installed before B failed; its new `m` is in effect.
-    assert interp.send(a, "m", []) == 2
+    # A load that fails installs nothing, A's new `m` included.
+    assert interp.send(a, "m", []) == 1
+
+
+def _class_table(interp):
+    return {name: (cls, cls.superclass, list(cls.slot_names),
+                   dict(cls.methods))
+            for name, cls in interp.classes.items()}
+
+
+@pytest.mark.parametrize("bad", [
+    "class D extends Nope [ ]",
+    "class OrderedCollection extends Object [ ]",
+    "class E extends F [ ]\nclass F extends E [ ]",
+    "class G extends Array [ | g | ]",
+    "class H [ | h | ]\nclass I extends H [ | h | ]",
+], ids=["unknown", "kernel", "cycle", "array-slot", "duplicate-slot"])
+def test_a_load_that_fails_changes_no_class(bad):
+    interp = Interpreter()
+    interp.run("class C [ | c | m [ ^ 1 ] ]")
+    before = _class_table(interp)
+    with pytest.raises(MkError):
+        interp.load("class C extends P [ | d | m [ ^ 2 ] n [ ^ 3 ] ]\n"
+                    "class P [ ]\n" + bad)
+    assert _class_table(interp) == before
+    assert interp.run("C new m").value == 1
+
+
+def test_a_failed_load_keeps_the_links_of_the_methods_it_would_replace():
+    from mklang import MetaLink
+    from mklang.errors import UnknownClass
+    from mklang.values import HostFunction
+    interp = Interpreter()
+    interp.run("class C [ m [ ^ 1 ] ]")
+    fired = []
+    link = MetaLink()
+    link.set_meta_object(HostFunction(lambda: fired.append("m"), "a probe"))
+    link.set_selector("value")
+    interp.install(link, interp.method_ast("C", "m"))
+    with pytest.raises(UnknownClass, match="unknown superclass Nope"):
+        interp.load("class C [ m [ ^ 2 ] ] class D extends Nope [ ]")
+    assert "D" not in interp.classes
+    assert interp.run("C new m").value == 1
+    assert fired == ["m"]
 
 
 def test_method_cache_sees_new_superclass():
