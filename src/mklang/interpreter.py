@@ -31,7 +31,7 @@ from functools import partial
 
 from . import links as _links
 from .errors import (
-    HaltSignal, MethodReturn, MkRuntimeError, SelectorMismatch,
+    HaltSignal, MethodReturn, MkError, MkRuntimeError, SelectorMismatch,
     UnknownClass, UnknownSelector,
 )
 from .nodes import (
@@ -211,61 +211,64 @@ class Interpreter:
         return program
 
     def _install_classes(self, program):
-        """Check every class against the class table the load would make,
-        then install them all: a load that fails changes nothing. Classes
-        may refer to each other in any order."""
-        classes = self.classes
-        supers = {name: cls.superclass.name for name, cls in classes.items()
-                  if cls.superclass is not None}
-        slots = {name: cls.slot_names for name, cls in classes.items()}
-        known = classes.keys() | {cdef.name for cdef in program.classes}
-
-        def lineage(name):
-            chain = []
-            while name is not None:
-                chain.append(name)
-                name = supers.get(name)
-            return chain
-
-        for cdef in program.classes:
-            name, sup = cdef.name, cdef.superclass or "Object"
-            if name != "Object" and sup not in known:
-                raise UnknownClass("unknown superclass %s" % sup)
-            if name == "Object" or cdef.superclass is None and name in supers:
-                continue  # reopened without `extends`: keeps its superclass
-            if name in self.kernel_classes and sup != supers[name]:
-                raise MkRuntimeError(
-                    "class %s is defined by the kernel; its superclass "
-                    "must stay %s" % (name, supers[name]))
-            if name in lineage(sup):
-                raise MkRuntimeError(
-                    "class %s cannot inherit from itself" % name)
-            supers[name] = sup
-        for cdef in program.classes:
-            chain = lineage(cdef.name)
-            own = slots[cdef.name] = list(slots.get(cdef.name, ()))
-            for slot in cdef.temps:
-                if "Array" in chain:  # `new` on it makes a slotless Array
-                    raise MkRuntimeError(
-                        "slot %s declared in %s, but Array and its "
-                        "subclasses cannot have slots" % (slot, cdef.name))
-                if any(slot in slots.get(s, ()) for s in chain[1:]):
-                    raise MkRuntimeError(
-                        "slot %s already declared in a superclass of %s"
-                        % (slot, cdef.name))
-                if slot not in own:
-                    own.append(slot)
+        # Classes may refer to each other in any order. A failed check undoes
+        # the load so far; methods compile only once every check has passed.
         self._flush_method_caches()
-        for cdef in program.classes:
-            classes.setdefault(cdef.name, ClassRecord(cdef.name))
+        classes = self.classes
+        saved = {cdef.name: (cls, cls.superclass, len(cls.slot_names))
+                 for cdef in program.classes
+                 if (cls := classes.get(cdef.name)) is not None}
+        try:
+            for cdef in program.classes:
+                if cdef.name not in classes:
+                    classes[cdef.name] = ClassRecord(cdef.name)
+            for cdef in program.classes:
+                cls = classes[cdef.name]
+                if cdef.superclass is None and cls.superclass is not None:
+                    continue  # reopened without `extends`: keeps superclass
+                sup = classes.get(cdef.superclass or "Object")
+                if sup is not None and cdef.name != "Object":
+                    if cdef.name in self.kernel_classes \
+                            and sup is not cls.superclass:
+                        raise MkRuntimeError(
+                            "class %s is defined by the kernel; its "
+                            "superclass must stay %s"
+                            % (cls.name, cls.superclass.name))
+                    if cls in sup.lineage():
+                        raise MkRuntimeError(
+                            "class %s cannot inherit from itself" % cls.name)
+                    cls.superclass = sup
+            array = classes["Array"]
+            for cdef in program.classes:
+                cls = classes[cdef.name]
+                sup_name = cdef.superclass or "Object"
+                if cdef.name != "Object" and sup_name not in classes:
+                    raise UnknownClass("unknown superclass %s" % sup_name)
+                lineage = cls.lineage()
+                for slot in cdef.temps:
+                    if array in lineage:  # `new` on it makes a slotless Array
+                        raise MkRuntimeError(
+                            "slot %s declared in %s, but Array and its "
+                            "subclasses cannot have slots" % (slot, cdef.name))
+                    if any(slot in sup.slot_names for sup in lineage[1:]):
+                        raise MkRuntimeError(
+                            "slot %s already declared in a superclass of %s"
+                            % (slot, cdef.name))
+                    if slot not in cls.slot_names:
+                        cls.slot_names.append(slot)
+        except MkError:
+            for name in {cdef.name for cdef in program.classes} - saved.keys():
+                del classes[name]
+            for cls, sup, nslots in saved.values():
+                cls.superclass = sup
+                del cls.slot_names[nslots:]
+            raise
         for cdef in program.classes:
             cls = classes[cdef.name]
-            if cdef.name in supers:
-                cls.superclass = classes[supers[cdef.name]]
-            cls.slot_names = slots[cdef.name]
             for mdef in cdef.children:
                 if mdef.kind == METHOD_DEF:
-                    self._compile_method(cls, mdef, program.source)
+                    self._compile_method(cls, mdef, program.source[
+                        mdef.span.start:mdef.span.end])
 
     def _flush_method_caches(self):
         """Forget every cached lookup; run after any change to a method
@@ -275,13 +278,13 @@ class Interpreter:
 
     def _compile_method(self, cls, mdef, source):
         sig = MethodSignature(cls.name, mdef.selector, len(mdef.params))
-        record = CompiledMethodRecord(
-            sig, mdef, source[mdef.span.start:mdef.span.end])
+        record = CompiledMethodRecord(sig, mdef, source)
         old = cls.methods.get(mdef.selector)
-        if old is not None and isinstance(old, CompiledMethodRecord):
+        if isinstance(old, CompiledMethodRecord):
             self._forget_method(old)
         cls.methods[mdef.selector] = record
         self.node_owner.update(dict.fromkeys(record.node_ids, record))
+        return record
 
     def _forget_method(self, record):
         for nid in record.node_ids:
@@ -354,16 +357,12 @@ class Interpreter:
             raise UnknownSelector(
                 "%s has no compiled method #%s" % (class_name, selector))
         mdef = parse_method(new_source)
-        sig = MethodSignature(cls.name, selector, len(mdef.params))
-        record = CompiledMethodRecord(sig, mdef, new_source)
         if mdef.selector != selector:
             raise SelectorMismatch(
                 "recompile of #%s got a method named #%s"
                 % (selector, mdef.selector))
-        self._forget_method(old)
-        cls.methods[selector] = record
+        record = self._compile_method(cls, mdef, new_source)
         self._flush_method_caches()
-        self.node_owner.update(dict.fromkeys(record.node_ids, record))
         for hook in list(self.recompile_hooks):
             hook(self, record)
         return record
@@ -620,7 +619,8 @@ class Interpreter:
                          dict(zip(node.params, args)), defining, home)
         body = node.children[0] if node.children else None
         if block.hook_node is not None:
-            perform = (partial(self._handlers[body.kind], body, act)
+            # Read the body's kind late: a before-link may unmark its hook.
+            perform = (partial(self.eval_node, body, act)
                        if body is not None else lambda: None)
             return self._trigger(block.hook_node, act, perform, None, args)
         if body is None:

@@ -12,7 +12,7 @@ from mklang.errors import (
 )
 from mklang.interpreter import CompiledMethodRecord
 from mklang.links import install, invalidate, remove, uninstall, weave
-from mklang.nodes import META_HOOK, find_nodes, unparse
+from mklang.nodes import BLOCK, META_HOOK, find_nodes, unparse
 from mklang.parser import parse_method
 from mklang.values import Array, HostFunction
 from progen import gen_program, installable_nodes
@@ -449,6 +449,30 @@ def test_meta_object_removes_its_own_link_while_another_stays():
     # the next ones run without it.
     assert fires == [("leaves",), ("stays",)] + [("stays",)] * 4
     assert list(record.twin.hook_table) == [node.id]
+
+
+def test_link_on_a_block_removes_itself_from_the_block_body():
+    # The block's before-link unmarks the body's hook before the body
+    # runs; the body then runs as the plain node it is again.
+    interp = Interpreter()
+    interp.run(LOOP_SOURCE)
+    record = interp.lookup_method("Loop", "run")
+    block = next(n for n in record.original_ast.walk() if n.kind == BLOCK)
+    body = block.children[0]
+    fires = []
+    link = MetaLink()
+
+    def leave():
+        fires.append("leaves")
+        uninstall(interp, link)
+
+    link.set_meta_object(HostFunction(leave, "self-removing"))
+    link.set_selector("value")
+    install(interp, link, block)
+    install(interp, link, body)
+    assert interp.run("Loop new run logCr").output == "15\n"
+    assert fires == ["leaves"]
+    assert record.twin is None
 
 
 # A hook fires from the snapshot each link has in the registry; these
