@@ -211,8 +211,9 @@ class Interpreter:
         return program
 
     def _install_classes(self, program):
-        # Classes may refer to each other in any order. A failed check undoes
-        # the load so far; methods compile only once every check has passed.
+        # Classes may refer to each other in any order, so slots are checked
+        # once all are in, on every class. A failed check undoes the load so
+        # far; methods compile only once every check has passed.
         self._flush_method_caches()
         classes = self.classes
         saved = {cdef.name: (cls, cls.superclass, len(cls.slot_names))
@@ -224,10 +225,15 @@ class Interpreter:
                     classes[cdef.name] = ClassRecord(cdef.name)
             for cdef in program.classes:
                 cls = classes[cdef.name]
+                cls.slot_names += [t for t in dict.fromkeys(cdef.temps)
+                                   if t not in cls.slot_names]
                 if cdef.superclass is None and cls.superclass is not None:
                     continue  # reopened without `extends`: keeps superclass
                 sup = classes.get(cdef.superclass or "Object")
-                if sup is not None and cdef.name != "Object":
+                if sup is None:
+                    raise UnknownClass("unknown superclass %s"
+                                       % cdef.superclass)
+                if cdef.name != "Object":
                     if cdef.name in self.kernel_classes \
                             and sup is not cls.superclass:
                         raise MkRuntimeError(
@@ -239,23 +245,17 @@ class Interpreter:
                             "class %s cannot inherit from itself" % cls.name)
                     cls.superclass = sup
             array = classes["Array"]
-            for cdef in program.classes:
-                cls = classes[cdef.name]
-                sup_name = cdef.superclass or "Object"
-                if cdef.name != "Object" and sup_name not in classes:
-                    raise UnknownClass("unknown superclass %s" % sup_name)
+            for cls in classes.values():
                 lineage = cls.lineage()
-                for slot in cdef.temps:
+                for slot in cls.slot_names:
                     if array in lineage:  # `new` on it makes a slotless Array
                         raise MkRuntimeError(
                             "slot %s declared in %s, but Array and its "
-                            "subclasses cannot have slots" % (slot, cdef.name))
+                            "subclasses cannot have slots" % (slot, cls.name))
                     if any(slot in sup.slot_names for sup in lineage[1:]):
                         raise MkRuntimeError(
                             "slot %s already declared in a superclass of %s"
-                            % (slot, cdef.name))
-                    if slot not in cls.slot_names:
-                        cls.slot_names.append(slot)
+                            % (slot, cls.name))
         except MkError:
             for name in {cdef.name for cdef in program.classes} - saved.keys():
                 del classes[name]

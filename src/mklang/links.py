@@ -1,17 +1,18 @@
 """Metalinks, the link registry, and dual-method weaving.
 
 A MetaLink is a first-class, mutable annotation. Installing one on an AST
-node creates (or extends) the owning method's woven twin: a deep copy of
-the original AST in which the copy of every linked node is marked as a
-hook (kind `MetaHook`, `original` the node it copies) and keeps its own
-fields and children. The evaluator executes the twin when present; the
+node creates (or extends) the owning method's woven twin, which the
+evaluator executes instead. The twin copies only its spine: the path from
+the method root to each linked node (path copying, Driscoll et al. 1989).
+Every other subtree is the original's own nodes. A linked node's copy is
+marked as a hook (kind `MetaHook`, `original` the node it copies). The
 original AST and source are never touched.
 
-Only a method's first link copies its AST. Later installs mark one more
-copy; removing a node's last link unmarks that copy, and the twin
-disappears with its last hook. Invalidating a link never re-weaves: hooks
-consult the registry when they run, so the woven twin depends only on
-which nodes have links.
+Only a method's first link weaves; a later install copies its path up to
+the spine. Removing a node's last link unmarks its copy (the spine stays),
+and the twin disappears with its last hook. Invalidating a link never
+re-weaves: hooks consult the registry when they run, so the woven twin
+depends only on which nodes have links.
 
 A link is a definition only. Each interpreter's `LinkRegistry` says
 where the link sits there (an immutable tuple of links per node, and per
@@ -226,13 +227,6 @@ class LinkRegistry:
     def linked_ids(self, node_ids):
         return {nid for nid in node_ids if self.has_links(nid)}
 
-    def instead_installed(self, node_id, target=None):
-        if target is None:
-            bucket = self.class_wide.get(node_id, ())
-        else:
-            bucket = self.object_centric.get(node_id, {}).get(target, ())
-        return [l for l in bucket if l.control == "instead"]
-
 
 def _discard(buckets, key, link):
     """Replace `buckets[key]` by the tuple without `link`; drop it once
@@ -251,71 +245,77 @@ class ReflectiveMethod:
 
     def __init__(self):
         self.woven_ast = None
-        self.copies = {}      # original node id -> woven copy node
+        self.copies = {}      # original node id -> its copy on the spine
         self.hook_table = {}  # original node id -> its copy, marked a hook
 
 
-def copy_tree(node: AstNode, copies: dict) -> AstNode:
-    """Deep-copy `node` with parent links, recording each copy under its
-    original's id. Iterative, so a long send chain cannot exhaust the
-    Python stack halfway through a weave."""
-    root = copies[node.id] = _copy_node(node, None)
-    stack = [(node, root)]
-    while stack:
-        node, dup = stack.pop()
-        for child in node.children:
-            copy = copies[child.id] = _copy_node(child, dup)
-            dup.children.append(copy)
-            if child.children:
-                stack.append((child, copy))
-    return root
-
-
-def _copy_node(node, parent):
-    return AstNode(
-        kind=node.kind, span=node.span, id=node.id,
-        selector=node.selector, var_name=node.var_name, value=node.value,
-        name=node.name, superclass=node.superclass,
-        params=list(node.params), temps=list(node.temps), parent=parent)
-
-
 def weave(interp, record) -> "ReflectiveMethod | None":
-    """Build the twin from scratch from the current registry state.
-
-    This is the cold path, taken by a method's first link; every later
-    change to the twin marks or unmarks one copy (`add_hook`, `drop_hook`)."""
+    """Build the twin from scratch from the current registry state: copy
+    the root, then the path to each linked node. Only a method's first
+    link takes this cold path; `add_hook` and `drop_hook` edit the twin."""
     linked = interp.registry.linked_ids(record.node_ids)
     if not linked:
         record.twin = None
         return None
     twin = ReflectiveMethod()
-    twin.woven_ast = copy_tree(record.original_ast, twin.copies)
+    root = record.original_ast
+    twin.woven_ast = twin.copies[root.id] = _copy(root, None)
     for node_id in linked:
-        _wrap(twin, node_id, record.node_index[node_id])
+        _wrap(twin, record.node_index[node_id])
     record.twin = twin
     return twin
 
 
-def _wrap(twin, node_id, original):
-    """Mark the copy of `original` as its hook."""
-    copy = twin.hook_table[node_id] = twin.copies[node_id]
+def _wrap(twin, original):
+    """Mark the twin's copy of `original` as its hook, first copying the
+    path up to the spine (copy-on-write): up the originals' `parent`,
+    which no weave writes, at the latest to the method root. Each copy
+    takes its original's slot in its parent copy's `children`."""
+    copies = twin.copies
+    path = []
+    node = original
+    while node.id not in copies:
+        path.append(node)
+        node = node.parent
+    parent = copies[node.id]
+    for node in reversed(path):
+        copy = copies[node.id] = _copy(node, parent)
+        children = parent.children
+        children[children.index(node)] = copy
+        parent = copy
+    copy = twin.hook_table[original.id] = copies[original.id]
     copy.original = original
     copy.kind = META_HOOK
 
 
+def _copy(node, parent):
+    """A spine node: `node`'s fields, its own `children` and `parent`."""
+    dup = object.__new__(AstNode)
+    dup.kind = node.kind
+    dup.span = node.span
+    dup.id = node.id
+    dup.children = node.children[:]
+    dup.selector = node.selector
+    dup.var_name = node.var_name
+    dup.value = node.value
+    dup.name = node.name
+    dup.superclass = node.superclass
+    dup.params = node.params
+    dup.temps = node.temps
+    dup.parent = parent
+    dup.original = None
+    return dup
+
+
 def add_hook(interp, record, node_id):
     """Mark one more node of the twin as a hook; only the first link of a
-    method weaves (copies its AST).
-
-    Avoids re-copying the whole method, which is what makes a second
-    install on an already-instrumented method (hot path) cheap."""
-    if record.twin is None:
-        weave(interp, record)
-        return
+    method weaves. A later one copies just the path from its node up to
+    the spine, which keeps a hot install cheap."""
     twin = record.twin
-    if node_id in twin.hook_table:
-        return
-    _wrap(twin, node_id, record.node_index[node_id])
+    if twin is None:
+        weave(interp, record)
+    elif node_id not in twin.hook_table:
+        _wrap(twin, record.node_index[node_id])
 
 
 def drop_hook(interp, node_id):
@@ -399,9 +399,9 @@ def install(interp, link, node, target=None):
         nodes += reg.sites.get(link, {}).values()
     validate_link(interp, link, nodes)
     if link.control == "instead":
-        conflict = [l for l in reg.instead_installed(node.id, target)
-                    if l is not link]
-        if conflict:
+        bucket = (reg.class_wide.get(node.id, ()) if target is None else
+                  reg.object_centric.get(node.id, {}).get(target, ()))
+        if any(l.control == "instead" and l is not link for l in bucket):
             raise InsteadConflict(
                 "an instead-link is already installed on node #%d for this "
                 "scope" % node.id)

@@ -1,7 +1,8 @@
 """Typed AST for the toy language.
 
 Nodes are immutable after parse (link machinery never mutates them; weaving
-operates on copies); the parser sets each node's `parent` as it builds the
+copies the path from a method's root to each linked node and shares every
+other subtree); the parser sets each node's `parent` as it builds the
 parent. Node ids are unique in the process: every parse draws fresh ones,
 so a recompile yields fresh ids -- which is exactly why links are lost on
 recompilation -- and two interpreters never share one.
@@ -43,7 +44,7 @@ META_HOOK = "MetaHook"
 NOT_INSTALLABLE = {CLASS_DEF, TEMP_DECL}
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class AstNode:
     kind: str
     span: SourceSpan
@@ -256,11 +257,15 @@ def _argstr(parent, child):
 
 
 def dump(node: AstNode) -> str:
-    """Indented one-node-per-line rendering with ids and spans."""
-    depth = {node.parent: -1}
+    """Indented one-node-per-line rendering with ids and spans.
+
+    Depths come from the walk itself, not from `parent`: a woven twin
+    shares subtrees whose `parent` is an original node."""
     lines = []
-    for n in node.walk():
-        depth[n] = d = depth[n.parent] + 1
+    stack = [(node, 0)]
+    while stack:
+        n, d = stack.pop()
+        stack += [(c, d + 1) for c in reversed(n.children)]
         extra = n.selector or n.var_name or n.name or ""
         if n.kind == LITERAL:
             extra = _print_literal(n.value)

@@ -317,18 +317,30 @@ def test_twin_lifecycle_500_step_fuzzer():
                 interp.registry.linked_ids(rec.node_ids)
             reference = weave(interp, rec)
             rec.twin = twin
-            assert shape(twin.woven_ast) == shape(reference.woven_ast)
-            assert twin.woven_ast.parent is None
+            assert shape(twin.woven_ast) == shape(reference.woven_ast) == [
+                (META_HOOK if nid in twin.hook_table else kind, nid)
+                for kind, nid in shape(rec.original_ast)]
+            # Only the spine is copied: a node in `copies` is fresh, and its
+            # parent is the copy of its original's parent (None at the
+            # root); every other node reached is the original itself.
+            reached = set()
             for node in twin.woven_ast.walk():
-                for child in node.children:
-                    assert child.parent is node
-                # A hook is the twin's own copy, marked in place.
                 original = rec.node_index[node.id]
-                assert node is not original
-                assert twin.copies[node.id] is node
+                if node.id in twin.copies:
+                    reached.add(node.id)
+                    assert twin.copies[node.id] is node
+                    assert node is not original
+                    assert node is not reference.copies.get(node.id)
+                    assert node.parent is (
+                        None if original is rec.original_ast
+                        else twin.copies[original.parent.id])
+                else:
+                    assert node is original
+                # A hook is the twin's own copy, marked in place.
                 hooked = node.id in twin.hook_table
                 assert (node.kind == META_HOOK) == hooked
                 assert node.original is (original if hooked else None)
+            assert reached == twin.copies.keys()
         # The registry's sites are exactly the inverse of its buckets, each
         # site with a snapshot, and every snapshot is valid on every node
         # its link sits on.

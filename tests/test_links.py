@@ -1,18 +1,20 @@
 import gc
 import random
+import sys
+import threading
 import weakref
 
 import pytest
 
 import mklang.interpreter as mk_interp
-from mklang import Interpreter, MetaLink, links, reify
+from mklang import Interpreter, MetaLink, reify
 from mklang.errors import (
     AlreadyInvoked, ArityMismatch, InapplicableReification, InsteadConflict,
     MkRuntimeError, NodeNotInstallable, PhaseUnavailable,
 )
 from mklang.interpreter import CompiledMethodRecord
 from mklang.links import install, invalidate, remove, uninstall, weave
-from mklang.nodes import BLOCK, META_HOOK, find_nodes, unparse
+from mklang.nodes import BLOCK, META_HOOK, dump, find_nodes, unparse
 from mklang.parser import parse_method
 from mklang.values import Array, HostFunction
 from progen import gen_program, installable_nodes
@@ -340,19 +342,7 @@ def test_weave_is_idempotent_from_registry_state(interp):
 c := Counter new. c increment. c count logCr""").output == "1\n"
 
 
-def count_copies(monkeypatch):
-    calls = []
-    copy_tree = links.copy_tree
-
-    def counting(*args):
-        calls.append(args[0].id)
-        return copy_tree(*args)
-
-    monkeypatch.setattr(links, "copy_tree", counting)
-    return calls
-
-
-def test_per_node_remove_unwraps_in_place_without_copying(monkeypatch):
+def test_per_node_remove_unwraps_in_place_without_copying():
     interp = Interpreter()
     interp.run("class Big [ run [ | s | s := 0.\n%s\n^ s ] ]"
                % "\n".join(["s := s + 1."] * 200))
@@ -363,19 +353,19 @@ def test_per_node_remove_unwraps_in_place_without_copying(monkeypatch):
     for node in sends:
         install(interp, link, node)
     twin = record.twin
-    copies = count_copies(monkeypatch)
+    spine = dict(twin.copies)
     for node in sends[:-1]:
         remove(interp, link, node)
         assert record.twin is twin
-    assert copies == []
+        assert twin.copies == spine     # the same copies, none added
     assert list(twin.hook_table) == [sends[-1].id]
     remove(interp, link, sends[-1])
     assert record.twin is None
-    assert copies == []
+    assert twin.copies == spine
     assert interp.run("Big new run logCr").output == "200\n"
 
 
-def test_uninstall_and_invalidate_keep_the_twin(interp, monkeypatch):
+def test_uninstall_and_invalidate_keep_the_twin(interp):
     record = interp.lookup_method("Counter", "increment")
     sink = []
     write, plus = increment_node(interp), increment_node(interp, "sends-of",
@@ -384,7 +374,7 @@ def test_uninstall_and_invalidate_keep_the_twin(interp, monkeypatch):
     install(interp, first, write)
     install(interp, second, plus)
     twin = record.twin
-    copies = count_copies(monkeypatch)
+    spine = dict(twin.copies)
     uninstall(interp, first)
     assert record.twin is twin
     assert list(twin.hook_table) == [plus.id]
@@ -392,7 +382,7 @@ def test_uninstall_and_invalidate_keep_the_twin(interp, monkeypatch):
     second.set_arguments(("selector",))
     invalidate(interp, second)
     assert record.twin is twin
-    assert copies == []
+    assert twin.copies == spine         # the same copies, none added
     interp.run("Counter new increment")
     assert sink == [("b", "+")]         # fires with the new config
 
@@ -721,18 +711,108 @@ def test_linking_the_root_of_a_long_send_chain_deep_in_the_stack():
     assert sink == [("a",)]
 
 
-def test_a_link_on_the_root_of_a_5000_term_chain_weaves_a_whole_twin():
+CHAIN = "class A [ m [ ^ 1" + " + 1" * 5000 + " ] ]"
+
+
+def deep(fn):
+    """Run `fn` with room for a 5000-level evaluation: a higher recursion
+    limit, in a thread whose C stack holds that many frames."""
+    out, limit, size = [], sys.getrecursionlimit(), threading.stack_size()
+    threading.stack_size(128 << 20)
+    try:
+        sys.setrecursionlimit(20000)
+        thread = threading.Thread(target=lambda: out.append(fn()))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(size)
+    return out[0]           # empty if `fn` raised
+
+
+def test_a_link_on_the_root_of_a_5000_term_chain_copies_only_the_root():
     interp = Interpreter()
-    interp.run("class A [ m [ ^ 1" + " + 1" * 5000 + " ] ]")
+    interp.run(CHAIN)
     record = interp.lookup_method("A", "m")
-    install(interp, recording_link([], "a"), record.original_ast)
+    root = record.original_ast
+    install(interp, recording_link([], "a"), root)
     hook = record.twin.woven_ast
     assert hook.kind == META_HOOK and hook.parent is None
-    assert hook.original is record.original_ast
-    original = [(n.kind, n.id) for n in record.original_ast.walk()]
-    assert [(n.kind, n.id) for n in hook.walk()] == \
-        [(META_HOOK, original[0][1])] + original[1:]
-    assert all(c.parent is n for n in hook.walk() for c in n.children)
+    assert hook.original is root
+    assert record.twin.copies == {root.id: hook}
+    woven, original = list(hook.walk()), list(root.walk())
+    assert [(n.kind, n.id) for n in woven] == \
+        [(META_HOOK, root.id)] + [(n.kind, n.id) for n in original[1:]]
+    assert all(a is b for a, b in zip(woven[1:], original[1:]))
+
+
+def test_a_link_on_the_deepest_node_of_a_5000_term_chain_copies_its_path():
+    interp = Interpreter()
+    interp.run(CHAIN)
+    record = interp.lookup_method("A", "m")
+    root = record.original_ast
+    before = deep(lambda: unparse(root))
+    path = [root]
+    while path[-1].children:            # a receiver is the deeper side
+        path.append(path[-1].children[0])
+    assert len(path) > 5000
+    sink = []
+    link = recording_link(sink, "a")
+    install(interp, link, path[-1])     # the walk up is iterative
+    twin = record.twin
+    assert len(twin.copies) == len(path)
+    spine = [twin.copies[n.id] for n in path]
+    assert spine[0] is twin.woven_ast and spine[-1].original is path[-1]
+    for node, copy, below in zip(path, spine, spine[1:]):
+        assert copy.children[0] is below and below.parent is copy
+        assert all(a is b for a, b in zip(copy.children[1:],
+                                          node.children[1:]))
+    assert deep(lambda: interp.run("A new m").value) == 5001
+    assert sink == [("a",)]
+    uninstall(interp, link)
+    assert record.twin is None
+    assert deep(lambda: unparse(root)) == before
+
+
+def test_dump_of_a_twin_indents_its_shared_subtrees(interp):
+    record = interp.lookup_method("Counter", "increment")
+    plus = increment_node(interp, "sends-of", "+")
+    install(interp, recording_link([], "a"), plus)
+    woven, original = (dump(record.twin.woven_ast),
+                       dump(record.original_ast))
+    assert woven == original.replace("MessageSend#%d" % plus.id,
+                                     "MetaHook#%d" % plus.id)
+    assert woven != original
+
+
+MID_ACTIVATION = """class A [ m [ | s |
+    s := 0. 1 to: 3 do: [ :i | s := s + i ]. s := s * 2. ^ s ] ]"""
+
+
+@pytest.mark.parametrize("first, later, fires", [
+    (("writes-of", "s"), ("sends-of", "*"), 1),     # a later statement
+    (("sends-of", "to:do:"), ("sends-of", "+"), 3),  # in a block made before
+])
+def test_a_link_installed_mid_activation_fires_from_the_next_activation(
+        first, later, fires):
+    # Within the running activation the new link may or may not fire; from
+    # the method's next activation on, it fires at every evaluation.
+    interp = Interpreter()
+    interp.run(MID_ACTIVATION)
+    root = interp.method_ast("A", "m")
+    sink = []
+    late = recording_link(sink, "late")
+    installer = MetaLink()
+    installer.set_meta_object(HostFunction(
+        lambda: install(interp, late, find_nodes(root, *later)[0]),
+        "installer"))
+    installer.set_selector("value")
+    install(interp, installer, find_nodes(root, *first)[0])
+    assert interp.run("A new m").value == 12
+    during = len(sink)
+    assert interp.run("A new m").value == 12
+    assert len(sink) - during == fires
 
 
 def test_class_wide_and_object_centric_links_on_one_node(interp):

@@ -405,6 +405,30 @@ def test_a_load_that_fails_changes_no_class(bad):
     assert interp.run("C new m").value == 1
 
 
+@pytest.mark.parametrize("source", [
+    "class A [ | x | ]\nclass B extends A [ | x | ]",
+    "class B extends A [ | x | ]\nclass A [ | x | ]",
+], ids=["superclass-first", "subclass-first"])
+def test_a_slot_a_superclass_declares_is_rejected_in_either_order(source):
+    interp = Interpreter()
+    before = _class_table(interp)
+    with pytest.raises(MkError,
+                       match="slot x already declared in a superclass of B"):
+        interp.load(source)
+    assert _class_table(interp) == before
+
+
+def test_a_later_load_cannot_give_a_class_a_slot_its_subclass_declares():
+    interp = Interpreter()
+    interp.run("class A [ ]\nclass B extends A [ | x | m [ ^ x ] ]")
+    before = _class_table(interp)
+    with pytest.raises(MkError,
+                       match="slot x already declared in a superclass of B"):
+        interp.load("class A [ | x | n [ ^ 1 ] ]")
+    assert _class_table(interp) == before
+    assert interp.run("B new m").value is None
+
+
 def test_a_failed_load_keeps_the_links_of_the_methods_it_would_replace():
     from mklang import MetaLink
     from mklang.errors import UnknownClass
