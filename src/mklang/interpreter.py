@@ -2,7 +2,8 @@
 
 One Interpreter instance owns one strictly single-threaded execution:
 classes, globals, the output sink, the link registry and the meta-level
-counter. Distinct instances are fully independent.
+counter. Distinct instances are fully independent; they share only the
+kernel's original AST nodes, which nothing writes.
 
 The unlinked path is kept cheap:
 

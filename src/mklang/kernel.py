@@ -2,16 +2,20 @@
 
 Most of the kernel is host primitives; a small part (printing helpers,
 counting loops) is written in the language itself so that those methods
-have real ASTs and can carry links like any user method.
+have real ASTs and can carry links like any user method. That part is
+parsed once per process (`kernel_program`): every interpreter compiles
+its own method records over the same original nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from .errors import MkRuntimeError
 from .interpreter import INT_MAX, INT_MIN, ClassRecord, PrimitiveMethod
 from .nodes import find_nodes
+from .parser import parse
 from .links import MetaLink
 from .reify import NodeMirror
 from .values import Array, Block, Instance, Symbol, identical
@@ -51,6 +55,14 @@ class Integer [
     ]
 ]
 """
+
+
+@functools.cache
+def kernel_program():
+    """`KERNEL_SOURCE`, parsed once per process. Nothing writes its nodes:
+    a link weaves a twin of its own, and link state lives in each
+    interpreter's registry."""
+    return parse(KERNEL_SOURCE, file="<kernel>")
 
 
 def _prim(cls, selector, fn):
@@ -111,7 +123,7 @@ def install_kernel(interp):
                  classes["Random"])
     _reflection_protocol(interp, classes)
 
-    interp.load(KERNEL_SOURCE, file="<kernel>")
+    interp._install_classes(kernel_program())
 
     from .tools import install_tool_classes
     install_tool_classes(interp)

@@ -5,19 +5,39 @@ copies the path from a method's root to each linked node and shares every
 other subtree); the parser sets each node's `parent` as it builds the
 parent. Node ids are unique in the process: every parse draws fresh ones,
 so a recompile yields fresh ids -- which is exactly why links are lost on
-recompilation -- and two interpreters never share one.
+recompilation. Two interpreters share nodes, and so ids, only for the
+kernel, which is parsed once per process (`kernel.kernel_program`); each
+keeps its own method records and link state over those nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class SourceSpan:
-    start: int
-    end: int
-    file: str = "<string>"
+    """A half-open character range of a source file; a value, compared and
+    hashed by its fields, and never changed once made."""
+
+    __slots__ = ("start", "end", "file")
+
+    def __init__(self, start, end, file="<string>"):
+        self.start = start
+        self.end = end
+        self.file = file
+
+    def __eq__(self, other):
+        if other.__class__ is not SourceSpan:
+            return NotImplemented
+        return (self.start == other.start and self.end == other.end
+                and self.file == other.file)
+
+    def __hash__(self):
+        return hash((self.start, self.end, self.file))
+
+    def __repr__(self):
+        return "SourceSpan(start=%r, end=%r, file=%r)" % (
+            self.start, self.end, self.file)
 
     def __str__(self):
         return "%s:%d..%d" % (self.file, self.start, self.end)
@@ -44,21 +64,30 @@ META_HOOK = "MetaHook"
 NOT_INSTALLABLE = {CLASS_DEF, TEMP_DECL}
 
 
-@dataclass(eq=False, slots=True)
 class AstNode:
-    kind: str
-    span: SourceSpan
-    id: int = 0
-    children: list = field(default_factory=list)
-    selector: str | None = None      # MessageSend / MethodDef
-    var_name: str | None = None      # VarRead / Assignment / SelfRef ("self"/"super")
-    value: object = None             # Literal payload, LiteralArray item list
-    name: str | None = None          # ClassDef name
-    superclass: str | None = None    # ClassDef
-    params: list = field(default_factory=list)  # MethodDef / Block argument names
-    temps: list = field(default_factory=list)   # MethodDef / TempDecl / ClassDef slots
-    parent: "AstNode | None" = field(default=None, repr=False)
-    original: "AstNode | None" = field(default=None, repr=False)  # while a MetaHook
+    """One node; equal only to itself. `children`, `params` and `temps`
+    default to fresh lists. `links._copy` copies every field."""
+
+    __slots__ = ("kind", "span", "id", "children", "selector", "var_name",
+                 "value", "name", "superclass", "params", "temps", "parent",
+                 "original")
+
+    def __init__(self, kind, span, id=0, children=None, selector=None,
+                 var_name=None, value=None, name=None, superclass=None,
+                 params=None, temps=None, parent=None, original=None):
+        self.kind = kind
+        self.span = span
+        self.id = id
+        self.children = [] if children is None else children
+        self.selector = selector    # MessageSend / MethodDef
+        self.var_name = var_name    # VarRead / Assignment / SelfRef
+        self.value = value          # Literal payload, LiteralArray items
+        self.name = name            # ClassDef name
+        self.superclass = superclass    # ClassDef
+        self.params = [] if params is None else params  # argument names
+        self.temps = [] if temps is None else temps  # temps, ClassDef slots
+        self.parent = parent
+        self.original = original    # while a MetaHook
 
     def walk(self):
         """Pre-order, from an explicit stack: a chain may be any depth."""
@@ -151,64 +180,96 @@ def _print_literal(v):
 
 def unparse(node: AstNode) -> str:
     """Render a node back to surface syntax; reparsing yields a
-    structurally identical tree (same kinds, selectors, literals, order)."""
+    structurally identical tree (same kinds, selectors, literals, order).
+
+    Iterative, from an explicit stack: a chain may be any depth."""
+    out = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            pieces = _pieces(item)
+            pieces.reverse()
+            stack += pieces
+    return "".join(out)
+
+
+def _pieces(node):
+    """`node`'s rendering as a list of strings and of child nodes, each
+    to be rendered in its place."""
     k = node.kind
     if k == LITERAL:
-        return _print_literal(node.value)
+        return [_print_literal(node.value)]
     if k == LITERAL_ARRAY:
         inner = " ".join(_print_literal(v) if not getattr(v, "is_symbol", False)
                          else str(v) for v in node.value)
-        return "#(%s)" % inner
+        return ["#(%s)" % inner]
     if k == SELF_REF:
-        return node.var_name or "self"
+        return [node.var_name or "self"]
     if k == VAR_READ:
-        return node.var_name
+        return ["%s" % node.var_name]
     if k == ASSIGNMENT:
-        return "%s := %s" % (node.var_name, unparse(node.children[0]))
+        return ["%s := " % node.var_name, node.children[0]]
     if k == RETURN:
-        return "^%s" % unparse(node.children[0])
+        return ["^", node.children[0]]
     if k == SEQUENCE:
         parts = node.children
+        out = []
         if parts and parts[0].kind == TEMP_DECL:
-            return "%s %s" % (unparse(parts[0]),
-                              ". ".join(unparse(c) for c in parts[1:]))
-        return ". ".join(unparse(c) for c in parts)
+            out += [parts[0], " "]
+            parts = parts[1:]
+        return out + _joined(parts, ". ")
     if k == BLOCK:
         head = "".join(":%s " % p for p in node.params)
         if head:
             head += "| "
-        body = unparse(node.children[0]) if node.children else ""
-        return "[ %s%s ]" % (head, body)
+        if not node.children:
+            return ["[ %s ]" % head]
+        return ["[ " + head, node.children[0], " ]"]
     if k == MESSAGE_SEND:
-        recv = unparse(node.children[0])
-        if node.children[0].kind in (MESSAGE_SEND, ASSIGNMENT) \
-                and _needs_parens(node, node.children[0]):
-            recv = "(%s)" % recv
+        recv = node.children[0]
+        out = [recv]
+        if recv.kind in (MESSAGE_SEND, ASSIGNMENT) \
+                and _needs_parens(node, recv):
+            out = ["(", recv, ")"]
         sel = node.selector
         args = node.children[1:]
         if not args:
-            return "%s %s" % (recv, sel)
-        if not sel.endswith(":"):
-            return "%s %s %s" % (recv, sel, _argstr(node, args[0]))
-        parts = sel.split(":")[:-1]
-        out = recv
-        for kw, a in zip(parts, args):
-            out += " %s: %s" % (kw, _argstr(node, a))
+            out.append(" " + sel)
+        elif not sel.endswith(":"):
+            out.append(" %s " % sel)
+            out += _arg(node, args[0])
+        else:
+            for kw, a in zip(sel.split(":")[:-1], args):
+                out.append(" %s: " % kw)
+                out += _arg(node, a)
         return out
     if k == TEMP_DECL:
-        return "|%s|" % " ".join(node.temps)
+        return ["|%s|" % " ".join(node.temps)]
     if k == METHOD_DEF:
-        pat = _pattern(node)
         temps = " |%s| " % " ".join(node.temps) if node.temps else " "
-        body = unparse(node.children[-1]) if node.children else ""
-        return "%s [%s%s ]" % (pat, temps, body)
+        head = "%s [%s" % (_pattern(node), temps)
+        if not node.children:
+            return [head + " ]"]
+        return [head, node.children[-1], " ]"]
     if k == CLASS_DEF:
         slots = " |%s|" % " ".join(node.temps) if node.temps else ""
         sup = " extends %s" % node.superclass if node.superclass else ""
-        methods = " ".join(unparse(m) for m in node.children
-                           if m.kind == METHOD_DEF)
-        return "class %s%s [%s %s ]" % (node.name, sup, slots, methods)
+        methods = [m for m in node.children if m.kind == METHOD_DEF]
+        return (["class %s%s [%s " % (node.name, sup, slots)]
+                + _joined(methods, " ") + [" ]"])
     raise ValueError("cannot unparse %s" % k)
+
+
+def _joined(nodes, sep):
+    out = []
+    for node in nodes:
+        if out:
+            out.append(sep)
+        out.append(node)
+    return out
 
 
 def _pattern(method: AstNode) -> str:
@@ -241,19 +302,17 @@ def _needs_parens(parent, child):
     return False
 
 
-def _argstr(parent, child):
-    s = unparse(child)
+def _arg(parent, child):
+    """An argument's pieces: parenthesized when it binds looser than its
+    slot."""
     if child.kind == ASSIGNMENT:
-        return "(%s)" % s
+        return ["(", child, ")"]
     if child.kind == MESSAGE_SEND:
         cs = child.selector
-        if _is_keyword(cs):
-            return "(%s)" % s
-        if _is_binary(cs) and _is_binary(parent.selector):
-            return "(%s)" % s
-        if _is_keyword(parent.selector) and _is_keyword(cs):
-            return "(%s)" % s
-    return s
+        if _is_keyword(cs) or (_is_binary(cs)
+                               and _is_binary(parent.selector)):
+            return ["(", child, ")"]
+    return [child]
 
 
 def dump(node: AstNode) -> str:

@@ -29,6 +29,8 @@ from .nodes import (
 from .values import Symbol
 
 BINOP_CHARS = set("+-*/\\~<>=&@%,?!")
+PUNCTUATION = {"(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket",
+               "^": "caret", ".": "dot", "|": "pipe"}
 
 # Node ids are unique in the process, not only per parse: a link keeps its
 # sites as node ids, and may sit on nodes of several interpreters.
@@ -40,6 +42,7 @@ _NODE_IDS = itertools.count(1)
 # limit.
 MAX_NESTING = 100
 RESERVED = {"class", "extends", "self", "super", "true", "false", "nil"}
+CONSTANTS = {"true": True, "false": False, "nil": None}
 
 
 class Token:
@@ -57,6 +60,7 @@ class Token:
 
 def tokenize(source: str, file: str = "<string>"):
     toks = []
+    append = toks.append
     i, n = 0, len(source)
 
     def err(msg, at):
@@ -67,36 +71,52 @@ def tokenize(source: str, file: str = "<string>"):
         if c.isspace():
             i += 1
             continue
-        if c == '"':  # comment
-            j = i + 1
-            while j < n and source[j] != '"':
-                j += 1
-            if j >= n:
-                err("unterminated comment", i)
-            i = j + 1
-            continue
         start = i
+        kind = PUNCTUATION.get(c)
+        if kind is not None:
+            append(Token(kind, c, start, i + 1))
+            i += 1
+            continue
         if c.isalpha() or c == "_":
-            j = i
+            j = i + 1
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             word = source[i:j]
-            if j < n and source[j] == ":" and (j + 1 >= n or source[j + 1] != "="):
-                toks.append(Token("keyword", word + ":", start, j + 1))
+            if source.startswith(":", j) and not source.startswith(":=", j):
+                append(Token("keyword", word + ":", start, j + 1))
                 i = j + 1
-            elif word in RESERVED:
-                toks.append(Token(word, word, start, j))
-                i = j
             else:
-                toks.append(Token("ident", word, start, j))
+                append(Token(word if word in RESERVED else "ident", word,
+                             start, j))
                 i = j
             continue
         if c.isdecimal():
-            j = i
+            j = i + 1
             while j < n and source[j].isdecimal():
                 j += 1
-            toks.append(Token("int", source[i:j], start, j))
+            append(Token("int", source[i:j], start, j))
             i = j
+            continue
+        if c in BINOP_CHARS:
+            j = i + 1
+            while j < n and source[j] in BINOP_CHARS:
+                j += 1
+            append(Token("binop", source[i:j], start, j))
+            i = j
+            continue
+        if c == ":":
+            if source.startswith(":=", i):
+                append(Token("assign", ":=", start, i + 2))
+                i += 2
+            else:
+                append(Token("colon", ":", start, i + 1))
+                i += 1
+            continue
+        if c == '"':  # comment
+            j = source.find('"', i + 1)
+            if j < 0:
+                err("unterminated comment", i)
+            i = j + 1
             continue
         if c == "'":
             j = i + 1
@@ -112,51 +132,30 @@ def tokenize(source: str, file: str = "<string>"):
                 j += 1
             if j >= n:
                 err("unterminated string", i)
-            toks.append(Token("string", "".join(buf), start, j + 1))
+            append(Token("string", "".join(buf), start, j + 1))
             i = j + 1
             continue
         if c == "#":
             if i + 1 < n and source[i + 1] == "(":
-                toks.append(Token("litarray", "#(", start, i + 2))
+                append(Token("litarray", "#(", start, i + 2))
                 i += 2
                 continue
             j = i + 1
             if j < n and (source[j].isalpha() or source[j] == "_"):
                 while j < n and (source[j].isalnum() or source[j] in "_:"):
                     j += 1
-                toks.append(Token("symbol", source[i + 1:j], start, j))
+                append(Token("symbol", source[i + 1:j], start, j))
                 i = j
                 continue
             if j < n and source[j] in BINOP_CHARS:
                 while j < n and source[j] in BINOP_CHARS:
                     j += 1
-                toks.append(Token("symbol", source[i + 1:j], start, j))
+                append(Token("symbol", source[i + 1:j], start, j))
                 i = j
                 continue
             err("malformed symbol literal", i)
-        if c == ":" and i + 1 < n and source[i + 1] == "=":
-            toks.append(Token("assign", ":=", start, i + 2))
-            i += 2
-            continue
-        if c == ":":
-            toks.append(Token("colon", ":", start, i + 1))
-            i += 1
-            continue
-        if c in "()[]^.|":
-            names = {"(": "lparen", ")": "rparen", "[": "lbracket",
-                     "]": "rbracket", "^": "caret", ".": "dot", "|": "pipe"}
-            toks.append(Token(names[c], c, start, i + 1))
-            i += 1
-            continue
-        if c in BINOP_CHARS:
-            j = i
-            while j < n and source[j] in BINOP_CHARS:
-                j += 1
-            toks.append(Token("binop", source[i:j], start, j))
-            i = j
-            continue
         err("unexpected character %r" % c, i)
-    toks.append(Token("eof", "", n, n))
+    append(Token("eof", "", n, n))
     return toks
 
 
@@ -164,44 +163,58 @@ class Parser:
     def __init__(self, source, file="<string>"):
         self.source = source
         self.file = file
-        self.tokens = tokenize(source, file)
+        tokens = tokenize(source, file)
+        # A second eof after the first: the token after the current one is
+        # always there, so a peek is a single index with no bounds check.
+        tokens.append(tokens[-1])
+        self.tokens = tokens
         self.pos = 0
         self.depth = 0
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, k=0):
-        return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
-        if tok.type != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
-    def at(self, *types):
-        return self.peek().type in types
+    def at(self, type_):
+        return self.tokens[self.pos].type == type_
 
     def expect(self, type_, what=None):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type != type_:
             self.error("expected %s, found %r" % (what or type_,
                                                   tok.text or "end of input"))
-        return self.next()
+        self.pos += 1
+        return tok
 
     def error(self, msg):
         tok = self.peek()
         raise MkSyntaxError(msg, SourceSpan(tok.start, tok.end, self.file))
 
-    def span(self, start_tok, end_tok=None):
-        end = (end_tok or self.tokens[max(self.pos - 1, 0)]).end
-        return SourceSpan(start_tok.start, max(end, start_tok.start), self.file)
-
-    def node(self, kind, start_tok, **kw):
-        node = AstNode(kind, self.span(start_tok), next(_NODE_IDS), **kw)
-        for child in node.children:
-            child.parent = node
+    def node(self, kind, start_tok, children=None, **kw):
+        """A node spanning `start_tok` up to the last token consumed; the
+        parent of each of `children`. (Before any token is consumed, index
+        -1 reads the sentinel eof: the input holds no other token.)"""
+        end = self.tokens[self.pos - 1].end
+        start = start_tok.start
+        node = AstNode(kind, SourceSpan(start, end if end > start else start,
+                                        self.file),
+                       next(_NODE_IDS), children, **kw)
+        if children:
+            for child in children:
+                child.parent = node
         return node
+
+    def leaf(self, tok, kind, var_name=None, value=None):
+        """A node of the one token `tok`, which it consumes."""
+        self.pos += 1
+        return AstNode(kind, SourceSpan(tok.start, tok.end, self.file),
+                       next(_NODE_IDS), None, None, var_name, value)
 
     def nest(self, open_tok):
         """Enter one nesting level opened by `open_tok`; the caller leaves
@@ -244,8 +257,8 @@ class Parser:
         while not self.at("rbracket"):
             children.append(self.parse_method())
         self.expect("rbracket", "']'")
-        return self.node(CLASS_DEF, start, name=name, superclass=superclass,
-                         temps=slots, children=children)
+        return self.node(CLASS_DEF, start, children, name=name,
+                         superclass=superclass, temps=slots)
 
     def parse_temp_decl(self):
         start = self.expect("pipe")
@@ -268,8 +281,8 @@ class Parser:
         body = self.parse_sequence(stop="rbracket")
         children.append(body)
         self.expect("rbracket", "']'")
-        return self.node(METHOD_DEF, start, selector=selector, params=params,
-                         temps=temps, children=children)
+        return self.node(METHOD_DEF, start, children, selector=selector,
+                         params=params, temps=temps)
 
     def parse_pattern(self):
         tok = self.peek()
@@ -290,103 +303,90 @@ class Parser:
         self.error("expected a method pattern")
 
     def parse_sequence(self, stop):
-        start = self.peek()
+        tokens = self.tokens
+        start = tokens[self.pos]
         stmts = []
-        while not self.at(stop):
+        while tokens[self.pos].type != stop:
             stmts.append(self.parse_statement())
-            if self.at("dot"):
-                self.next()
-            elif not self.at(stop):
+            type_ = tokens[self.pos].type
+            if type_ == "dot":
+                self.pos += 1
+            elif type_ != stop:
                 self.error("expected '.' or end of sequence")
-        return self.node(SEQUENCE, start, children=stmts)
+        return self.node(SEQUENCE, start, stmts)
 
     def parse_statement(self):
-        if self.at("caret"):
-            start = self.next()
-            expr = self.parse_expr()
-            return self.node(RETURN, start, children=[expr])
+        start = self.tokens[self.pos]
+        if start.type == "caret":
+            self.pos += 1
+            return self.node(RETURN, start, [self.parse_expr()])
         return self.parse_expr()
 
     def parse_expr(self):
-        if self.at("ident") and self.peek(1).type == "assign":
-            start = self.next()
-            self.next()  # :=
+        tokens = self.tokens
+        start = tokens[self.pos]
+        if start.type == "ident" and tokens[self.pos + 1].type == "assign":
+            self.pos += 2
             self.nest(start)
             rhs = self.parse_expr()
             self.depth -= 1
-            return self.node(ASSIGNMENT, start, var_name=start.text,
-                             children=[rhs])
-        return self.parse_keyword_send()
-
-    def parse_keyword_send(self):
-        start = self.peek()
-        recv = self.parse_binary_send()
-        if not self.at("keyword"):
-            return recv
+            return self.node(ASSIGNMENT, start, [rhs], var_name=start.text)
+        node = self.parse_binary_send()
+        if tokens[self.pos].type != "keyword":
+            return node
         selector = ""
-        args = []
-        while self.at("keyword"):
-            selector += self.next().text
+        args = [node]
+        while (tok := tokens[self.pos]).type == "keyword":
+            self.pos += 1
+            selector += tok.text
             args.append(self.parse_binary_send())
-        return self.node(MESSAGE_SEND, start, selector=selector,
-                         children=[recv] + args)
+        return self.node(MESSAGE_SEND, start, args, selector=selector)
 
     def parse_binary_send(self):
-        start = self.peek()
+        tokens = self.tokens
+        start = tokens[self.pos]
         node = self.parse_unary_send()
-        while self.at("binop"):
-            op = self.next().text
-            arg = self.parse_unary_send()
-            node = self.node(MESSAGE_SEND, start, selector=op,
-                             children=[node, arg])
+        while (tok := tokens[self.pos]).type == "binop":
+            self.pos += 1
+            node = self.node(MESSAGE_SEND, start,
+                             [node, self.parse_unary_send()], selector=tok.text)
         return node
 
     def parse_unary_send(self):
-        start = self.peek()
-        node = self.parse_primary()
-        # "class" is a keyword only at definition position; after a primary
-        # it reads as the ordinary unary selector.
-        while self.at("ident", "class"):
-            sel = self.next().text
-            node = self.node(MESSAGE_SEND, start, selector=sel,
-                             children=[node])
-        return node
-
-    def parse_primary(self):
-        tok = self.peek()
-        if tok.type == "ident":
-            self.next()
-            return self.node(VAR_READ, tok, var_name=tok.text)
-        if tok.type in ("self", "super"):
-            self.next()
-            return self.node(SELF_REF, tok, var_name=tok.text)
-        if tok.type == "int":
-            self.next()
-            return self.node(LITERAL, tok, value=int(tok.text))
-        if tok.type == "string":
-            self.next()
-            return self.node(LITERAL, tok, value=tok.text)
-        if tok.type == "symbol":
-            self.next()
-            return self.node(LITERAL, tok, value=Symbol(tok.text))
-        if tok.type in ("true", "false"):
-            self.next()
-            return self.node(LITERAL, tok, value=(tok.type == "true"))
-        if tok.type == "nil":
-            self.next()
-            return self.node(LITERAL, tok, value=None)
-        if tok.type == "litarray":
-            return self.parse_literal_array()
-        if tok.type == "lbracket":
-            return self.parse_block()
-        if tok.type == "lparen":
-            self.next()
+        """A primary, then its unary sends."""
+        tokens = self.tokens
+        start = tok = tokens[self.pos]
+        type_ = tok.type
+        if type_ == "ident":
+            node = self.leaf(tok, VAR_READ, tok.text)
+        elif type_ == "self" or type_ == "super":
+            node = self.leaf(tok, SELF_REF, tok.text)
+        elif type_ == "int":
+            node = self.leaf(tok, LITERAL, value=int(tok.text))
+        elif type_ == "string":
+            node = self.leaf(tok, LITERAL, value=tok.text)
+        elif type_ == "symbol":
+            node = self.leaf(tok, LITERAL, value=Symbol(tok.text))
+        elif type_ in CONSTANTS:
+            node = self.leaf(tok, LITERAL, value=CONSTANTS[type_])
+        elif type_ == "litarray":
+            node = self.parse_literal_array()
+        elif type_ == "lbracket":
+            node = self.parse_block()
+        elif type_ == "lparen":
+            self.pos += 1
             self.nest(tok)
-            expr = self.parse_expr()
+            node = self.parse_expr()
             self.expect("rparen", "')'")
             self.depth -= 1
-            return expr
-        self.error("expected an expression")
+        else:
+            self.error("expected an expression")
+        # "class" is a keyword only at definition position; after a primary
+        # it reads as the ordinary unary selector.
+        while (tok := tokens[self.pos]).type == "ident" or tok.type == "class":
+            self.pos += 1
+            node = self.node(MESSAGE_SEND, start, [node], selector=tok.text)
+        return node
 
     def parse_literal_array(self):
         start = self.expect("litarray")
@@ -432,7 +432,7 @@ class Parser:
             children.append(self.parse_sequence(stop="rbracket"))
         self.expect("rbracket", "']'")
         self.depth -= 1
-        return self.node(BLOCK, start, params=params, children=children)
+        return self.node(BLOCK, start, children, params=params)
 
 
 def parse(source: str, file: str = "<string>") -> Program:

@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 import mklang.interpreter as mk_interp
+import mklang.parser as mk_parser
 from mklang import Interpreter, MetaLink, reify
 from mklang.errors import (
     AlreadyInvoked, ArityMismatch, InapplicableReification, InsteadConflict,
@@ -629,6 +630,53 @@ def test_a_mutation_valid_in_one_interpreter_only_is_fired_only_there():
     assert sink == [("a", "+"), ("a",)] * 2
 
 
+def kernel_methods(interp):
+    return {(cls.name, sel): rec for cls in interp.classes.values()
+            for sel, rec in cls.methods.items()
+            if isinstance(rec, CompiledMethodRecord)}
+
+
+def test_the_kernel_is_shared_and_what_one_interpreter_does_to_it_stays_there():
+    linked, other = Interpreter(), Interpreter()
+    ours, theirs = kernel_methods(linked), kernel_methods(other)
+    assert ours.keys() == theirs.keys() and ("Integer", "to:do:") in ours
+    for key, record in ours.items():
+        assert record is not theirs[key]
+        assert record.original_ast is theirs[key].original_ast
+    before = {key: unparse(rec.original_ast) for key, rec in theirs.items()}
+    sink = []
+    link = recording_link(sink, "a")
+    to_do = ours["Integer", "to:do:"].original_ast
+    install(linked, link, find_nodes(to_do, "sends-of", "value:")[0])
+    linked.recompile("Object", "logCr", "logCr [ Transcript show: 'x' ]")
+    assert ours["Integer", "to:do:"].twin is not None
+    assert linked.run("1 to: 2 do: [ :i | i logCr ]").output == "xx"
+    assert sink == [("a",), ("a",)]
+    assert other.run("1 to: 2 do: [ :i | i logCr ]").output == "1\n2\n"
+    uninstall(linked, link)
+    assert ours["Integer", "to:do:"].twin is None
+    assert kernel_methods(other) == theirs
+    for key, record in theirs.items():
+        assert record.twin is None
+        assert unparse(record.original_ast) == before[key]
+    assert other.run("3 timesRepeat: [ 1 to: 2 do: [ :i | i logCr ] ]") \
+        .output == "1\n2\n" * 3
+    assert other.hook_visits == other.registry_consults == 0
+    assert sink == [("a",), ("a",)]
+
+
+def test_a_second_interpreter_parses_nothing(monkeypatch):
+    Interpreter()
+    calls = []
+    tokenize = mk_parser.tokenize
+    monkeypatch.setattr(mk_parser, "tokenize",
+                        lambda *args: calls.append(args) or tokenize(*args))
+    interp = Interpreter()
+    assert calls == []
+    assert interp.run("3 logCr").output == "3\n"
+    assert len(calls) == 1
+
+
 def test_a_before_link_changing_a_later_link_is_seen_in_that_trigger(
         interp):
     sink = []
@@ -752,7 +800,7 @@ def test_a_link_on_the_deepest_node_of_a_5000_term_chain_copies_its_path():
     interp.run(CHAIN)
     record = interp.lookup_method("A", "m")
     root = record.original_ast
-    before = deep(lambda: unparse(root))
+    before = unparse(root)
     path = [root]
     while path[-1].children:            # a receiver is the deeper side
         path.append(path[-1].children[0])
@@ -772,7 +820,7 @@ def test_a_link_on_the_deepest_node_of_a_5000_term_chain_copies_its_path():
     assert sink == [("a",)]
     uninstall(interp, link)
     assert record.twin is None
-    assert deep(lambda: unparse(root)) == before
+    assert unparse(root) == before
 
 
 def test_dump_of_a_twin_indents_its_shared_subtrees(interp):
