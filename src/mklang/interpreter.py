@@ -3,7 +3,9 @@
 One Interpreter instance owns one strictly single-threaded execution:
 classes, globals, the output sink, the link registry and the meta-level
 counter. Distinct instances are fully independent; they share only the
-kernel's original AST nodes, which nothing writes.
+kernel's original AST nodes, which nothing writes. Every variable read,
+hooked or not, and the `#variable` reification find a name through
+`scope_of`, the one copy of the lookup order.
 
 The unlinked path is kept cheap:
 
@@ -38,7 +40,7 @@ from .errors import (
 from .nodes import (
     ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, META_HOOK,
     METHOD_DEF, RETURN, SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ,
-    MethodSignature, selector_arity,
+    MethodSignature,
 )
 from .parser import parse, parse_method
 from .reify import TriggerContext, resolve
@@ -504,36 +506,33 @@ class Interpreter:
     def _eval_temp_decl(self, node, act):
         return None
 
-    def _eval_var_read(self, node, act):
-        name = node.var_name
+    def scope_of(self, name, act):
+        """The mapping a read of `name` in `act` finds it in: the temps of
+        the nearest activation up the lexical chain that binds it, the
+        receiver's slots, the globals or the classes; None if none does.
+        `write_var` has its own rule: only the top level writes globals."""
         a = act
         while a is not None:
             temps = a.temps
             if name in temps:
-                return temps[name]
-            a = a.lexical_parent
-        return self.read_var(name, act, node)
-
-    def read_var(self, name, act, node=None):
-        a = act
-        while a is not None:
-            temps = a.temps
-            if name in temps:
-                return temps[name]
+                return temps
             a = a.lexical_parent
         recv = act.receiver
-        if isinstance(recv, Instance):
-            slots = recv.slots
-            if name in slots:
-                return slots[name]
+        if isinstance(recv, Instance) and name in recv.slots:
+            return recv.slots
         if name in self.globals:
-            return self.globals[name]
+            return self.globals
         if name in self.classes:
-            return self.classes[name]
-        raise MkRuntimeError(
-            "undefined variable %s" % name,
-            span=node.span if node is not None else None,
-            trace=self.stack_snapshot(act))
+            return self.classes
+        return None
+
+    def _eval_var_read(self, node, act):
+        name = node.var_name
+        scope = self.scope_of(name, act)
+        if scope is None:
+            raise MkRuntimeError("undefined variable %s" % name, node.span,
+                                 self.stack_snapshot(act))
+        return scope[name]
 
     def _eval_assignment(self, node, act):
         expr = node.children[0]
@@ -555,10 +554,8 @@ class Interpreter:
         if act.method is None:  # top level: assignments create globals
             self.globals[name] = value
             return value
-        raise MkRuntimeError(
-            "undefined variable %s" % name,
-            span=node.span if node is not None else None,
-            trace=self.stack_snapshot(act))
+        raise MkRuntimeError("undefined variable %s" % name,
+                             node and node.span, self.stack_snapshot(act))
 
     def _eval_return(self, node, act):
         expr = node.children[0]
@@ -619,11 +616,11 @@ class Interpreter:
         act = Activation(home.receiver, home.method, list(args), sender,
                          dict(zip(node.params, args)), defining, home)
         body = node.children[0] if node.children else None
-        if block.hook_node is not None:
+        if node.kind == META_HOOK:
             # Read the body's kind late: a before-link may unmark its hook.
             perform = (partial(self.eval_node, body, act)
                        if body is not None else lambda: None)
-            return self._trigger(block.hook_node, act, perform, None, args)
+            return self._trigger(node.original, act, perform, None, args)
         if body is None:
             return None
         return self._handlers[body.kind](body, act)
@@ -652,8 +649,6 @@ class Interpreter:
             expr = hook.children[0]
             value = handlers[expr.kind](expr, act)
             perform = partial(self.write_var, hook.var_name, value, act, orig)
-        elif kind == VAR_READ:
-            perform = partial(self.read_var, hook.var_name, act, orig)
         elif kind == RETURN:
             expr = hook.children[0]
             value = handlers[expr.kind](expr, act)
@@ -661,7 +656,7 @@ class Interpreter:
                 orig, act, lambda: value, None, None, value, False))
         elif kind == BLOCK:
             # Fires at each invocation of the closure, not at its creation.
-            return Block(hook, act, hook_node=orig)
+            return Block(hook, act)
         else:
             perform = partial(handlers[kind], hook, act)
         return self._trigger(orig, act, perform, receiver, args, value)

@@ -193,23 +193,19 @@ class ContextMirror:
 
 
 class VariableMirror:
-    """A variable (slot, temp, or global) with a live read path."""
+    """The binding a variable node reads or writes, read live from the
+    mapping `Interpreter.scope_of` found the name in."""
 
-    __slots__ = ("interp", "kind", "name", "holder")
+    __slots__ = ("kind", "name", "scope")
     mk_class_name = "VariableMirror"
 
-    def __init__(self, interp, kind, name, holder):
-        self.interp = interp
-        self.kind = kind       # 'slot' | 'temp' | 'global'
+    def __init__(self, kind, name, scope):
+        self.kind = kind       # 'temp' | 'slot' | 'global' | 'class'
         self.name = name
-        self.holder = holder   # Instance | Activation | Interpreter
+        self.scope = scope     # temps | slots | globals | classes
 
     def read(self):
-        if self.kind == "slot":
-            return self.holder.slots.get(self.name)
-        if self.kind == "temp":
-            return self.holder.temps.get(self.name)
-        return self.interp.globals.get(self.name)
+        return self.scope.get(self.name)
 
     def describe(self):
         return "variable(%s %s)" % (self.kind, self.name)
@@ -296,20 +292,21 @@ def _operation(ctx):
 
 
 def _variable_mirror(ctx):
+    """The binding a read of the node's name finds now. A name bound
+    nowhere yet mirrors the global a top-level write would create."""
     if ctx.table_kind not in ("variable", "assignment"):
         return None
     interp = ctx.interp
     name = ctx.node.var_name
-    act = ctx.activation
-    a = act
-    while a is not None:
-        if name in a.temps:
-            return VariableMirror(interp, "temp", name, a)
-        a = a.lexical_parent
-    recv = act.receiver
-    if isinstance(recv, Instance) and name in recv.slots:
-        return VariableMirror(interp, "slot", name, recv)
-    return VariableMirror(interp, "global", name, interp)
+    scope = interp.scope_of(name, ctx.activation)
+    if scope is None or scope is interp.globals:
+        return VariableMirror("global", name, interp.globals)
+    if scope is interp.classes:
+        return VariableMirror("class", name, scope)
+    recv = ctx.activation.receiver
+    if isinstance(recv, Instance) and scope is recv.slots:
+        return VariableMirror("slot", name, scope)
+    return VariableMirror("temp", name, scope)
 
 
 # Kind -> function of the trigger context, filed below under each node

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import MkRuntimeError, UnknownVariable
 from .links import MetaLink, install, uninstall
-from .nodes import find_nodes
+from .nodes import ASSIGNMENT, BLOCK, find_nodes
 from .values import HostFunction
 
 
@@ -72,14 +72,21 @@ class VariableWatch:
         self.history.append((owner, value, sig))
 
     def attach(self, record):
-        """Install on every access to the slot inside one method."""
-        for node in find_nodes(record.original_ast, "writes-of",
-                               self.var_name):
-            install(self.interp, self.write_link, node)
-        if self.read_link is not None:
-            for node in find_nodes(record.original_ast, "reads-of",
-                                   self.var_name):
-                install(self.interp, self.read_link, node)
+        """Install on every access to the slot inside one method, but not
+        where the method's params or temps, or a block's params, bind the
+        name: there it names something else."""
+        name = self.var_name
+        root = record.original_ast
+        stack = [] if name in root.params or name in root.temps else [root]
+        while stack:
+            node = stack.pop()
+            if node.var_name == name:
+                link = (self.write_link if node.kind == ASSIGNMENT
+                        else self.read_link)
+                if link is not None:
+                    install(self.interp, link, node)
+            if node.kind != BLOCK or name not in node.params:
+                stack += node.children[::-1]
 
     def remove(self):
         uninstall(self.interp, self.write_link)

@@ -47,16 +47,14 @@ class Array:
 
 
 class Block:
-    """Closure over its defining activation."""
+    """Closure over its defining activation. Made from a twin's marked copy
+    of a Block node, it fires the copy's links while the mark lasts."""
 
-    __slots__ = ("node", "defining_activation", "hook_node")
+    __slots__ = ("node", "defining_activation")
 
-    def __init__(self, node, defining_activation, hook_node=None):
+    def __init__(self, node, defining_activation):
         self.node = node
         self.defining_activation = defining_activation
-        # Set when the closure was created from a woven (hooked) Block
-        # node; links fire around each invocation.
-        self.hook_node = hook_node
 
     @property
     def arity(self):

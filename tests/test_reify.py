@@ -301,3 +301,15 @@ def test_class_and_print_string_of_reflective_values(interp):
         cls = interp.send(value, "class", [], None)
         assert interp.send(cls, "printString", [], None) == class_name
         assert interp.send(value, "printString", [], None) == text
+
+
+def test_variable_mirror_of_a_class_name_is_the_class(interp):
+    interp.run("class Pr [ t [ ^ Transcript ] ]")
+    node = find_nodes(interp.method_ast("Pr", "t"), "reads-of",
+                      "Transcript")[0]
+    sink = capture(interp, node, "after", reifs=("variable",))
+    interp.run("Pr new t")
+    mirror, = sink[0]
+    assert mirror.kind == "class" and mirror.name == "Transcript"
+    assert mirror.read() is interp.classes["Transcript"]
+    assert interp.print_string(mirror) == "variable(class Transcript)"

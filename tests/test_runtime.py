@@ -513,3 +513,58 @@ def test_a_kernel_class_cannot_change_its_superclass():
     # Naming the superclass it already has is a reopening.
     interp.run("class Symbol extends String [ twice [ ^ self , self ] ]")
     assert interp.run("#ab twice").value == "abab"
+
+
+# -- where a name lives -------------------------------------------------------
+
+# Each case is a program and what it gives: its output, or the message of
+# the error it raises and the source text of the error's span.
+SCOPE_CASES = {
+    "top-level global read at top level and in a method": (
+        "class R [ get [ ^ Zed ] ]\nZed := 7.\nZed logCr.\nR new get logCr",
+        "7\n7\n"),
+    "a method cannot create a global": (
+        "class W [ set [ Zed := 5 ] ]\nW new set",
+        ("undefined variable Zed", "Zed := 5")),
+    "a method cannot write a global either": (
+        "class W [ set [ Zed := 5 ] ]\nZed := 7.\nW new set",
+        ("undefined variable Zed", "Zed := 5")),
+    "a class name read in a method": (
+        "class T [ t [ ^ Transcript ] ]\n(T new t == Transcript) logCr",
+        "true\n"),
+    "a block writes an outer slot and an outer temp": (
+        "class B [ | s | run [ | t | t := 1. s := 10. "
+        "#(1 2 3) do: [ :x | t := t + x. s := s + x ]. ^ t * 100 + s ] ]\n"
+        "B new run logCr",
+        "716\n"),
+    "a top-level block creates a global": (
+        "[ Q := 4 ] value.\nQ logCr",
+        "4\n"),
+    "an undefined read in a method": (
+        "class U [ r [ ^ nope ] ]\nU new r",
+        ("undefined variable nope", "nope")),
+    "an undefined write in a method": (
+        "class U [ w [ nope := 1 ] ]\nU new w",
+        ("undefined variable nope", "nope := 1")),
+    "a method temp hides a slot": (
+        "class H [ | v | initialize [ v := 1 ] "
+        "m [ | v | v := 5. ^ v ] get [ ^ v ] ]\n"
+        "| h | h := H new. h m logCr. h get logCr",
+        "5\n1\n"),
+}
+
+
+@pytest.mark.parametrize("source, expected", SCOPE_CASES.values(),
+                         ids=list(SCOPE_CASES))
+def test_reads_and_writes_find_each_name_where_it_lives(source, expected):
+    if isinstance(expected, str):
+        assert out(source) == expected
+        return
+    message, span_text = expected
+    with pytest.raises(MkRuntimeError) as exc:
+        run_program(source)
+    err = exc.value
+    assert str(err) == message
+    assert source[err.span.start:err.span.end] == span_text
+    assert err.trace[0].split(" ")[0] in ("W>>set", "U>>r", "U>>w")
+    assert err.trace[-1].startswith("top-level")

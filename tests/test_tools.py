@@ -156,6 +156,34 @@ def test_persistent_watch_recompile_equivalence(interp):
     assert tail == [(v, sig) for _, v, sig in watch_a.history][-3:]
 
 
+SHADOWED = """class Acct [ | balance |
+    initialize [ balance := 0 ]
+    shadow [ | balance | balance := 99. ^ balance ]
+    viaBlock [ #(1 2) do: [ :balance | balance ] ]
+    deposit: balance [ ^ balance ]
+    peek [ ^ [ balance ] value ]
+]
+"""
+
+
+def test_a_watch_skips_names_that_hide_the_slot():
+    interp = Interpreter()
+    interp.run(SHADOWED)
+    watch = watch_variable(interp, "Acct", "balance", persistent=True,
+                           include_reads=True)
+    program = "| a | a := Acct new. a shadow. a viaBlock. a deposit: 5. a peek"
+    slot_only = [(0, "Acct>>initialize"), (0, "Acct>>peek")]
+    interp.run(program)
+    assert [(v, sig) for _, v, sig in watch.history] == slot_only
+    # A persistent watch attaches to a recompiled method by the same rule.
+    for selector in ("shadow", "viaBlock", "deposit:", "peek"):
+        record = interp.lookup_method("Acct", selector)
+        interp.recompile("Acct", selector, record.original_source)
+    del watch.history[:]
+    interp.run(program)
+    assert [(v, sig) for _, v, sig in watch.history] == slot_only
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_watch_completeness_on_random_programs(seed):
