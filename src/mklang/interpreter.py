@@ -271,7 +271,7 @@ class Interpreter:
             for mdef in cdef.children:
                 if mdef.kind == METHOD_DEF:
                     self._compile_method(cls, mdef, program.source[
-                        mdef.span.start:mdef.span.end])
+                        mdef.start:mdef.end])
 
     def _flush_method_caches(self):
         """Forget every cached lookup; run after any change to a method
@@ -540,7 +540,8 @@ class Interpreter:
                               self._handlers[expr.kind](expr, act), act, node)
 
     def write_var(self, name, value, act, node=None):
-        """Bind `name` to `value` and answer `value`."""
+        """Bind `name` to `value` and answer `value`. Only the top level
+        creates and writes globals, and nothing rebinds a class name."""
         a = act
         while a is not None:
             if name in a.temps:
@@ -551,11 +552,17 @@ class Interpreter:
         if isinstance(recv, Instance) and name in recv.slots:
             recv.slots[name] = value
             return value
-        if act.method is None:  # top level: assignments create globals
+        if name in self.classes:
+            message = "class %s cannot be assigned"
+        elif act.method is None:  # top level: assignments create globals
             self.globals[name] = value
             return value
-        raise MkRuntimeError("undefined variable %s" % name,
-                             node and node.span, self.stack_snapshot(act))
+        elif name in self.globals:
+            message = "a method cannot assign the global %s"
+        else:
+            message = "undefined variable %s"
+        raise MkRuntimeError(message % name, node and node.span,
+                             self.stack_snapshot(act))
 
     def _eval_return(self, node, act):
         expr = node.children[0]

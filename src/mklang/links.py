@@ -289,10 +289,13 @@ def _wrap(twin, original):
 
 
 def _copy(node, parent):
-    """A spine node: `node`'s fields, its own `children` and `parent`."""
+    """A spine node: `node`'s fields, its own `children` (a leaf's is the
+    shared `()`) and `parent`."""
     dup = object.__new__(AstNode)
     dup.kind = node.kind
-    dup.span = node.span
+    dup.start = node.start
+    dup.end = node.end
+    dup.file = node.file
     dup.id = node.id
     dup.children = node.children[:]
     dup.selector = node.selector

@@ -3,11 +3,15 @@
 Nodes are immutable after parse (link machinery never mutates them; weaving
 copies the path from a method's root to each linked node and shares every
 other subtree); the parser sets each node's `parent` as it builds the
-parent. Node ids are unique in the process: every parse draws fresh ones,
-so a recompile yields fresh ids -- which is exactly why links are lost on
-recompilation. Two interpreters share nodes, and so ids, only for the
-kernel, which is parsed once per process (`kernel.kernel_program`); each
-keeps its own method records and link state over those nodes.
+parent. A node is one object for the cyclic garbage collector to track,
+plus one list per non-empty `children`, `params` or `temps` (an empty one
+is the shared `()`); its source range is three plain fields, from which
+`span` builds a `SourceSpan` on demand. Node ids are unique in the
+process: every parse draws fresh ones, so a recompile yields fresh ids --
+which is exactly why links are lost on recompilation. Two interpreters
+share nodes, and so ids, only for the kernel, which is parsed once per
+process (`kernel.kernel_program`); each keeps its own method records and
+link state over those nodes.
 """
 
 from __future__ import annotations
@@ -65,29 +69,38 @@ NOT_INSTALLABLE = {CLASS_DEF, TEMP_DECL}
 
 
 class AstNode:
-    """One node; equal only to itself. `children`, `params` and `temps`
-    default to fresh lists. `links._copy` copies every field."""
+    """One node; equal only to itself. `children`, `params` and `temps` are
+    lists when non-empty and the shared `()` when empty, so a leaf holds
+    no list. `start`, `end` and `file` are the node's source range.
+    `links._copy` copies every field."""
 
-    __slots__ = ("kind", "span", "id", "children", "selector", "var_name",
-                 "value", "name", "superclass", "params", "temps", "parent",
-                 "original")
+    __slots__ = ("kind", "start", "end", "file", "id", "children",
+                 "selector", "var_name", "value", "name", "superclass",
+                 "params", "temps", "parent", "original")
 
-    def __init__(self, kind, span, id=0, children=None, selector=None,
-                 var_name=None, value=None, name=None, superclass=None,
-                 params=None, temps=None, parent=None, original=None):
+    def __init__(self, kind, start, end, file="<string>", id=0, children=(),
+                 selector=None, var_name=None, value=None, name=None,
+                 superclass=None, params=(), temps=(), parent=None,
+                 original=None):
         self.kind = kind
-        self.span = span
+        self.start = start
+        self.end = end
+        self.file = file
         self.id = id
-        self.children = [] if children is None else children
+        self.children = children or ()
         self.selector = selector    # MessageSend / MethodDef
         self.var_name = var_name    # VarRead / Assignment / SelfRef
         self.value = value          # Literal payload, LiteralArray items
         self.name = name            # ClassDef name
         self.superclass = superclass    # ClassDef
-        self.params = [] if params is None else params  # argument names
-        self.temps = [] if temps is None else temps  # temps, ClassDef slots
+        self.params = params or ()  # argument names
+        self.temps = temps or ()    # temps, ClassDef slots
         self.parent = parent
         self.original = original    # while a MetaHook
+
+    @property
+    def span(self):
+        return SourceSpan(self.start, self.end, self.file)
 
     def walk(self):
         """Pre-order, from an explicit stack: a chain may be any depth."""
@@ -333,6 +346,6 @@ def dump(node: AstNode) -> str:
         elif n.kind in (METHOD_DEF, BLOCK) and n.params:
             extra += " (%s)" % " ".join(n.params)
         line = "%s%s#%d %s [%d..%d]" % ("  " * d, n.kind, n.id, extra,
-                                        n.span.start, n.span.end)
+                                        n.start, n.end)
         lines.append(line.rstrip())
     return "\n".join(lines)

@@ -196,14 +196,13 @@ class Parser:
         tok = self.peek()
         raise MkSyntaxError(msg, SourceSpan(tok.start, tok.end, self.file))
 
-    def node(self, kind, start_tok, children=None, **kw):
+    def node(self, kind, start_tok, children=(), **kw):
         """A node spanning `start_tok` up to the last token consumed; the
         parent of each of `children`. (Before any token is consumed, index
         -1 reads the sentinel eof: the input holds no other token.)"""
         end = self.tokens[self.pos - 1].end
         start = start_tok.start
-        node = AstNode(kind, SourceSpan(start, end if end > start else start,
-                                        self.file),
+        node = AstNode(kind, start, end if end > start else start, self.file,
                        next(_NODE_IDS), children, **kw)
         if children:
             for child in children:
@@ -213,8 +212,8 @@ class Parser:
     def leaf(self, tok, kind, var_name=None, value=None):
         """A node of the one token `tok`, which it consumes."""
         self.pos += 1
-        return AstNode(kind, SourceSpan(tok.start, tok.end, self.file),
-                       next(_NODE_IDS), None, None, var_name, value)
+        return AstNode(kind, tok.start, tok.end, self.file, next(_NODE_IDS),
+                       (), None, var_name, value)
 
     def nest(self, open_tok):
         """Enter one nesting level opened by `open_tok`; the caller leaves
@@ -234,8 +233,8 @@ class Parser:
         decl = self.parse_temp_decl() if self.at("pipe") else None
         main = self.parse_sequence(stop="eof")
         if decl is not None:
-            main.children.insert(0, decl)
-            main.temps = list(decl.temps)
+            main.children = [decl, *main.children]
+            main.temps = decl.temps
             decl.parent = main
         self.expect("eof", "end of input")
         return Program(classes=classes, main=main, source=self.source)

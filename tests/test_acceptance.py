@@ -295,6 +295,7 @@ def test_twin_lifecycle_500_step_fuzzer():
     interp.run(classes)
     live = []                                   # [(link, node)]
     originals = {}          # node id -> (kind, child ids, original)
+    leaf_hooks = set()      # ids of leaves that were hooked
 
     def shape(root):
         return [(n.kind, n.id) for n in root.walk()]
@@ -334,6 +335,15 @@ def test_twin_lifecycle_500_step_fuzzer():
                     assert node.parent is (
                         None if original is rec.original_ast
                         else twin.copies[original.parent.id])
+                    # A copy has its own `children` list; a leaf's copy,
+                    # like the leaf, holds the shared empty tuple.
+                    if original.children:
+                        assert type(node.children) is list
+                        assert node.children is not original.children
+                    else:
+                        assert type(node.children) is tuple
+                        assert node.children is original.children
+                        leaf_hooks.add(node.id)
                 else:
                     assert node is original
                 # A hook is the twin's own copy, marked in place.
@@ -390,6 +400,7 @@ def test_twin_lifecycle_500_step_fuzzer():
             gone = set(rec.node_ids)
             live = [(l, n) for l, n in live if n.id not in gone]
         check_invariant()
+    assert len(leaf_hooks) >= 10
 
 
 # 7. Benchmark orderings (directional only; absolute rates are host

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mklang.cli import EXIT_INTERNAL, main
@@ -239,6 +241,64 @@ def test_dump_ast_a_long_send_chain(tmp_path, capsys):
     assert lines[0].startswith("ClassDef#")
     # ClassDef, MethodDef, Sequence, Return, 5000 sends, then a literal.
     assert max(len(l) - len(l.lstrip()) for l in lines) == 2 * 5004
+
+
+# A pin of `dump-ast` output: a class with slots, a keyword method with a
+# temp, a literal array, a block with a parameter and a `^`. Node ids are
+# process-wide, so the dump's ids are counted from its lowest one; every
+# other byte, spans included, is compared as printed.
+PINNED_SOURCE = """"an account"
+class Acct [ | balance log |
+    deposit: amount note: text [ | old |
+        old := balance.
+        balance := old + amount.
+        #(1 #two 'three' true nil) do: [ :x | log := x ].
+        ^ self ]
+]
+| a | a := Acct new. a deposit: 5 note: 'n'
+"""
+
+PINNED_DUMP = """\
+ClassDef#19 Acct [13..216]
+  TempDecl#1  [26..41]
+  MethodDef#18 deposit:note: (amount text) [46..214]
+    TempDecl#2  [75..82]
+    Sequence#17  [91..212]
+      Assignment#4 old [91..105]
+        VarRead#3 balance [98..105]
+      Assignment#8 balance [115..138]
+        MessageSend#7 + [126..138]
+          VarRead#5 old [126..129]
+          VarRead#6 amount [132..138]
+      MessageSend#14 do: [148..196]
+        LiteralArray#9 #(1 two 'three' true nil) [148..174]
+        Block#13  (x) [179..196]
+          Sequence#12  [186..194]
+            Assignment#11 log [186..194]
+              VarRead#10 x [193..194]
+      Return#16  [206..212]
+        SelfRef#15 self [208..212]
+Sequence#28  [223..260]
+  TempDecl#20  [217..222]
+  Assignment#23 a [223..236]
+    MessageSend#22 new [228..236]
+      VarRead#21 Acct [228..232]
+  MessageSend#27 deposit:note: [238..260]
+    VarRead#24 a [238..239]
+    Literal#25 5 [249..250]
+    Literal#26 'n' [257..260]
+"""
+
+
+def test_dump_ast_pinned_output(tmp_path, capsys):
+    path = write(tmp_path, "p.mk", PINNED_SOURCE)
+    assert run_cli(["dump-ast", path]) == 0
+    captured = capsys.readouterr()
+    node_id = re.compile(r"^( *[A-Za-z]+#)(\d+)", re.M)
+    base = min(int(m.group(2)) for m in node_id.finditer(captured.out)) - 1
+    rebased = node_id.sub(
+        lambda m: m.group(1) + str(int(m.group(2)) - base), captured.out)
+    assert (rebased, captured.err) == (PINNED_DUMP, "")
 
 
 def test_run_reopened_kernel_class_keeps_its_superclass(tmp_path, capsys):

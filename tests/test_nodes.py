@@ -3,6 +3,8 @@ oracle."""
 
 import random
 
+import pytest
+
 import mklang
 from mklang.kernel import KERNEL_SOURCE
 from mklang.nodes import (
@@ -31,23 +33,34 @@ def test_source_span_is_a_value():
 
 
 def test_ast_node_defaults_and_identity():
-    a = AstNode(VAR_READ, SourceSpan(0, 1))
-    b = AstNode(VAR_READ, SourceSpan(0, 1))
+    a = AstNode(VAR_READ, 0, 1)
+    b = AstNode(VAR_READ, 0, 1)
     assert (a.id, a.selector, a.var_name, a.value, a.name, a.superclass) \
         == (0, None, None, None, None, None)
     assert a.parent is None and a.original is None
-    assert a.children == [] and a.params == [] and a.temps == []
-    for field in ("children", "params", "temps"):
-        assert getattr(a, field) is not getattr(b, field)
-    a.children.append(b)
-    assert b.children == []
+    # An empty sequence is the one shared tuple, given or defaulted.
+    empty = AstNode(BLOCK, 0, 1, children=[], params=[], temps=[])
+    for node in (a, b, empty):
+        for field in ("children", "params", "temps"):
+            assert type(getattr(node, field)) is tuple
+            assert getattr(node, field) == ()
+            assert getattr(node, field) is getattr(a, field)
     assert a != b and a == a and len({a, b}) == 2
-    assert repr(AstNode(MESSAGE_SEND, SourceSpan(0, 1), 7, selector="+")) \
+    assert repr(AstNode(MESSAGE_SEND, 0, 1, id=7, selector="+")) \
         == "<MessageSend#7 +>"
-    full = AstNode(METHOD_DEF, SourceSpan(0, 9), 3, children=[a],
+    full = AstNode(METHOD_DEF, 0, 9, "a.mk", 3, children=[a],
                    selector="at:", params=["i"], temps=["t"])
     assert (full.children, full.selector, full.params, full.temps) \
         == ([a], "at:", ["i"], ["t"])
+
+
+def test_ast_node_span_is_built_from_its_fields():
+    node = AstNode(LITERAL, 3, 7, "a.mk", value=1)
+    assert (node.start, node.end, node.file) == (3, 7, "a.mk")
+    assert node.span == SourceSpan(3, 7, "a.mk")
+    assert AstNode(LITERAL, 0, 1).span == SourceSpan(0, 1, "<string>")
+    with pytest.raises(AttributeError):
+        node.span = SourceSpan(0, 1)
 
 
 # --- the recursive `unparse` this module's iterative one replaced ------------

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -147,6 +148,34 @@ def test_walk_is_the_recursive_preorder():
         roots += parse(source).classes
     for root in roots:
         assert list(root.walk()) == list(recursive_preorder(root))
+
+
+def test_a_parse_leaves_under_two_collected_objects_per_node():
+    """A parsed node is one object the cyclic collector tracks, plus a list
+    only where `children`, `params` or `temps` is non-empty; an empty one
+    is the shared `()`. The collector is paused only while counting."""
+    sources = [KERNEL_SOURCE, SAMPLE] + [
+        gen_program(random.Random(seed))[0] for seed in range(100)]
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        programs = [parse(source) for source in sources]
+        tracked = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    nodes = [n for program in programs
+             for root in program.classes + [program.main]
+             for n in root.walk()]
+    assert len(nodes) > 5000
+    assert tracked < 2 * len(nodes), tracked / len(nodes)
+    for n in nodes:
+        for field in ("children", "params", "temps"):
+            value = getattr(n, field)
+            assert (type(value) is list and value) or \
+                (type(value) is tuple and value == ()), (n, field, value)
 
 
 def test_find_nodes_queries():

@@ -528,7 +528,10 @@ SCOPE_CASES = {
         ("undefined variable Zed", "Zed := 5")),
     "a method cannot write a global either": (
         "class W [ set [ Zed := 5 ] ]\nZed := 7.\nW new set",
-        ("undefined variable Zed", "Zed := 5")),
+        ("a method cannot assign the global Zed", "Zed := 5")),
+    "a method cannot assign a class": (
+        "class W [ set [ Transcript := 5 ] ]\nW new set",
+        ("class Transcript cannot be assigned", "Transcript := 5")),
     "a class name read in a method": (
         "class T [ t [ ^ Transcript ] ]\n(T new t == Transcript) logCr",
         "true\n"),
@@ -568,3 +571,18 @@ def test_reads_and_writes_find_each_name_where_it_lives(source, expected):
     assert source[err.span.start:err.span.end] == span_text
     assert err.trace[0].split(" ")[0] in ("W>>set", "U>>r", "U>>w")
     assert err.trace[-1].startswith("top-level")
+
+
+@pytest.mark.parametrize("source", ["Transcript := 3.\n1 logCr",
+                                    "[ Transcript := 3 ] value.\n1 logCr"])
+def test_top_level_code_cannot_assign_a_class(source):
+    interp = Interpreter()
+    with pytest.raises(MkRuntimeError) as exc:
+        interp.run(source)
+    err = exc.value
+    assert str(err) == "class Transcript cannot be assigned"
+    assert source[err.span.start:err.span.end] == "Transcript := 3"
+    assert err.trace[-1].startswith("top-level")
+    assert "Transcript" not in interp.globals
+    assert interp.run("Transcript").value is interp.class_named("Transcript")
+    assert interp.run("1 logCr").output == "1\n"
