@@ -19,11 +19,15 @@ The unlinked path is kept cheap:
 * A `^` among a method body's own statements answers from
   `_run_method_body` directly. Only a `^` inside a block, or one carrying
   a link (a `MetaHook`), raises `MethodReturn`.
-* Node handlers call each other through `_handlers`, not through
+* Node handlers call each other through `_HANDLERS`, not through
   `eval_node`, so a send costs few Python frames and recursion reaches
   deeper before Python's limit turns it into "stack overflow".
+  `_HANDLERS` is one module-level table of plain functions called as
+  `h(interp, node, act)`, so no interpreter holds bound methods of itself.
 * A method's activation does not refer to itself as its `home`, so
   reference counting frees it when it returns, without the cyclic GC.
+  With the parent ids of `AstNode`, an unlinked interpreter holds no
+  reference cycle of its own and is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -178,19 +182,6 @@ class Interpreter:
         self.hook_visits = 0
         self.registry_consults = 0
         self.random = _random.Random(seed)
-        self._handlers = {
-            LITERAL: self._eval_literal,
-            LITERAL_ARRAY: self._eval_literal_array,
-            SELF_REF: self._eval_self,
-            VAR_READ: self._eval_var_read,
-            ASSIGNMENT: self._eval_assignment,
-            RETURN: self._eval_return,
-            SEQUENCE: self._eval_sequence,
-            BLOCK: self._eval_block,
-            MESSAGE_SEND: self._eval_message,
-            TEMP_DECL: self._eval_temp_decl,
-            META_HOOK: self._eval_hook,
-        }
         self.kernel_classes = frozenset()
         from .kernel import install_kernel
         install_kernel(self)
@@ -227,6 +218,9 @@ class Interpreter:
                 if cdef.name not in classes:
                     classes[cdef.name] = ClassRecord(cdef.name)
             for cdef in program.classes:
+                if cdef.name in self.globals:  # it would hide the class
+                    raise MkRuntimeError("the global %s cannot become a "
+                                         "class" % cdef.name)
                 cls = classes[cdef.name]
                 cls.slot_names += [t for t in dict.fromkeys(cdef.temps)
                                    if t not in cls.slot_names]
@@ -472,17 +466,17 @@ class Interpreter:
         """Evaluate a method body. A `^` among the body's own statements
         answers directly; only a `^` in a block, or a hooked one, raises
         `MethodReturn`, which lands here when `act` is its home."""
-        handlers = self._handlers
+        handlers = _HANDLERS
         body = mdef.children[-1]
         try:
             if body.kind != SEQUENCE:        # the body sequence is hooked
-                handlers[body.kind](body, act)
+                handlers[body.kind](self, body, act)
                 return act.receiver
             for stmt in body.children:
                 if stmt.kind == RETURN:
                     expr = stmt.children[0]
-                    return handlers[expr.kind](expr, act)
-                handlers[stmt.kind](stmt, act)
+                    return handlers[expr.kind](self, expr, act)
+                handlers[stmt.kind](self, stmt, act)
         except MethodReturn as mr:
             if mr.target is act:
                 return mr.value
@@ -492,19 +486,10 @@ class Interpreter:
     # -- evaluation -------------------------------------------------------
 
     def eval_node(self, node, act):
-        return self._handlers[node.kind](node, act)
-
-    def _eval_literal(self, node, act):
-        return node.value
+        return _HANDLERS[node.kind](self, node, act)
 
     def _eval_literal_array(self, node, act):
         return Array(self.classes["Array"], list(node.value))
-
-    def _eval_self(self, node, act):
-        return act.receiver
-
-    def _eval_temp_decl(self, node, act):
-        return None
 
     def scope_of(self, name, act):
         """The mapping a read of `name` in `act` finds it in: the temps of
@@ -536,8 +521,8 @@ class Interpreter:
 
     def _eval_assignment(self, node, act):
         expr = node.children[0]
-        return self.write_var(node.var_name,
-                              self._handlers[expr.kind](expr, act), act, node)
+        value = _HANDLERS[expr.kind](self, expr, act)
+        return self.write_var(node.var_name, value, act, node)
 
     def write_var(self, name, value, act, node=None):
         """Bind `name` to `value` and answer `value`. Only the top level
@@ -566,31 +551,28 @@ class Interpreter:
 
     def _eval_return(self, node, act):
         expr = node.children[0]
-        raise MethodReturn(act.home, self._handlers[expr.kind](expr, act))
+        raise MethodReturn(act.home, _HANDLERS[expr.kind](self, expr, act))
 
     def _eval_sequence(self, node, act):
-        handlers = self._handlers
+        handlers = _HANDLERS
         result = None
         for stmt in node.children:
-            result = handlers[stmt.kind](stmt, act)
+            result = handlers[stmt.kind](self, stmt, act)
         return result
 
-    def _eval_block(self, node, act):
-        return Block(node, act)
-
     def _eval_message(self, node, act):
-        handlers = self._handlers
+        handlers = _HANDLERS
         children = node.children
         rnode = children[0]
         if rnode.kind == SELF_REF:
             receiver = act.receiver
         else:
-            receiver = handlers[rnode.kind](rnode, act)
+            receiver = handlers[rnode.kind](self, rnode, act)
         # A loop, not a comprehension: under CPython 3.11 a comprehension
         # is one more Python frame per send.
         args = []
         for c in children[1:]:
-            args.append(handlers[c.kind](c, act))
+            args.append(handlers[c.kind](self, c, act))
         # `super` makes a super send, hooked or not: a hook keeps the
         # `var_name` of the node it marks, and only `super` is so named.
         if rnode.var_name == "super":
@@ -622,6 +604,7 @@ class Interpreter:
         home = defining._home or defining
         act = Activation(home.receiver, home.method, list(args), sender,
                          dict(zip(node.params, args)), defining, home)
+        act.current_node = node
         body = node.children[0] if node.children else None
         if node.kind == META_HOOK:
             # Read the body's kind late: a before-link may unmark its hook.
@@ -630,7 +613,7 @@ class Interpreter:
             return self._trigger(node.original, act, perform, None, args)
         if body is None:
             return None
-        return self._handlers[body.kind](body, act)
+        return _HANDLERS[body.kind](self, body, act)
 
     # -- hooks and triggering ---------------------------------------------
 
@@ -638,34 +621,34 @@ class Interpreter:
         """Evaluate a marked copy as the node it copies, under its links.
         `orig` is read once: if its link goes meanwhile, it ends as a hook."""
         self.hook_visits += 1
-        handlers = self._handlers
+        handlers = _HANDLERS
         orig = hook.original
         kind = orig.kind
         receiver = args = value = None
         if kind == MESSAGE_SEND:
             children = hook.children
             rnode = children[0]
-            receiver = handlers[rnode.kind](rnode, act)
+            receiver = handlers[rnode.kind](self, rnode, act)
             send = (self._send_super if rnode.var_name == "super"
                     else self.send)
             args = []
             for c in children[1:]:
-                args.append(handlers[c.kind](c, act))
+                args.append(handlers[c.kind](self, c, act))
             perform = partial(send, receiver, hook.selector, args, act, orig)
         elif kind == ASSIGNMENT:
             expr = hook.children[0]
-            value = handlers[expr.kind](expr, act)
+            value = handlers[expr.kind](self, expr, act)
             perform = partial(self.write_var, hook.var_name, value, act, orig)
         elif kind == RETURN:
             expr = hook.children[0]
-            value = handlers[expr.kind](expr, act)
+            value = handlers[expr.kind](self, expr, act)
             raise MethodReturn(act.home, self._trigger(
                 orig, act, lambda: value, None, None, value, False))
         elif kind == BLOCK:
             # Fires at each invocation of the closure, not at its creation.
             return Block(hook, act)
         else:
-            perform = partial(handlers[kind], hook, act)
+            perform = partial(handlers[kind], self, hook, act)
         return self._trigger(orig, act, perform, receiver, args, value)
 
     def _trigger(self, orig, act, perform, receiver=None, args=None,
@@ -841,6 +824,23 @@ class Interpreter:
     @staticmethod
     def _article(name):
         return ("an " if name[:1] in "AEIOU" else "a ") + name
+
+
+# Node kind -> handler: one table of plain functions, each called as
+# `h(interp, node, act)`, so no interpreter holds bound methods of itself.
+_HANDLERS = {
+    LITERAL: lambda interp, node, act: node.value,
+    SELF_REF: lambda interp, node, act: act.receiver,
+    TEMP_DECL: lambda interp, node, act: None,
+    BLOCK: lambda interp, node, act: Block(node, act),
+    LITERAL_ARRAY: Interpreter._eval_literal_array,
+    VAR_READ: Interpreter._eval_var_read,
+    ASSIGNMENT: Interpreter._eval_assignment,
+    RETURN: Interpreter._eval_return,
+    SEQUENCE: Interpreter._eval_sequence,
+    MESSAGE_SEND: Interpreter._eval_message,
+    META_HOOK: Interpreter._eval_hook,
+}
 
 
 def run_program(source, seed=0) -> RunResult:

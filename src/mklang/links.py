@@ -225,7 +225,11 @@ class LinkRegistry:
         return node_id in self.class_wide or node_id in self.object_centric
 
     def linked_ids(self, node_ids):
-        return {nid for nid in node_ids if self.has_links(nid)}
+        """The ids among `node_ids` that have links. `&` with a dict view
+        iterates the smaller side: the registry's few linked ids, or a
+        method's `node_ids` view."""
+        return (self.class_wide.keys() & node_ids
+                | self.object_centric.keys() & node_ids)
 
 
 def _discard(buckets, key, link):
@@ -259,38 +263,40 @@ def weave(interp, record) -> "ReflectiveMethod | None":
         return None
     twin = ReflectiveMethod()
     root = record.original_ast
-    twin.woven_ast = twin.copies[root.id] = _copy(root, None)
+    twin.woven_ast = twin.copies[root.id] = _copy(root)
     for node_id in linked:
-        _wrap(twin, record.node_index[node_id])
+        _wrap(twin, node_id, record.node_index)
     record.twin = twin
     return twin
 
 
-def _wrap(twin, original):
-    """Mark the twin's copy of `original` as its hook, first copying the
-    path up to the spine (copy-on-write): up the originals' `parent`,
-    which no weave writes, at the latest to the method root. Each copy
-    takes its original's slot in its parent copy's `children`."""
+def _wrap(twin, node_id, index):
+    """Mark the twin's copy of node `node_id` as its hook, first copying
+    the path up to the spine (copy-on-write): up the originals' `parent`
+    ids, through `index` (the method's id -> original node), at the latest
+    to the method root. Each copy takes its original's slot in its parent
+    copy's `children`."""
     copies = twin.copies
     path = []
-    node = original
+    node = original = index[node_id]
     while node.id not in copies:
         path.append(node)
-        node = node.parent
+        node = index[node.parent]
     parent = copies[node.id]
     for node in reversed(path):
-        copy = copies[node.id] = _copy(node, parent)
+        copy = copies[node.id] = _copy(node)
         children = parent.children
         children[children.index(node)] = copy
         parent = copy
-    copy = twin.hook_table[original.id] = copies[original.id]
+    copy = twin.hook_table[node_id] = copies[node_id]
     copy.original = original
     copy.kind = META_HOOK
 
 
-def _copy(node, parent):
-    """A spine node: `node`'s fields, its own `children` (a leaf's is the
-    shared `()`) and `parent`."""
+def _copy(node):
+    """A spine node: `node`'s fields, with its own `children` (a leaf's is
+    the shared `()`). A copy has its original's id, so the original's
+    `parent` id names the parent's copy too."""
     dup = object.__new__(AstNode)
     dup.kind = node.kind
     dup.start = node.start
@@ -305,7 +311,7 @@ def _copy(node, parent):
     dup.superclass = node.superclass
     dup.params = node.params
     dup.temps = node.temps
-    dup.parent = parent
+    dup.parent = node.parent
     dup.original = None
     return dup
 
@@ -318,7 +324,7 @@ def add_hook(interp, record, node_id):
     if twin is None:
         weave(interp, record)
     elif node_id not in twin.hook_table:
-        _wrap(twin, record.node_index[node_id])
+        _wrap(twin, node_id, record.node_index)
 
 
 def drop_hook(interp, node_id):

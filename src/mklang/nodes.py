@@ -2,8 +2,9 @@
 
 Nodes are immutable after parse (link machinery never mutates them; weaving
 copies the path from a method's root to each linked node and shares every
-other subtree); the parser sets each node's `parent` as it builds the
-parent. A node is one object for the cyclic garbage collector to track,
+other subtree); the parser sets each node's `parent` to its parent's id,
+so a tree holds no reference cycle and reference counting frees it once
+dropped. A node is one object for the cyclic garbage collector to track,
 plus one list per non-empty `children`, `params` or `temps` (an empty one
 is the shared `()`); its source range is three plain fields, from which
 `span` builds a `SourceSpan` on demand. Node ids are unique in the
@@ -72,7 +73,9 @@ class AstNode:
     """One node; equal only to itself. `children`, `params` and `temps` are
     lists when non-empty and the shared `()` when empty, so a leaf holds
     no list. `start`, `end` and `file` are the node's source range.
-    `links._copy` copies every field."""
+    `parent` is the parent's id (the parent's own int object), None at a
+    root; a node refers to no node above it. `links._copy` copies every
+    field."""
 
     __slots__ = ("kind", "start", "end", "file", "id", "children",
                  "selector", "var_name", "value", "name", "superclass",
@@ -331,8 +334,7 @@ def _arg(parent, child):
 def dump(node: AstNode) -> str:
     """Indented one-node-per-line rendering with ids and spans.
 
-    Depths come from the walk itself, not from `parent`: a woven twin
-    shares subtrees whose `parent` is an original node."""
+    Depths come from the walk itself, not from `parent`, which is an id."""
     lines = []
     stack = [(node, 0)]
     while stack:

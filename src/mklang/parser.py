@@ -12,7 +12,8 @@ Grammar (informally):
 
 Comments are double-quoted, Smalltalk style. Parsing is reentrant and
 produces no partial results: any malformed input raises MkSyntaxError
-with a span. `node` sets each node's `parent` as it builds the parent.
+with a span. `node` sets each child's `parent` to the id of the node it
+builds, so a tree holds no reference cycle.
 Only bracket nesting recurses (see MAX_NESTING); send chains are loops.
 """
 
@@ -197,17 +198,18 @@ class Parser:
         raise MkSyntaxError(msg, SourceSpan(tok.start, tok.end, self.file))
 
     def node(self, kind, start_tok, children=(), **kw):
-        """A node spanning `start_tok` up to the last token consumed; the
-        parent of each of `children`. (Before any token is consumed, index
-        -1 reads the sentinel eof: the input holds no other token.)"""
+        """A node spanning `start_tok` up to the last token consumed, whose
+        id each of `children` takes as its `parent`. (Before any token is
+        consumed, index -1 reads the sentinel eof: the input holds no other
+        token.)"""
         end = self.tokens[self.pos - 1].end
         start = start_tok.start
-        node = AstNode(kind, start, end if end > start else start, self.file,
-                       next(_NODE_IDS), children, **kw)
+        node_id = next(_NODE_IDS)
         if children:
             for child in children:
-                child.parent = node
-        return node
+                child.parent = node_id
+        return AstNode(kind, start, end if end > start else start, self.file,
+                       node_id, children, **kw)
 
     def leaf(self, tok, kind, var_name=None, value=None):
         """A node of the one token `tok`, which it consumes."""
@@ -235,7 +237,7 @@ class Parser:
         if decl is not None:
             main.children = [decl, *main.children]
             main.temps = decl.temps
-            decl.parent = main
+            decl.parent = main.id
         self.expect("eof", "end of input")
         return Program(classes=classes, main=main, source=self.source)
 

@@ -321,9 +321,10 @@ def test_twin_lifecycle_500_step_fuzzer():
             assert shape(twin.woven_ast) == shape(reference.woven_ast) == [
                 (META_HOOK if nid in twin.hook_table else kind, nid)
                 for kind, nid in shape(rec.original_ast)]
-            # Only the spine is copied: a node in `copies` is fresh, and its
-            # parent is the copy of its original's parent (None at the
-            # root); every other node reached is the original itself.
+            # Only the spine is copied: a node in `copies` is fresh, it
+            # keeps its original's parent id, and below the root that id
+            # names the copy that holds it; every other node reached is
+            # the original itself.
             reached = set()
             for node in twin.woven_ast.walk():
                 original = rec.node_index[node.id]
@@ -332,9 +333,10 @@ def test_twin_lifecycle_500_step_fuzzer():
                     assert twin.copies[node.id] is node
                     assert node is not original
                     assert node is not reference.copies.get(node.id)
-                    assert node.parent is (
-                        None if original is rec.original_ast
-                        else twin.copies[original.parent.id])
+                    assert node.parent is original.parent
+                    if original is not rec.original_ast:
+                        assert any(c is node for c in
+                                   twin.copies[node.parent].children)
                     # A copy has its own `children` list; a leaf's copy,
                     # like the leaf, holds the shared empty tuple.
                     if original.children:

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,9 @@ from mklang.errors import (
     MkRuntimeError, NodeNotInstallable, PhaseUnavailable,
 )
 from mklang.interpreter import CompiledMethodRecord
-from mklang.links import install, invalidate, remove, uninstall, weave
+from mklang.links import (
+    LinkRegistry, install, invalidate, remove, uninstall, weave,
+)
 from mklang.nodes import BLOCK, META_HOOK, dump, find_nodes, unparse
 from mklang.parser import parse_method
 from mklang.values import Array, HostFunction
@@ -341,6 +344,28 @@ def test_weave_is_idempotent_from_registry_state(interp):
     assert len(record.twin.hook_table) == 1
     assert interp.run("""| c |
 c := Counter new. c increment. c count logCr""").output == "1\n"
+
+
+def test_linked_ids_match_a_scan_of_every_node_on_random_registries():
+    """`linked_ids` intersects dict views, iterating the smaller side; on
+    any registry it answers what asking `has_links` of each node does."""
+    rng = random.Random(7)
+    for _ in range(300):
+        reg = LinkRegistry()
+        links = [MetaLink() for _ in range(3)]
+        targets = [object() for _ in range(3)]
+        sites = []
+        for _ in range(rng.randrange(12)):
+            site = (rng.randrange(1, 80), rng.choice(links),
+                    rng.choice([None] + targets))
+            reg.add(SimpleNamespace(id=site[0]), *site[1:])
+            sites.append(site)
+        for site in rng.sample(sites, rng.randrange(len(sites) + 1)):
+            reg.remove(*site)
+        node_ids = dict.fromkeys(
+            rng.sample(range(1, 80), rng.randrange(60))).keys()
+        assert reg.linked_ids(node_ids) == \
+            {nid for nid in node_ids if reg.has_links(nid)}
 
 
 def test_per_node_remove_unwraps_in_place_without_copying():
@@ -781,12 +806,14 @@ def deep(fn):
 
 def test_a_link_on_the_root_of_a_5000_term_chain_copies_only_the_root():
     interp = Interpreter()
-    interp.run(CHAIN)
+    cdef = interp.load(CHAIN).classes[0]
     record = interp.lookup_method("A", "m")
     root = record.original_ast
     install(interp, recording_link([], "a"), root)
     hook = record.twin.woven_ast
-    assert hook.kind == META_HOOK and hook.parent is None
+    # The root copy keeps its original's parent: the id of the class.
+    assert root.parent is cdef.id
+    assert hook.kind == META_HOOK and hook.parent is cdef.id
     assert hook.original is root
     assert record.twin.copies == {root.id: hook}
     woven, original = list(hook.walk()), list(root.walk())
@@ -813,7 +840,8 @@ def test_a_link_on_the_deepest_node_of_a_5000_term_chain_copies_its_path():
     spine = [twin.copies[n.id] for n in path]
     assert spine[0] is twin.woven_ast and spine[-1].original is path[-1]
     for node, copy, below in zip(path, spine, spine[1:]):
-        assert copy.children[0] is below and below.parent is copy
+        assert copy.children[0] is below and below.parent is copy.id
+        assert twin.copies[below.parent] is copy
         assert all(a is b for a, b in zip(copy.children[1:],
                                           node.children[1:]))
     assert deep(lambda: interp.run("A new m").value) == 5001

@@ -122,17 +122,19 @@ def test_node_ids_unique_and_spans_inside_source():
 
 
 def test_parent_links():
+    """A child's `parent` is its parent's own id object, not a new int,
+    and ids are unique, so it names exactly one node."""
     program = parse(SAMPLE)
     for root in program.classes + [program.main]:
         assert root.parent is None
         for n in root.walk():
             for c in n.children:
-                assert c.parent is n
+                assert c.parent is n.id
     decl = program.main.children[0]
-    assert decl.kind == TEMP_DECL and decl.parent is program.main
+    assert decl.kind == TEMP_DECL and decl.parent is program.main.id
     method = parse_method("at: i put: v [ | t | t := v. ^ t ]")
     assert method.parent is None
-    assert all(c.parent is n for n in method.walk() for c in n.children)
+    assert all(c.parent is n.id for n in method.walk() for c in n.children)
 
 
 def recursive_preorder(node):
@@ -148,6 +150,21 @@ def test_walk_is_the_recursive_preorder():
         roots += parse(source).classes
     for root in roots:
         assert list(root.walk()) == list(recursive_preorder(root))
+
+
+def test_a_dropped_parse_result_is_freed_without_the_cyclic_gc():
+    """A node names its parent by id, so a tree holds no reference cycle."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        program = parse(KERNEL_SOURCE)
+        assert program.classes
+        del program
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_a_parse_leaves_under_two_collected_objects_per_node():

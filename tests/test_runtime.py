@@ -1,9 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkbench.workloads import make_programs
 from mklang import Interpreter
 from mklang.errors import MkError, MkRuntimeError
 from mklang.interpreter import run_program
@@ -465,7 +468,6 @@ D new down: 150""")
 
 
 def test_unlinked_sends_leave_no_cyclic_garbage():
-    import gc
     interp = Interpreter()
     interp.run("class A [ m: n [ | t | t := n + 1. ^ self k: t ] "
                "k: n [ n > 2 ifTrue: [ ^ n ]. ^ 0 ] ]")
@@ -477,6 +479,27 @@ def test_unlinked_sends_leave_no_cyclic_garbage():
             interp.send(a, "m:", [n])
         # Activations are freed by reference counting as they return.
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_dropped_unlinked_interpreter_is_freed_without_the_cyclic_gc(seed):
+    """No AST node refers to its parent and no handler table holds bound
+    methods, so reference counting alone frees a finished interpreter. A
+    weakref shows it, not `gc.collect() == 0`: a program may make its own
+    block/activation cycles."""
+    programs = make_programs(seed)
+    gc.collect()
+    gc.disable()
+    try:
+        for program in programs:
+            interp = Interpreter(seed=program.seed)
+            result = interp.run(program.source)
+            assert result.output == program.expected
+            dead = weakref.ref(interp)
+            del interp, result
+            assert dead() is None, program.kernel
     finally:
         gc.enable()
 
@@ -586,3 +609,29 @@ def test_top_level_code_cannot_assign_a_class(source):
     assert "Transcript" not in interp.globals
     assert interp.run("Transcript").value is interp.class_named("Transcript")
     assert interp.run("1 logCr").output == "1\n"
+
+
+def test_a_global_cannot_become_a_class():
+    """The other load order: a class loaded after a global of its name
+    would hide the global, so the load fails and is undone."""
+    interp = Interpreter()
+    interp.run("X := 1")
+    with pytest.raises(MkRuntimeError) as exc:
+        interp.run("class Y [ ]\nclass X [ m [ ^ 2 ] ]")
+    assert str(exc.value) == "the global X cannot become a class"
+    assert "X" not in interp.classes and "Y" not in interp.classes
+    assert interp.run("X").value == 1
+    assert interp.run("class Y [ m [ ^ 2 ] ]\nY new m").value == 2
+
+
+@pytest.mark.parametrize("source, frames", [
+    ("[ Transcript := 3 ] value",
+     ["top-level (<string>:0..19)", "top-level (<string>:0..25)"]),
+    ("class B [ m [ ^ [ nope ] value ] ]\nB new m",
+     ["B>>m (<string>:16..24)", "B>>m (<string>:16..30)",
+      "top-level (<string>:35..42)"]),
+])
+def test_a_block_frame_in_a_trace_shows_the_block(source, frames):
+    with pytest.raises(MkRuntimeError) as exc:
+        run_program(source)
+    assert exc.value.trace == frames
