@@ -83,24 +83,28 @@ def _read(path):
     raise SystemExit(EXIT_USAGE)
 
 
+def _report(exc):
+    """Print an error of the program on stderr, its trace under it, and
+    answer the exit code."""
+    if isinstance(exc, MkSyntaxError):
+        print("syntax error: %s" % exc, file=sys.stderr)
+        return EXIT_SYNTAX
+    kind = "runtime error" if isinstance(exc, MkRuntimeError) else "error"
+    print("%s: %s" % (kind, exc), file=sys.stderr)
+    for line in exc.trace:
+        print("  " + line, file=sys.stderr)
+    return EXIT_RUNTIME
+
+
 def cmd_run(args):
     source = _read(args.file)
     interp = Interpreter(seed=args.seed)
     try:
         result = interp.run(source, file=args.file)
-    except MkSyntaxError as exc:
-        print("syntax error: %s" % exc, file=sys.stderr)
-        return EXIT_SYNTAX
-    except MkRuntimeError as exc:
-        sys.stdout.write(interp.output_text())
-        print("runtime error: %s" % exc, file=sys.stderr)
-        for line in exc.trace:
-            print("  " + line, file=sys.stderr)
-        return EXIT_RUNTIME
     except MkError as exc:
+        # A syntax error stops the load before anything runs or prints.
         sys.stdout.write(interp.output_text())
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_RUNTIME
+        return _report(exc)
     except Exception as exc:
         # Last resort: the program's own errors are all MkErrors above.
         sys.stdout.write(interp.output_text())
@@ -146,15 +150,8 @@ def cmd_dump_ast(args):
     interp = Interpreter()
     try:
         program = interp.load(source, file=args.file)
-    except MkSyntaxError as exc:
-        print("syntax error: %s" % exc, file=sys.stderr)
-        return EXIT_SYNTAX
-    except MkRuntimeError as exc:
-        print("runtime error: %s" % exc, file=sys.stderr)
-        return EXIT_RUNTIME
     except MkError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_RUNTIME
+        return _report(exc)
     if args.class_name:
         try:
             node = interp.method_ast(args.class_name, args.selector)

@@ -2,14 +2,20 @@
 
 
 class MkError(Exception):
-    """Base class for every user-visible error of the language kit."""
+    """Base class for every user-visible error of the language kit.
+
+    Carries the source span of the failing node and a snapshot of the
+    activation chain (innermost first) when available. An error raised
+    under a send without them gets both from that send
+    (`Interpreter.locate`)."""
+
+    def __init__(self, message, span=None, trace=None):
+        super().__init__(message)
+        self.span = span
+        self.trace = list(trace or [])
 
 
 class MkSyntaxError(MkError):
-    def __init__(self, message, span=None):
-        super().__init__(message)
-        self.span = span
-
     def __str__(self):
         base = super().__str__()
         if self.span is not None:
@@ -18,16 +24,7 @@ class MkSyntaxError(MkError):
 
 
 class MkRuntimeError(MkError):
-    """Runtime failure (doesNotUnderstand, undefined variable, overflow...).
-
-    Carries the source span of the failing node and a snapshot of the
-    activation chain (innermost first) when available.
-    """
-
-    def __init__(self, message, span=None, trace=None):
-        super().__init__(message)
-        self.span = span
-        self.trace = list(trace or [])
+    """Runtime failure (doesNotUnderstand, undefined variable, overflow...)."""
 
 
 class UnknownClass(MkError):
@@ -86,8 +83,7 @@ class HaltSignal(MkError):
     """
 
     def __init__(self, trace=None):
-        super().__init__("Halt")
-        self.trace = list(trace or [])
+        super().__init__("Halt", trace=trace)
 
 
 class MethodReturn(Exception):

@@ -136,14 +136,13 @@ class Activation:
     """One running method or block. A block's activation shares its home
     method activation's `receiver` and `method`."""
 
-    __slots__ = ("receiver", "method", "arguments", "temps", "sender",
-                 "current_node", "lexical_parent", "_home")
+    __slots__ = ("receiver", "method", "temps", "sender", "current_node",
+                 "lexical_parent", "_home")
 
-    def __init__(self, receiver, method, arguments, sender, temps=None,
+    def __init__(self, receiver, method, sender, temps=None,
                  lexical_parent=None, home=None):
         self.receiver = receiver
         self.method = method
-        self.arguments = arguments
         self.temps = {} if temps is None else temps
         self.sender = sender
         self.current_node = None
@@ -274,7 +273,7 @@ class Interpreter:
             cls.cache.clear()
 
     def _compile_method(self, cls, mdef, source):
-        sig = MethodSignature(cls.name, mdef.selector, len(mdef.params))
+        sig = MethodSignature(cls.name, mdef.selector)
         record = CompiledMethodRecord(sig, mdef, source)
         old = cls.methods.get(mdef.selector)
         if isinstance(old, CompiledMethodRecord):
@@ -295,9 +294,7 @@ class Interpreter:
         """Load class definitions and evaluate the top-level sequence."""
         mark = len(self.output)
         program = self.load(source, file)
-        top = Activation(None, None, [], None)
-        for t in program.main.temps:
-            top.temps[t] = None
+        top = Activation(None, None, None, dict.fromkeys(program.main.temps))
         try:
             try:
                 value = self.eval_node(program.main, top)
@@ -416,31 +413,41 @@ class Interpreter:
             cls = receiver.class_ref
         else:
             cls = self._type_classes.get(t)
-        if cls is not None:
-            rec = cls.cache.get(selector)
+        try:
+            if cls is not None:
+                rec = cls.cache.get(selector)
+                if rec is None:
+                    rec = cls.lookup(selector)
+            elif isinstance(receiver, HostFunction):
+                return receiver.fn(*args)
+            elif isinstance(receiver, ClassRecord):
+                rec = receiver.lookup_class_side(selector)
+                if rec is None:
+                    rec = self.classes["Object"].lookup(selector)
+            else:
+                rec = self.class_of(receiver).lookup(selector)
             if rec is None:
-                rec = cls.lookup(selector)
-        elif isinstance(receiver, HostFunction):
-            return receiver.fn(*args)
-        elif isinstance(receiver, ClassRecord):
-            rec = receiver.lookup_class_side(selector)
-            if rec is None:
-                rec = self.classes["Object"].lookup(selector)
-        else:
-            rec = self.class_of(receiver).lookup(selector)
-        if rec is None:
-            self.does_not_understand(receiver, selector, sender, node)
-        if rec.__class__ is PrimitiveMethod:
-            return rec.fn(self, receiver, args, sender)
+                self.does_not_understand(receiver, selector)
+            if rec.__class__ is PrimitiveMethod:
+                return rec.fn(self, receiver, args, sender)
+        except MkError as exc:
+            self.locate(exc, sender, node)
+            raise
         return self.execute_method(rec, receiver, args, sender)
 
-    def does_not_understand(self, receiver, selector, sender, node=None):
-        cls_name = (receiver.name if isinstance(receiver, ClassRecord)
-                    else self.class_of(receiver).name)
-        span = node.span if node is not None else None
-        raise MkRuntimeError(
-            "%s doesNotUnderstand: #%s" % (cls_name, selector),
-            span=span, trace=self.stack_snapshot(sender))
+    def locate(self, exc, sender, node):
+        """Stamp an error no inner send located with this send's span (or
+        the sender's current node's) and the sender's trace."""
+        if not exc.trace:
+            node = node or (sender and sender.current_node)
+            exc.span = node and node.span
+            exc.trace = self.stack_snapshot(sender)
+
+    def does_not_understand(self, receiver, selector):
+        cls = (receiver if isinstance(receiver, ClassRecord)
+               else self.class_of(receiver))
+        raise MkRuntimeError("%s doesNotUnderstand: #%s"
+                             % (cls.name, selector))
 
     def execute_method(self, record, receiver, args, sender):
         twin = record.twin
@@ -448,12 +455,11 @@ class Interpreter:
         if len(args) != len(mdef.params):
             raise MkRuntimeError(
                 "wrong number of arguments for #%s: expected %d, got %d"
-                % (record.signature.selector, len(mdef.params), len(args)),
-                trace=self.stack_snapshot(sender))
+                % (record.signature.selector, len(mdef.params), len(args)))
         temps = dict(zip(mdef.params, args))
         for t in mdef.temps:
             temps[t] = None
-        act = Activation(receiver, record, list(args), sender, temps)
+        act = Activation(receiver, record, sender, temps)
         act.current_node = mdef
         if mdef.kind == META_HOOK:
             self.hook_visits += 1
@@ -585,10 +591,14 @@ class Interpreter:
             if method is not None else None
         start = defining.superclass if defining is not None else None
         rec = start.lookup(selector) if start is not None else None
-        if rec is None:
-            self.does_not_understand(receiver, selector, act, node)
-        if isinstance(rec, PrimitiveMethod):
-            return rec.fn(self, receiver, args, act)
+        try:
+            if rec is None:
+                self.does_not_understand(receiver, selector)
+            if rec.__class__ is PrimitiveMethod:
+                return rec.fn(self, receiver, args, act)
+        except MkError as exc:
+            self.locate(exc, act, node)
+            raise
         return self.execute_method(rec, receiver, args, act)
 
     # -- blocks -----------------------------------------------------------
@@ -598,11 +608,10 @@ class Interpreter:
         if len(args) != len(node.params):
             raise MkRuntimeError(
                 "block expects %d argument(s), got %d"
-                % (len(node.params), len(args)),
-                trace=self.stack_snapshot(sender))
+                % (len(node.params), len(args)))
         defining = block.defining_activation
         home = defining._home or defining
-        act = Activation(home.receiver, home.method, list(args), sender,
+        act = Activation(home.receiver, home.method, sender,
                          dict(zip(node.params, args)), defining, home)
         act.current_node = node
         body = node.children[0] if node.children else None
@@ -661,10 +670,7 @@ class Interpreter:
         links = reg.class_wide.get(orig.id, ())
         per_obj = reg.object_centric.get(orig.id)
         if per_obj is not None:
-            try:
-                links += per_obj.get(act.receiver, ())
-            except TypeError:  # unhashable receiver cannot be a target
-                pass
+            links += per_obj.get(act.receiver, ())
         if not links:
             return perform()
         return self.run_trigger(links, TriggerContext(
@@ -760,12 +766,6 @@ class Interpreter:
     def new_array(self, items=None, ordered=False):
         cls = self.classes["OrderedCollection" if ordered else "Array"]
         return Array(cls, items if items is not None else [])
-
-    def check_int(self, value, act=None):
-        if not (INT_MIN <= value <= INT_MAX):
-            raise MkRuntimeError("integer overflow",
-                                 trace=self.stack_snapshot(act))
-        return value
 
     def stack_snapshot(self, act):
         lines = []

@@ -79,6 +79,12 @@ def _need_int(v):
     return v
 
 
+def _check_int(v):
+    if not INT_MIN <= v <= INT_MAX:
+        raise MkRuntimeError("integer overflow")
+    return v
+
+
 def _need_block(v):
     if not isinstance(v, Block):
         raise MkRuntimeError("a Block argument is required")
@@ -142,9 +148,8 @@ def _object_protocol(interp, obj):
             if cls.name == "Array":
                 return Array(recv, [])
             if cls.name in HOST_MADE:
-                raise MkRuntimeError(
-                    "%s cannot be instantiated with #new" % recv.name,
-                    trace=interp.stack_snapshot(sender))
+                raise MkRuntimeError("%s cannot be instantiated with #new"
+                                     % recv.name)
             cls = cls.superclass
         inst = Instance(recv, {name: None for name in recv.all_slot_names()})
         init = recv.lookup("initialize")
@@ -161,7 +166,7 @@ def _object_protocol(interp, obj):
         if record is None or isinstance(record, PrimitiveMethod):
             return None
         from .reify import MethodMirror
-        return MethodMirror(interp, record)
+        return MethodMirror(record)
 
     _cprim(obj, "lookupSelector:", lookup_sel)
     _prim(obj, "printString", lambda i, r, a, s: i.print_string(r))
@@ -177,8 +182,7 @@ def _object_protocol(interp, obj):
           lambda i, r, a, s: i.lookup_selector(r, str(a[0])) is not None)
 
     def error(interp, recv, args, sender):
-        raise MkRuntimeError(interp.print_string(args[0]),
-                             trace=interp.stack_snapshot(sender))
+        raise MkRuntimeError(interp.print_string(args[0]))
     _prim(obj, "error:", error)
 
     def if_nil(interp, recv, args, sender):
@@ -225,14 +229,14 @@ def _boolean_protocol(interp, cls):
 def _integer_protocol(interp, cls):
     def arith(op):
         def fn(interp, r, a, s):
-            # Checked inline: `_need_int` and `check_int` only see the
+            # Checked inline: `_need_int` and `_check_int` only see the
             # failing cases, which they report as before.
             y = a[0]
             if y.__class__ is int:
                 v = op(r, y)
                 if INT_MIN <= v <= INT_MAX:
                     return v
-            return interp.check_int(op(r, _need_int(y)), s)
+            return _check_int(op(r, _need_int(y)))
         return fn
 
     def compare(op):
@@ -244,15 +248,13 @@ def _integer_protocol(interp, cls):
     def divide(interp, r, a, s):
         d = _need_int(a[0])
         if d == 0:
-            raise MkRuntimeError("division by zero",
-                                 trace=interp.stack_snapshot(s))
-        return interp.check_int(r // d, s)
+            raise MkRuntimeError("division by zero")
+        return _check_int(r // d)
 
     def modulo(interp, r, a, s):
         d = _need_int(a[0])
         if d == 0:
-            raise MkRuntimeError("division by zero",
-                                 trace=interp.stack_snapshot(s))
+            raise MkRuntimeError("division by zero")
         return r % d
 
     _prim(cls, "+", arith(operator.add))
@@ -271,8 +273,8 @@ def _integer_protocol(interp, cls):
           or not isinstance(a[0], int) or r != a[0])
     _prim(cls, "max:", lambda i, r, a, s: max(r, _need_int(a[0])))
     _prim(cls, "min:", lambda i, r, a, s: min(r, _need_int(a[0])))
-    _prim(cls, "abs", lambda i, r, a, s: i.check_int(abs(r), s))
-    _prim(cls, "negated", lambda i, r, a, s: i.check_int(-r, s))
+    _prim(cls, "abs", lambda i, r, a, s: _check_int(abs(r)))
+    _prim(cls, "negated", lambda i, r, a, s: _check_int(-r))
     _prim(cls, "even", lambda i, r, a, s: r % 2 == 0)
     _prim(cls, "odd", lambda i, r, a, s: r % 2 == 1)
 
@@ -324,21 +326,18 @@ def _block_protocol(interp, cls):
 # -- collections ------------------------------------------------------------
 
 def _collection_protocol(interp, array_cls, oc_cls):
-    def at(interp, r, a, s):
-        idx = _need_int(a[0])
+    def index(r, i):
+        idx = _need_int(i)
         if not 1 <= idx <= len(r.items):
             raise MkRuntimeError("index %d out of bounds (size %d)"
-                                 % (idx, len(r.items)),
-                                 trace=interp.stack_snapshot(s))
-        return r.items[idx - 1]
+                                 % (idx, len(r.items)))
+        return idx - 1
+
+    def at(interp, r, a, s):
+        return r.items[index(r, a[0])]
 
     def at_put(interp, r, a, s):
-        idx = _need_int(a[0])
-        if not 1 <= idx <= len(r.items):
-            raise MkRuntimeError("index %d out of bounds (size %d)"
-                                 % (idx, len(r.items)),
-                                 trace=interp.stack_snapshot(s))
-        r.items[idx - 1] = a[1]
+        r.items[index(r, a[0])] = a[1]
         return a[1]
 
     def do(interp, r, a, s):
@@ -388,8 +387,7 @@ def _collection_protocol(interp, array_cls, oc_cls):
 
     def remove_first(interp, r, a, s):
         if not r.items:
-            raise MkRuntimeError("collection is empty",
-                                 trace=interp.stack_snapshot(s))
+            raise MkRuntimeError("collection is empty")
         return r.items.pop(0)
 
     _prim(oc_cls, "add:", add)
@@ -452,14 +450,14 @@ def _reflection_protocol(interp, classes):
     def reflect_class_selector(interp, r, a, s):
         cls = a[0]
         name = cls.name if isinstance(cls, ClassRecord) else str(cls)
-        return NodeMirror(interp, interp.method_ast(name, str(a[1])))
+        return NodeMirror(interp.method_ast(name, str(a[1])))
 
     _cprim(classes["Reflect"], "class:selector:", reflect_class_selector)
 
     node_cls = classes["NodeMirror"]
 
     def mirrors(interp, nodes):
-        return interp.new_array([NodeMirror(interp, n) for n in nodes])
+        return interp.new_array([NodeMirror(n) for n in nodes])
 
     def query(name, with_arg):
         if with_arg:
@@ -486,7 +484,7 @@ def _reflection_protocol(interp, classes):
 
     def statement_at(interp, r, a, s):
         found = find_nodes(r.node, "statement-at", _need_int(a[0]))
-        return NodeMirror(interp, found[0]) if found else None
+        return NodeMirror(found[0]) if found else None
 
     _prim(node_cls, "statementAt:", statement_at)
     _prim(node_cls, "selector",
@@ -501,9 +499,9 @@ def _reflection_protocol(interp, classes):
     _prim(method_cls, "className",
           lambda i, r, a, s: r.record.signature.class_name)
     _prim(method_cls, "node",
-          lambda i, r, a, s: NodeMirror(i, r.record.original_ast))
+          lambda i, r, a, s: NodeMirror(r.record.original_ast))
     _prim(method_cls, "ast",
-          lambda i, r, a, s: NodeMirror(i, r.record.original_ast))
+          lambda i, r, a, s: NodeMirror(r.record.original_ast))
 
     context_cls = classes["ContextMirror"]
     _prim(context_cls, "receiver", lambda i, r, a, s: r.receiver)

@@ -123,7 +123,6 @@ class AstNode:
 class MethodSignature:
     class_name: str
     selector: str
-    arity: int
 
 
 @dataclass

@@ -130,11 +130,10 @@ class OperationWrapper:
 class NodeMirror:
     """Language-level handle on an original (unwoven) AST node."""
 
-    __slots__ = ("interp", "node")
+    __slots__ = ("node",)
     mk_class_name = "NodeMirror"
 
-    def __init__(self, interp, node):
-        self.interp = interp
+    def __init__(self, node):
         self.node = node
 
     def describe(self):
@@ -148,11 +147,10 @@ class MethodMirror:
     """Handle on a compiled method; `woven=True` mirrors the executing
     twin, otherwise the original definition."""
 
-    __slots__ = ("interp", "record", "woven")
+    __slots__ = ("record", "woven")
     mk_class_name = "MethodMirror"
 
-    def __init__(self, interp, record, woven=False):
-        self.interp = interp
+    def __init__(self, record, woven=False):
         self.record = record
         self.woven = woven
 
@@ -172,11 +170,10 @@ class ContextMirror:
     """Read-only view of an activation: receiver, selector, a snapshot of
     the temps, and the sender chain."""
 
-    __slots__ = ("interp", "receiver", "selector", "temps", "sender_activation")
+    __slots__ = ("receiver", "selector", "temps", "sender_activation")
     mk_class_name = "ContextMirror"
 
-    def __init__(self, interp, activation):
-        self.interp = interp
+    def __init__(self, activation):
         self.receiver = activation.receiver
         self.selector = (activation.method.signature.selector
                          if activation.method is not None else None)
@@ -186,7 +183,7 @@ class ContextMirror:
     def sender(self):
         if self.sender_activation is None:
             return None
-        return ContextMirror(self.interp, self.sender_activation)
+        return ContextMirror(self.sender_activation)
 
     def describe(self):
         return "context(%s)" % (self.selector or "top-level")
@@ -230,11 +227,7 @@ def resolve(kind, ctx: TriggerContext):
 
 
 def _arguments(ctx):
-    args = ctx.pending_args
-    if ctx.table_kind == "message":
-        return ctx.interp.new_array(list(args or ()))
-    return ctx.interp.new_array(
-        list(args if args is not None else ctx.activation.arguments))
+    return ctx.interp.new_array(list(ctx.pending_args))
 
 
 def _receiver(ctx):
@@ -259,7 +252,7 @@ def _sender(ctx):
     sender = ctx.activation.sender
     if sender is None:
         return None
-    return ContextMirror(ctx.interp, sender)
+    return ContextMirror(sender)
 
 
 def _resolve_value(ctx):
@@ -281,7 +274,7 @@ def _owning_method_mirror(ctx, woven):
     record = ctx.interp.node_owner.get(ctx.node.id)
     if record is None:
         return None
-    return MethodMirror(ctx.interp, record, woven=woven)
+    return MethodMirror(record, woven=woven)
 
 
 def _operation(ctx):
@@ -321,12 +314,12 @@ _RESOLVERS = {
     "originalMethod": lambda ctx: _owning_method_mirror(ctx, False),
     "name": lambda ctx: ctx.node.var_name,
     "newValue": _new_value,
-    "node": lambda ctx: NodeMirror(ctx.interp, ctx.node),
+    "node": lambda ctx: NodeMirror(ctx.node),
     "object": lambda ctx: ctx.activation.receiver,
     "operation": _operation,
     "selector": _selector,
     "sender": _sender,
-    "context": lambda ctx: ContextMirror(ctx.interp, ctx.activation),
+    "context": lambda ctx: ContextMirror(ctx.activation),
     "value": _resolve_value,
     "variable": _variable_mirror,
 }

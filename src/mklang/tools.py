@@ -42,13 +42,10 @@ class VariableWatch:
 
     mk_class_name = "Watch"
 
-    def __init__(self, interp, class_name, var_name, persistent,
-                 include_reads):
+    def __init__(self, interp, class_name, var_name, include_reads):
         self.interp = interp
         self.class_name = class_name
         self.var_name = var_name
-        self.persistent = persistent
-        self.include_reads = include_reads
         self.history = []
         self.write_link = self._make_link(("object", "newValue", "method"))
         self.read_link = (self._make_link(("object", "value", "method"))
@@ -168,8 +165,7 @@ def watch_variable(interp, class_name, var_name, persistent=False,
     if var_name not in cls.all_slot_names():
         raise UnknownVariable(
             "%s declares no slot named %s" % (class_name, var_name))
-    watch = VariableWatch(interp, class_name, var_name, persistent,
-                          include_reads)
+    watch = VariableWatch(interp, class_name, var_name, include_reads)
     from .interpreter import PrimitiveMethod
     for record in cls.methods.values():
         if not isinstance(record, PrimitiveMethod):

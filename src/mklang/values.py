@@ -76,18 +76,10 @@ class HostFunction:
 
 
 def identical(a, b) -> bool:
-    """Language-level identity (`==`)."""
-    if isinstance(a, (Instance, Array, Block, HostFunction)) or \
-            isinstance(b, (Instance, Array, Block, HostFunction)):
-        return a is b
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a is b
-    if a is None or b is None:
-        return a is b
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    if isinstance(a, Symbol) or isinstance(b, Symbol):
-        return a is b
-    if isinstance(a, str) and isinstance(b, str):
+    """Language-level identity (`==`): two ints, or two plain strings,
+    are identical when equal; any other two values only when they are
+    one object (Symbols are interned, so equal Symbols are one)."""
+    t = type(a)
+    if t is type(b) and (t is int or t is str):
         return a == b
     return a is b

@@ -78,7 +78,7 @@ def _matrix_fixture():
         "other": [n for n in ast.walk() if n.kind == "Literal"][0],
     }
     receiver = interp.send(interp.class_named("Mx"), "new", [], None)
-    act = Activation(receiver, record, [3], None)
+    act = Activation(receiver, record, None)
     act.temps["t"] = 4
     return interp, nodes, act
 

@@ -333,3 +333,21 @@ def test_run_internal_error_exits_70(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == "pre\n"
     assert captured.err == "internal error: KeyError: 'lost'\n"
+
+
+def test_run_a_primitive_error_prints_its_trace_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "p.mk", "| x | x := 3 + nil.")
+    assert run_cli(["run", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "runtime error: an Integer argument is required"
+    assert err[1] == "  top-level (%s:11..18)" % path
+
+
+def test_run_a_failed_link_prints_error_and_its_trace_exit_2(tmp_path,
+                                                             capsys):
+    path = write(tmp_path, "p.mk", "class A [ m [ ^ 1 ] ]\n"
+                 "(Reflect class: A selector: #m) link: MetaLink new")
+    assert run_cli(["run", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: link is not fully configured")
+    assert err[1] == "  top-level (%s:22..72)" % path

@@ -10,6 +10,9 @@ from mkbench.workloads import make_programs
 from mklang import Interpreter
 from mklang.errors import MkError, MkRuntimeError
 from mklang.interpreter import run_program
+from mklang.values import (
+    Array, Block, HostFunction, Instance, Symbol, identical,
+)
 
 
 def out(source, seed=0):
@@ -635,3 +638,113 @@ def test_a_block_frame_in_a_trace_shows_the_block(source, frames):
     with pytest.raises(MkRuntimeError) as exc:
         run_program(source)
     assert exc.value.trace == frames
+
+
+# Each failing send, as it stands in the body of `A>>m`.
+PRIMITIVE_FAILURES = {
+    "+ wrong argument": "3 + nil",
+    ", wrong argument": "'a' , 3",
+    "do: wrong argument": "#(1) do: 3",
+    "max: wrong argument": "3 max: nil",
+    "addAll: wrong argument": "OrderedCollection new addAll: 3",
+    "at: out of bounds": "#(1 2) at: 5",
+    "/ 0": "3 / 0",
+    "overflow": "9223372036854775807 + 1",
+    "Integer new": "Integer new",
+    "error:": "self error: 'boom'",
+    "block arity": "[ :x | x ] value",
+    "negative level:": "MetaLink new level: 0 - 1",
+    "control: #x": "MetaLink new control: #x",
+    "link: 3": "(Reflect class: A selector: #k) link: 3",
+    "link: misconfigured":
+        "(Reflect class: A selector: #k) link: MetaLink new",
+}
+
+
+@pytest.mark.parametrize("send", PRIMITIVE_FAILURES.values(),
+                         ids=list(PRIMITIVE_FAILURES))
+def test_a_primitive_error_carries_the_span_and_trace_of_its_send(send):
+    source = "class A [ k [ ^ 1 ] m [ ^ %s ] ]\nA new m" % send
+    with pytest.raises(MkError) as exc:
+        Interpreter().run(source)
+    err = exc.value
+    assert source[err.span.start:err.span.end] == send
+    assert err.trace[0] == "A>>m (%s)" % err.span
+    assert err.trace[1].startswith("top-level ")
+
+
+def test_the_innermost_send_locates_an_error_under_nested_primitives():
+    source = "class A [ m [ ^ #(1 2) do: [ :x | x + nil ] ] ]\nA new m"
+    with pytest.raises(MkRuntimeError) as exc:
+        Interpreter().run(source)
+    err = exc.value
+    assert source[err.span.start:err.span.end] == "x + nil"
+    assert [line.split(" ")[0] for line in err.trace] == \
+        ["A>>m", "A>>m", "top-level"]
+
+
+def test_a_halt_under_a_primitive_keeps_its_own_trace():
+    result = run_program("class A [ m [ ^ #(1) do: [ :x | Halt now ] ] ]\n"
+                         "A new m")
+    assert [line.split(" ")[0] for line in result.trace] == \
+        ["A>>m", "A>>m", "top-level"]
+
+
+@pytest.mark.parametrize("source", [
+    "class A [ m [ ^ 1 ] ]\nN := Reflect class: A selector: #m",
+    "M := Object lookupSelector: #logCr:",
+    "class A [ m [ ^ 3 + 4 ] ]\n| l |\n"
+    "l := MetaLink new metaObject: [ :c | C := c ].\n"
+    "l selector: #value:. l arguments: #(context).\n"
+    "((Reflect class: A selector: #m) sendsOf: #+) first link: l.\n"
+    "A new m",
+], ids=["NodeMirror", "MethodMirror", "ContextMirror"])
+def test_a_mirror_in_a_global_leaves_its_interpreter_free(source):
+    """A mirror holds no interpreter, so a global holding one makes no
+    reference cycle through the interpreter's globals."""
+    gc.collect()
+    gc.disable()
+    try:
+        interp = Interpreter()
+        interp.run(source)
+        assert interp.globals.keys() & {"N", "M", "C"}
+        dead = weakref.ref(interp)
+        del interp
+        assert dead() is None
+    finally:
+        gc.enable()
+
+
+def _identical_ladder(a, b):
+    """`values.identical` as a ladder of type tests, kept as the
+    reference for the rule that replaced it."""
+    if isinstance(a, (Instance, Array, Block, HostFunction)) or \
+            isinstance(b, (Instance, Array, Block, HostFunction)):
+        return a is b
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, int) and isinstance(b, int):
+        return a == b
+    if isinstance(a, Symbol) or isinstance(b, Symbol):
+        return a is b
+    if isinstance(a, str) and isinstance(b, str):
+        return a == b
+    return a is b
+
+
+def test_identical_matches_the_type_ladder():
+    interp = Interpreter()
+    big = 2 ** 62
+    cls = interp.classes["Object"]
+    values = [
+        3, big, int(str(big)), 1, True, False, None,
+        "ab", "".join(["a", "b"]), "", Symbol("ab"), Symbol("ab"),
+        Symbol("b"), Instance(cls, {}), Array(cls, []), Array(cls, []),
+        HostFunction(print), cls, interp.classes["Integer"],
+    ]
+    assert len(values) == 19
+    for a in values:
+        for b in values:
+            assert identical(a, b) is _identical_ladder(a, b), (a, b)
