@@ -28,6 +28,10 @@ The unlinked path is kept cheap:
   reference counting frees it when it returns, without the cyclic GC.
   With the parent ids of `AstNode`, an unlinked interpreter holds no
   reference cycle of its own and is freed as soon as it is dropped.
+* `run` evaluates the top level in a padded frame (`_evaluate_reserved`),
+  so a recursion no longer maps and unmaps a CPython data-stack chunk
+  each time its depth crosses a chunk's end. `send` is not padded: a host
+  that sends one message at a time would pay for the map on every send.
 """
 
 from __future__ import annotations
@@ -295,18 +299,19 @@ class Interpreter:
         mark = len(self.output)
         program = self.load(source, file)
         top = Activation(None, None, None, dict.fromkeys(program.main.temps))
+        top.current_node = program.main
         try:
             try:
-                value = self.eval_node(program.main, top)
+                value = _evaluate_reserved(self, program.main, top)
             except MethodReturn as mr:
-                if mr.target is top:
-                    value = mr.value
-                else:
-                    raise MkRuntimeError(
-                        "non-local return from an exited method",
-                        trace=self.stack_snapshot(top)) from None
+                if mr.target is not top:
+                    raise self.locate(MkRuntimeError(
+                        "non-local return from an exited method"),
+                        top) from None
+                value = mr.value
             except RecursionError:
-                raise MkRuntimeError("stack overflow") from None
+                raise self.locate(MkRuntimeError("stack overflow"),
+                                  top) from None
         except HaltSignal as halt:
             return RunResult("".join(self.output[mark:]), None, halt)
         return RunResult("".join(self.output[mark:]), value, None)
@@ -435,13 +440,14 @@ class Interpreter:
             raise
         return self.execute_method(rec, receiver, args, sender)
 
-    def locate(self, exc, sender, node):
+    def locate(self, exc, sender, node=None):
         """Stamp an error no inner send located with this send's span (or
-        the sender's current node's) and the sender's trace."""
+        the sender's current node's) and the sender's trace; answer it."""
         if not exc.trace:
             node = node or (sender and sender.current_node)
             exc.span = node and node.span
             exc.trace = self.stack_snapshot(sender)
+        return exc
 
     def does_not_understand(self, receiver, selector):
         cls = (receiver if isinstance(receiver, ClassRecord)
@@ -586,6 +592,7 @@ class Interpreter:
         return self.send(receiver, node.selector, args, act, node)
 
     def _send_super(self, receiver, selector, args, act, node):
+        act.current_node = node
         method = act.method
         defining = self.classes.get(method.signature.class_name) \
             if method is not None else None
@@ -673,8 +680,12 @@ class Interpreter:
             links += per_obj.get(act.receiver, ())
         if not links:
             return perform()
-        return self.run_trigger(links, TriggerContext(
-            self, orig, act, perform, receiver, args, value), after)
+        try:
+            return self.run_trigger(links, TriggerContext(
+                self, orig, act, perform, receiver, args, value), after)
+        except MkError as exc:  # a link found invalid as it fires
+            self.locate(exc, act, orig)
+            raise
 
     def run_trigger(self, links, ctx, after=True):
         """Before/instead/after protocol over all applicable links:
@@ -841,6 +852,27 @@ _HANDLERS = {
     MESSAGE_SEND: Interpreter._eval_message,
     META_HOOK: Interpreter._eval_hook,
 }
+
+
+def _evaluate_reserved(interp, node, act):
+    """Evaluate `node` in a frame that reserves the data stack of a run."""
+    return _HANDLERS[node.kind](interp, node, act)
+
+
+# CPython >= 3.11 keeps frames on a data stack of chunks. A frame that does
+# not fit in the current chunk gets a new one: 16 KB, or doubled until it
+# holds the frame plus 1000 slots. The chunk is unmapped when the frame at
+# its base returns. `_evaluate_reserved` is padded with _FRAME_RESERVE
+# slots of value stack it never touches, so its frame gets a 1 MB chunk (8
+# bytes a slot) and leaves about _FRAME_RESERVE slots of it free. That
+# holds every frame of a run: Python's recursion limit (1000 frames) times
+# the largest evaluator frame (`_eval_hook`, 27 slots of locals and stack
+# plus at most 8 of frame header) is 35,000 slots. Untouched pages cost
+# nothing. On 3.10 frames are heap objects, and a code object reuses its
+# last one, so the padding costs nothing there either.
+_FRAME_RESERVE = 1 << 16
+_evaluate_reserved.__code__ = _evaluate_reserved.__code__.replace(
+    co_stacksize=_FRAME_RESERVE)
 
 
 def run_program(source, seed=0) -> RunResult:

@@ -194,8 +194,8 @@ def test_run_deep_recursion_is_a_stack_overflow_exit_2(tmp_path, capsys):
     assert run_cli(["run", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == "pre\n"
-    assert "runtime error: stack overflow" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "runtime error: stack overflow", "  top-level (%s:90..105)" % path]
 
 
 def test_run_deep_nesting_is_a_syntax_error_exit_1(tmp_path, capsys):
@@ -351,3 +351,19 @@ def test_run_a_failed_link_prints_error_and_its_trace_exit_2(tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("error: link is not fully configured")
     assert err[1] == "  top-level (%s:22..72)" % path
+
+
+def test_run_a_link_that_fails_as_it_fires_prints_its_trace_exit_2(
+        tmp_path, capsys):
+    path = write(tmp_path, "p.mk", "class A [ m [ ^ 3 + 4 ] ]\n| l |\n"
+                 "l := MetaLink new metaObject: [ :v | v ].\n"
+                 "l selector: #value:. l arguments: #(value). "
+                 "l control: #before.\n"
+                 "((Reflect class: A selector: #m) sendsOf: #+) first link: l.\n"
+                 "A new m")
+    assert run_cli(["run", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == ("error: #value is not available on a message node in "
+                      "before phase")
+    assert err[1].startswith("  A>>m (%s:" % path)
+    assert err[2].startswith("  top-level (%s:" % path)

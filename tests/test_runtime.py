@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from mkbench.workloads import make_programs
 from mklang import Interpreter
-from mklang.errors import MkError, MkRuntimeError
+from mklang.errors import MkError, MkRuntimeError, PhaseUnavailable
 from mklang.interpreter import run_program
 from mklang.values import (
     Array, Block, HostFunction, Instance, Symbol, identical,
@@ -470,6 +472,87 @@ D new down: 150""")
     assert result.value == 150
 
 
+DOWN = "class D [ down: n [ n = 0 ifTrue: [ ^ 0 ]. ^ self down: n - 1 ] ]"
+
+
+def _run_in_fresh_thread(interp, source):
+    """`interp.run(source)`, in a thread so that the recursion limit counts
+    from a fresh stack, as in a script, not under pytest's own frames."""
+    box = []
+
+    def body():
+        try:
+            box.append(interp.run(source))
+        except MkError as exc:
+            box.append(exc)
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join()
+    if isinstance(box[0], MkError):
+        raise box[0]
+    return box[0]
+
+
+def test_recursion_reaches_245_levels_and_overflows_at_300():
+    interp = Interpreter()
+    interp.run(DOWN)
+    assert _run_in_fresh_thread(interp, "D new down: 245").value == 0
+    with pytest.raises(MkRuntimeError, match="stack overflow") as exc:
+        _run_in_fresh_thread(interp, "D new down: 300")
+    assert exc.value.trace == ["top-level (<string>:0..15)"]
+    assert interp.run("D new down: 3").value == 0
+
+
+def test_the_reserved_frame_stack_holds_the_deepest_recursion():
+    """The derivation next to `_FRAME_RESERVE`: Python's recursion limit
+    times the largest evaluator frame (locals and value stack, plus at most
+    8 slots of frame header) fits in the reserve."""
+    from mklang import interpreter, kernel, links, reify, tools
+
+    def frame_slots(module):
+        for obj in vars(module).values():
+            for f in vars(obj).values() if isinstance(obj, type) else [obj]:
+                code = getattr(f, "__code__", None)
+                if code is not None and f.__module__ == module.__name__ \
+                        and f is not interpreter._evaluate_reserved:
+                    yield (code.co_stacksize + code.co_nlocals
+                           + len(code.co_cellvars) + len(code.co_freevars))
+
+    largest = max(n for m in (interpreter, kernel, links, reify, tools)
+                  for n in frame_slots(m))
+    assert sys.getrecursionlimit() * (largest + 8) \
+        < interpreter._FRAME_RESERVE
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info < (3, 11)
+    or not sys.platform.startswith("linux"),
+    reason="frames live in data-stack chunks from CPython 3.11 on; "
+           "ru_minflt is read on Linux")
+def test_a_recursive_run_maps_its_frame_stack_once():
+    """`sweep: 60` swings the stack from 1 to 60 levels deep again and
+    again, each level several Python frames, so it crosses the ends of
+    16 KB data-stack chunks dozens of times a run. Were each crossing to
+    map a chunk and fault its pages in, a run would cost about 850 minor
+    faults on CPython 3.11; in the one chunk `run` reserves, a run faults
+    in only the pages of its deepest recursion, about 15."""
+    import resource
+    interp = Interpreter()
+    interp.run(DOWN + "\nclass D [ sweep: n [ "
+               "1 to: n do: [ :i | self down: i ] ] ]")
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    for _ in range(3):
+        interp.run("D new sweep: 60")
+    before = faults()
+    for _ in range(20):
+        interp.run("D new sweep: 60")
+    assert faults() - before < 1000
+
+
 def test_unlinked_sends_leave_no_cyclic_garbage():
     interp = Interpreter()
     interp.run("class A [ m: n [ | t | t := n + 1. ^ self k: t ] "
@@ -681,6 +764,61 @@ def test_the_innermost_send_locates_an_error_under_nested_primitives():
     assert source[err.span.start:err.span.end] == "x + nil"
     assert [line.split(" ")[0] for line in err.trace] == \
         ["A>>m", "A>>m", "top-level"]
+
+
+PHASE_SOURCE = """class A [ m [ ^ 3 + 4 ] ]
+| l |
+l := MetaLink new metaObject: [ :v | v ].
+l selector: #value:. l arguments: #(value). l control: #before.
+((Reflect class: A selector: #m) sendsOf: #+) first link: l.
+A new m"""
+
+
+def test_a_link_that_fails_as_it_fires_is_located_at_its_hook():
+    with pytest.raises(PhaseUnavailable) as exc:
+        Interpreter().run(PHASE_SOURCE)
+    err = exc.value
+    assert PHASE_SOURCE[err.span.start:err.span.end] == "3 + 4"
+    assert err.trace[0].startswith("A>>m (")
+    assert err.trace[1].startswith("top-level (")
+
+
+def test_an_error_under_a_link_keeps_the_location_of_its_send():
+    source = ("class A [ m [ ^ 3 + nil ] ]\n| l |\n"
+              "l := MetaLink new metaObject: [ 0 ]. l selector: #value.\n"
+              "((Reflect class: A selector: #m) sendsOf: #+) first link: l.\n"
+              "A new m")
+    with pytest.raises(MkRuntimeError) as exc:
+        Interpreter().run(source)
+    err = exc.value
+    assert source[err.span.start:err.span.end] == "3 + nil"
+    assert err.trace[0] == "A>>m (%s)" % err.span
+
+
+def test_a_super_send_is_its_frame_s_current_node():
+    source = "class A [ m [ ^ 1 ] ]\nclass B extends A [ m [ ^ super zork ] ]" \
+             "\nB new m"
+    with pytest.raises(MkRuntimeError) as exc:
+        Interpreter().run(source)
+    assert exc.value.trace == ["B>>m (<string>:48..58)",
+                               "top-level (<string>:63..70)"]
+
+
+@pytest.mark.parametrize("source, message, where", [
+    ("Transcript := 3", "class Transcript cannot be assigned",
+     "Transcript := 3"),
+    ("class A [ m [ ^ [ :x | ^ x ] ] ]\n(A new m) value: 3",
+     "non-local return from an exited method", "(A new m) value: 3"),
+    ("class A [ m [ ^ 1%s ] ]\nA new m" % (" + 1" * 1200),
+     "stack overflow", "A new m"),
+])
+def test_run_locates_the_errors_of_the_top_level(source, message, where):
+    with pytest.raises(MkRuntimeError) as exc:
+        Interpreter().run(source)
+    err = exc.value
+    assert str(err) == message
+    assert source[err.span.start:err.span.end] == where
+    assert err.trace == ["top-level (%s)" % err.span]
 
 
 def test_a_halt_under_a_primitive_keeps_its_own_trace():
