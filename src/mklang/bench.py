@@ -5,6 +5,8 @@ the LINKAGES rows. Install cost compares recompiling a synthetic corpus
 with installing, removing and uninstalling links on every method. Every
 figure is a median from `medians`, whose windows are `_timed`. Absolute
 numbers depend on the host; only orderings and signs are meaningful.
+`ratios` compares two runs in pairs of adjacent windows, so a drift in
+the host's speed between windows cancels.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import gc
 import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -98,19 +101,30 @@ class InstallCostReport:
                     self.remove_seconds, self.uninstall_seconds))
 
 
-def _timed(fn):
-    """Seconds one call of `fn` takes. As in `timeit`, the cyclic GC
-    collects first and stays off, so no collection lands in the window."""
+@contextmanager
+def _gc_paused():
+    """As in `timeit`, the cyclic GC collects first and stays off, so no
+    collection lands in a timed window."""
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
+        yield
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _seconds(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _timed(fn):
+    """Seconds one call of `fn` takes, with the GC paused."""
+    with _gc_paused():
+        return _seconds(fn)
 
 
 def medians(fns, rounds):
@@ -120,6 +134,26 @@ def medians(fns, rounds):
         for times, fn in zip(samples, fns):
             times.append(_timed(fn))
     return [statistics.median(times) for times in samples]
+
+
+def ratios(fn_a, fn_b, pairs):
+    """Median over `pairs` pairs of adjacent windows of `fn_a`'s seconds
+    over `fn_b`'s. The windows run in ABBA order (A B, B A, A B, ...) with
+    the GC paused throughout, so a drift in the host's speed that is slow
+    next to one window cancels within its pair, and one the order would
+    favour cancels across pairs. Give each window a fixed amount of work
+    and keep it short."""
+    found = []
+    with _gc_paused():
+        for k in range(pairs):
+            if k % 2:
+                b = _seconds(fn_b)
+                a = _seconds(fn_a)
+            else:
+                a = _seconds(fn_a)
+                b = _seconds(fn_b)
+            found.append(a / b)
+    return statistics.median(found)
 
 
 def configure(interp, workload, mode):

@@ -15,6 +15,15 @@ produces no partial results: any malformed input raises MkSyntaxError
 with a span. `node` sets each child's `parent` to the id of the node it
 builds, so a tree holds no reference cycle.
 Only bracket nesting recurses (see MAX_NESTING); send chains are loops.
+
+`tokenize` answers four parallel lists (types, texts, starts, ends), and
+the parser names a token by its position in them. Strings and ints are
+not tracked by the cyclic GC, so a tokenize leaves it four lists however
+long the source is. A token object, or a tuple, would be one more
+tracked object per token, alive until the parse ends: on a large source
+the young generations fill with them, and every collection the parse
+triggers (or that a host triggers while its heap is large) traverses
+them again.
 """
 
 from __future__ import annotations
@@ -46,22 +55,13 @@ RESERVED = {"class", "extends", "self", "super", "true", "false", "nil"}
 CONSTANTS = {"true": True, "false": False, "nil": None}
 
 
-class Token:
-    __slots__ = ("type", "text", "start", "end")
-
-    def __init__(self, type_, text, start, end):
-        self.type = type_
-        self.text = text
-        self.start = start
-        self.end = end
-
-    def __repr__(self):
-        return "Token(%s, %r)" % (self.type, self.text)
-
-
 def tokenize(source: str, file: str = "<string>"):
-    toks = []
-    append = toks.append
+    """The tokens of `source` as four parallel lists, `(types, texts,
+    starts, ends)`: token k has type `types[k]`, text `texts[k]` and
+    source range `starts[k]..ends[k]`. The last token is an eof."""
+    types, texts, starts, ends = [], [], [], []
+    add_type, add_text = types.append, texts.append
+    add_start, add_end = starts.append, ends.append
     i, n = 0, len(source)
 
     def err(msg, at):
@@ -73,53 +73,45 @@ def tokenize(source: str, file: str = "<string>"):
             i += 1
             continue
         start = i
-        kind = PUNCTUATION.get(c)
-        if kind is not None:
-            append(Token(kind, c, start, i + 1))
+        # Each branch leaves `i` at the end of its token.
+        type_ = PUNCTUATION.get(c)
+        if type_ is not None:
+            text = c
             i += 1
-            continue
-        if c.isalpha() or c == "_":
+        elif c.isalpha() or c == "_":
             j = i + 1
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            word = source[i:j]
+            text = source[i:j]
             if source.startswith(":", j) and not source.startswith(":=", j):
-                append(Token("keyword", word + ":", start, j + 1))
+                type_ = "keyword"
+                text += ":"
                 i = j + 1
             else:
-                append(Token(word if word in RESERVED else "ident", word,
-                             start, j))
+                type_ = text if text in RESERVED else "ident"
                 i = j
-            continue
-        if c.isdecimal():
+        elif c.isdecimal():
             j = i + 1
             while j < n and source[j].isdecimal():
                 j += 1
-            append(Token("int", source[i:j], start, j))
-            i = j
-            continue
-        if c in BINOP_CHARS:
+            type_, text, i = "int", source[i:j], j
+        elif c in BINOP_CHARS:
             j = i + 1
             while j < n and source[j] in BINOP_CHARS:
                 j += 1
-            append(Token("binop", source[i:j], start, j))
-            i = j
-            continue
-        if c == ":":
+            type_, text, i = "binop", source[i:j], j
+        elif c == ":":
             if source.startswith(":=", i):
-                append(Token("assign", ":=", start, i + 2))
-                i += 2
+                type_, text, i = "assign", ":=", i + 2
             else:
-                append(Token("colon", ":", start, i + 1))
-                i += 1
-            continue
-        if c == '"':  # comment
+                type_, text, i = "colon", ":", i + 1
+        elif c == '"':  # comment
             j = source.find('"', i + 1)
             if j < 0:
                 err("unterminated comment", i)
             i = j + 1
             continue
-        if c == "'":
+        elif c == "'":
             j = i + 1
             buf = []
             while j < n:
@@ -133,77 +125,88 @@ def tokenize(source: str, file: str = "<string>"):
                 j += 1
             if j >= n:
                 err("unterminated string", i)
-            append(Token("string", "".join(buf), start, j + 1))
-            i = j + 1
-            continue
-        if c == "#":
-            if i + 1 < n and source[i + 1] == "(":
-                append(Token("litarray", "#(", start, i + 2))
-                i += 2
-                continue
+            type_, text, i = "string", "".join(buf), j + 1
+        elif c == "#":
             j = i + 1
-            if j < n and (source[j].isalpha() or source[j] == "_"):
+            if j < n and source[j] == "(":
+                type_, text, i = "litarray", "#(", i + 2
+            elif j < n and (source[j].isalpha() or source[j] == "_"):
                 while j < n and (source[j].isalnum() or source[j] in "_:"):
                     j += 1
-                append(Token("symbol", source[i + 1:j], start, j))
-                i = j
-                continue
-            if j < n and source[j] in BINOP_CHARS:
+                type_, text, i = "symbol", source[i + 1:j], j
+            elif j < n and source[j] in BINOP_CHARS:
                 while j < n and source[j] in BINOP_CHARS:
                     j += 1
-                append(Token("symbol", source[i + 1:j], start, j))
-                i = j
-                continue
-            err("malformed symbol literal", i)
-        err("unexpected character %r" % c, i)
-    append(Token("eof", "", n, n))
-    return toks
+                type_, text, i = "symbol", source[i + 1:j], j
+            else:
+                err("malformed symbol literal", i)
+        else:
+            err("unexpected character %r" % c, i)
+        add_type(type_)
+        add_text(text)
+        add_start(start)
+        add_end(i)
+    types.append("eof")
+    texts.append("")
+    starts.append(n)
+    ends.append(n)
+    return types, texts, starts, ends
 
 
 class Parser:
+    """Recursive descent over the lists of `tokenize`. A token is its
+    position in them: `expect` and `node` take and answer positions."""
+
     def __init__(self, source, file="<string>"):
         self.source = source
         self.file = file
-        tokens = tokenize(source, file)
+        types, texts, starts, ends = tokenize(source, file)
         # A second eof after the first: the token after the current one is
         # always there, so a peek is a single index with no bounds check.
-        tokens.append(tokens[-1])
-        self.tokens = tokens
+        types.append("eof")
+        texts.append("")
+        starts.append(starts[-1])
+        ends.append(ends[-1])
+        self.types = types
+        self.texts = texts
+        self.starts = starts
+        self.ends = ends
         self.pos = 0
         self.depth = 0
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def at(self, type_):
-        return self.tokens[self.pos].type == type_
+        return self.types[self.pos] == type_
+
+    def next_text(self):
+        """The text of the current token, which it consumes."""
+        pos = self.pos
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def expect(self, type_, what=None):
-        tok = self.tokens[self.pos]
-        if tok.type != type_:
-            self.error("expected %s, found %r" % (what or type_,
-                                                  tok.text or "end of input"))
-        self.pos += 1
-        return tok
+        """Consume the current token, of type `type_`; answer its
+        position."""
+        pos = self.pos
+        if self.types[pos] != type_:
+            self.error("expected %s, found %r" % (
+                what or type_, self.texts[pos] or "end of input"))
+        self.pos = pos + 1
+        return pos
 
     def error(self, msg):
-        tok = self.peek()
-        raise MkSyntaxError(msg, SourceSpan(tok.start, tok.end, self.file))
+        pos = self.pos
+        raise MkSyntaxError(msg, SourceSpan(self.starts[pos], self.ends[pos],
+                                            self.file))
 
-    def node(self, kind, start_tok, children=(), **kw):
-        """A node spanning `start_tok` up to the last token consumed, whose
-        id each of `children` takes as its `parent`. (Before any token is
-        consumed, index -1 reads the sentinel eof: the input holds no other
-        token.)"""
-        end = self.tokens[self.pos - 1].end
-        start = start_tok.start
+    def node(self, kind, start_pos, children=(), **kw):
+        """A node spanning the token at `start_pos` up to the last token
+        consumed, whose id each of `children` takes as its `parent`.
+        (Before any token is consumed, index -1 reads the sentinel eof: the
+        input holds no other token.)"""
+        end = self.ends[self.pos - 1]
+        start = self.starts[start_pos]
         node_id = next(_NODE_IDS)
         if children:
             for child in children:
@@ -211,20 +214,22 @@ class Parser:
         return AstNode(kind, start, end if end > start else start, self.file,
                        node_id, children, **kw)
 
-    def leaf(self, tok, kind, var_name=None, value=None):
-        """A node of the one token `tok`, which it consumes."""
-        self.pos += 1
-        return AstNode(kind, tok.start, tok.end, self.file, next(_NODE_IDS),
-                       (), None, var_name, value)
+    def leaf(self, kind, var_name=None, value=None):
+        """A node of the current token, which it consumes."""
+        pos = self.pos
+        self.pos = pos + 1
+        return AstNode(kind, self.starts[pos], self.ends[pos], self.file,
+                       next(_NODE_IDS), (), None, var_name, value)
 
-    def nest(self, open_tok):
-        """Enter one nesting level opened by `open_tok`; the caller leaves
-        it with `self.depth -= 1`."""
+    def nest(self, open_pos):
+        """Enter one nesting level opened by the token at `open_pos`; the
+        caller leaves it with `self.depth -= 1`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise MkSyntaxError(
                 "nesting deeper than %d levels" % MAX_NESTING,
-                SourceSpan(open_tok.start, open_tok.end, self.file))
+                SourceSpan(self.starts[open_pos], self.ends[open_pos],
+                           self.file))
 
     # -- grammar ----------------------------------------------------------
 
@@ -243,11 +248,11 @@ class Parser:
 
     def parse_class(self):
         start = self.expect("class")
-        name = self.expect("ident", "class name").text
+        name = self.texts[self.expect("ident", "class name")]
         superclass = None
         if self.at("extends"):
-            self.next()
-            superclass = self.expect("ident", "superclass name").text
+            self.pos += 1
+            superclass = self.texts[self.expect("ident", "superclass name")]
         self.expect("lbracket", "'['")
         children = []
         slots = []
@@ -265,12 +270,12 @@ class Parser:
         start = self.expect("pipe")
         names = []
         while self.at("ident"):
-            names.append(self.next().text)
+            names.append(self.next_text())
         self.expect("pipe", "'|'")
         return self.node(TEMP_DECL, start, temps=names)
 
     def parse_method(self):
-        start = self.peek()
+        start = self.pos
         selector, params = self.parse_pattern()
         self.expect("lbracket", "'['")
         temps = []
@@ -286,30 +291,30 @@ class Parser:
                          params=params, temps=temps)
 
     def parse_pattern(self):
-        tok = self.peek()
-        if tok.type == "ident":
-            self.next()
-            return tok.text, []
-        if tok.type == "binop":
-            self.next()
-            arg = self.expect("ident", "binary parameter").text
-            return tok.text, [arg]
-        if tok.type == "keyword":
+        type_ = self.types[self.pos]
+        if type_ == "ident":
+            return self.next_text(), []
+        if type_ == "binop":
+            selector = self.next_text()
+            arg = self.texts[self.expect("ident", "binary parameter")]
+            return selector, [arg]
+        if type_ == "keyword":
             selector = ""
             params = []
             while self.at("keyword"):
-                selector += self.next().text
-                params.append(self.expect("ident", "keyword parameter").text)
+                selector += self.next_text()
+                params.append(
+                    self.texts[self.expect("ident", "keyword parameter")])
             return selector, params
         self.error("expected a method pattern")
 
     def parse_sequence(self, stop):
-        tokens = self.tokens
-        start = tokens[self.pos]
+        types = self.types
+        start = self.pos
         stmts = []
-        while tokens[self.pos].type != stop:
+        while types[self.pos] != stop:
             stmts.append(self.parse_statement())
-            type_ = tokens[self.pos].type
+            type_ = types[self.pos]
             if type_ == "dot":
                 self.pos += 1
             elif type_ != stop:
@@ -317,66 +322,68 @@ class Parser:
         return self.node(SEQUENCE, start, stmts)
 
     def parse_statement(self):
-        start = self.tokens[self.pos]
-        if start.type == "caret":
+        start = self.pos
+        if self.types[start] == "caret":
             self.pos += 1
             return self.node(RETURN, start, [self.parse_expr()])
         return self.parse_expr()
 
     def parse_expr(self):
-        tokens = self.tokens
-        start = tokens[self.pos]
-        if start.type == "ident" and tokens[self.pos + 1].type == "assign":
+        types = self.types
+        start = self.pos
+        if types[start] == "ident" and types[start + 1] == "assign":
             self.pos += 2
             self.nest(start)
             rhs = self.parse_expr()
             self.depth -= 1
-            return self.node(ASSIGNMENT, start, [rhs], var_name=start.text)
+            return self.node(ASSIGNMENT, start, [rhs],
+                             var_name=self.texts[start])
         node = self.parse_binary_send()
-        if tokens[self.pos].type != "keyword":
+        if types[self.pos] != "keyword":
             return node
         selector = ""
         args = [node]
-        while (tok := tokens[self.pos]).type == "keyword":
-            self.pos += 1
-            selector += tok.text
+        while types[self.pos] == "keyword":
+            selector += self.next_text()
             args.append(self.parse_binary_send())
         return self.node(MESSAGE_SEND, start, args, selector=selector)
 
     def parse_binary_send(self):
-        tokens = self.tokens
-        start = tokens[self.pos]
+        types = self.types
+        start = self.pos
         node = self.parse_unary_send()
-        while (tok := tokens[self.pos]).type == "binop":
-            self.pos += 1
+        while types[self.pos] == "binop":
+            selector = self.next_text()
             node = self.node(MESSAGE_SEND, start,
-                             [node, self.parse_unary_send()], selector=tok.text)
+                             [node, self.parse_unary_send()],
+                             selector=selector)
         return node
 
     def parse_unary_send(self):
         """A primary, then its unary sends."""
-        tokens = self.tokens
-        start = tok = tokens[self.pos]
-        type_ = tok.type
+        types = self.types
+        texts = self.texts
+        start = self.pos
+        type_ = types[start]
         if type_ == "ident":
-            node = self.leaf(tok, VAR_READ, tok.text)
+            node = self.leaf(VAR_READ, texts[start])
         elif type_ == "self" or type_ == "super":
-            node = self.leaf(tok, SELF_REF, tok.text)
+            node = self.leaf(SELF_REF, texts[start])
         elif type_ == "int":
-            node = self.leaf(tok, LITERAL, value=int(tok.text))
+            node = self.leaf(LITERAL, value=int(texts[start]))
         elif type_ == "string":
-            node = self.leaf(tok, LITERAL, value=tok.text)
+            node = self.leaf(LITERAL, value=texts[start])
         elif type_ == "symbol":
-            node = self.leaf(tok, LITERAL, value=Symbol(tok.text))
+            node = self.leaf(LITERAL, value=Symbol(texts[start]))
         elif type_ in CONSTANTS:
-            node = self.leaf(tok, LITERAL, value=CONSTANTS[type_])
+            node = self.leaf(LITERAL, value=CONSTANTS[type_])
         elif type_ == "litarray":
             node = self.parse_literal_array()
         elif type_ == "lbracket":
             node = self.parse_block()
         elif type_ == "lparen":
             self.pos += 1
-            self.nest(tok)
+            self.nest(start)
             node = self.parse_expr()
             self.expect("rparen", "')'")
             self.depth -= 1
@@ -384,34 +391,26 @@ class Parser:
             self.error("expected an expression")
         # "class" is a keyword only at definition position; after a primary
         # it reads as the ordinary unary selector.
-        while (tok := tokens[self.pos]).type == "ident" or tok.type == "class":
-            self.pos += 1
-            node = self.node(MESSAGE_SEND, start, [node], selector=tok.text)
+        while (type_ := types[self.pos]) == "ident" or type_ == "class":
+            node = self.node(MESSAGE_SEND, start, [node],
+                             selector=self.next_text())
         return node
 
     def parse_literal_array(self):
         start = self.expect("litarray")
         items = []
         while not self.at("rparen"):
-            tok = self.peek()
-            if tok.type == "int":
-                items.append(int(self.next().text))
-            elif tok.type == "string":
-                items.append(self.next().text)
-            elif tok.type == "symbol":
-                items.append(Symbol(self.next().text))
-            elif tok.type in ("ident", "keyword"):
+            type_ = self.types[self.pos]
+            if type_ == "int":
+                items.append(int(self.next_text()))
+            elif type_ == "string":
+                items.append(self.next_text())
+            elif type_ in ("symbol", "ident", "keyword"):
                 # Bare words inside #( ) read as symbols, Smalltalk style.
-                items.append(Symbol(self.next().text))
-            elif tok.type == "true":
-                self.next()
-                items.append(True)
-            elif tok.type == "false":
-                self.next()
-                items.append(False)
-            elif tok.type == "nil":
-                self.next()
-                items.append(None)
+                items.append(Symbol(self.next_text()))
+            elif type_ in CONSTANTS:
+                self.pos += 1
+                items.append(CONSTANTS[type_])
             else:
                 self.error("expected a literal inside #( )")
         self.expect("rparen", "')'")
@@ -422,12 +421,12 @@ class Parser:
         self.nest(start)
         params = []
         while self.at("colon"):
-            self.next()
-            params.append(self.expect("ident", "block parameter").text)
+            self.pos += 1
+            params.append(self.texts[self.expect("ident", "block parameter")])
         if params:
             self.expect("pipe", "'|'")
         elif self.at("pipe"):
-            self.next()
+            self.pos += 1
         children = []
         if not self.at("rbracket"):
             children.append(self.parse_sequence(stop="rbracket"))

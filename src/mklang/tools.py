@@ -3,9 +3,17 @@
 Breakpoints (class-wide and per-object), variable watchpoints that can
 survive recompilation, and a cross-cutting trace counter. Each tool is a
 thin owner of one link plus the bookkeeping the link itself doesn't do.
+
+A tool holds its interpreter weakly. The interpreter's registry holds the
+tool's link, a watch's or a counter's link holds the tool through its
+meta-object, and a program may keep a tool in a global. So a strong
+reference back would make every interpreter with a tool cyclic garbage,
+freed only by the cyclic GC.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .errors import MkRuntimeError, UnknownVariable
 from .links import MetaLink, install, uninstall
@@ -13,19 +21,35 @@ from .nodes import ASSIGNMENT, BLOCK, find_nodes
 from .values import HostFunction
 
 
-class Breakpoint:
+class _Tool:
+    """Holds its interpreter weakly (see the module docstring)."""
+
+    def __init__(self, interp):
+        self._interp = weakref.ref(interp)
+
+    @property
+    def interp(self):
+        """The tool's interpreter, or None once it is gone."""
+        return self._interp()
+
+    def remove(self):
+        """Uninstall the tool's link. Once the interpreter is gone there is
+        nothing to do: its links went with its registry."""
+        interp = self.interp
+        if interp is not None:
+            uninstall(interp, self.link)
+
+
+class Breakpoint(_Tool):
     """A before-link to Halt>>now on one or more nodes of a method."""
 
     mk_class_name = "Breakpoint"
 
     def __init__(self, interp, link, sites, target=None):
-        self.interp = interp
+        super().__init__(interp)
         self.link = link
         self.sites = sites
         self.target = target
-
-    def remove(self):
-        uninstall(self.interp, self.link)
 
     def describe(self):
         scope = "object-centric" if self.target is not None else "class-wide"
@@ -33,7 +57,7 @@ class Breakpoint:
             scope, len(self.sites), "" if len(self.sites) == 1 else "s")
 
 
-class VariableWatch:
+class VariableWatch(_Tool):
     """Records every write (optionally read) of one slot of a class.
 
     History entries are (owner object, value, method signature string),
@@ -43,7 +67,7 @@ class VariableWatch:
     mk_class_name = "Watch"
 
     def __init__(self, interp, class_name, var_name, include_reads):
-        self.interp = interp
+        super().__init__(interp)
         self.class_name = class_name
         self.var_name = var_name
         self.history = []
@@ -86,11 +110,14 @@ class VariableWatch:
                 stack += node.children[::-1]
 
     def remove(self):
-        uninstall(self.interp, self.write_link)
+        interp = self.interp
+        if interp is None:
+            return
+        uninstall(interp, self.write_link)
         if self.read_link is not None:
-            uninstall(self.interp, self.read_link)
+            uninstall(interp, self.read_link)
         if self._hook is not None:
-            self.interp.recompile_hooks.remove(self._hook)
+            interp.recompile_hooks.remove(self._hook)
             self._hook = None
 
     def describe(self):
@@ -99,13 +126,13 @@ class VariableWatch:
             "" if len(self.history) == 1 else "s")
 
 
-class TraceCounter:
+class TraceCounter(_Tool):
     """One shared counting link across any set of nodes."""
 
     mk_class_name = "TraceCounter"
 
     def __init__(self, interp):
-        self.interp = interp
+        super().__init__(interp)
         self.counts = {}
         self.link = MetaLink()
         self.link.set_meta_object(HostFunction(self._bump, "a trace counter"))
@@ -120,9 +147,6 @@ class TraceCounter:
     @property
     def total(self):
         return sum(self.counts.values())
-
-    def remove(self):
-        uninstall(self.interp, self.link)
 
     def describe(self):
         return "a TraceCounter (%d fire%s)" % (

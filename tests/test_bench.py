@@ -1,9 +1,11 @@
+import gc
+
 import pytest
 
 from mklang.bench import (
     CHUNK, LINKAGES, WORKLOADS, _calls_per_budget, bench_install,
     bench_overhead, configure, format_install_table, format_overhead_table,
-    runner, synthetic_corpus,
+    ratios, runner, synthetic_corpus,
 )
 from mklang.errors import BudgetExceeded
 from mklang.interpreter import Interpreter
@@ -34,6 +36,21 @@ def test_warm_up_window_calibrates_the_call_count():
     # A 0.05 s budget holds thousands of no-link sends on any host this
     # suite runs on; a count of one chunk or less would time call overhead.
     assert _calls_per_budget(runner("send", "nolink"), 0.05) > CHUNK
+
+
+def test_ratios_times_adjacent_pairs_in_abba_order_with_the_gc_off():
+    calls = []
+    ratios(lambda: calls.append(("a", gc.isenabled())),
+           lambda: calls.append(("b", gc.isenabled())), pairs=4)
+    assert "".join(side for side, _ in calls) == "abbaabba"
+    assert not any(enabled for _, enabled in calls)
+    assert gc.isenabled()
+
+
+def test_ratios_answers_the_median_time_ratio():
+    ratio = ratios(lambda: sum(range(20_000)), lambda: sum(range(40_000)),
+                   pairs=21)
+    assert 0.4 < ratio < 0.6
 
 
 def test_unknown_workload_rejected():

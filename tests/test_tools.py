@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -286,3 +288,32 @@ Acct new deposit: 9.
 w size logCr.
 w logCr""")
     assert result.output == "2\na Watch (Acct.balance, 2 events)\n"
+
+
+# -- lifetime ---------------------------------------------------------------
+
+def test_an_interpreter_with_tools_is_freed_without_the_cyclic_gc():
+    """A tool holds its interpreter weakly, so neither a tool's link in
+    the registry nor a tool in an mklang global makes a cycle through
+    the interpreter."""
+    gc.collect()
+    gc.disable()
+    try:
+        interp = Interpreter()
+        interp.run(SOURCE)
+        tools = [watch_variable(interp, "Acct", "balance", persistent=True),
+                 trace_count(interp, [interp.method_ast("Acct", "audit")]),
+                 set_breakpoint(interp, "Acct", "balance")]
+        interp.run("W := Watch class: #Acct variable: #balance "
+                   "persistent: true. Acct new deposit: 2")
+        assert [t.interp for t in tools] == [interp] * 3
+        assert tools[0].history and tools[1].total == 1
+        dead = weakref.ref(interp)
+        del interp
+        assert dead() is None
+    finally:
+        gc.enable()
+    for tool in tools:
+        assert tool.interp is None
+        tool.remove()
+        tool.remove()
