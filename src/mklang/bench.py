@@ -1,12 +1,11 @@
 """Benchmark harness: instrumentation overhead and link install cost.
 
-Overhead is executions per second of a tiny method, unlinked and under
-the LINKAGES rows. Install cost compares recompiling a synthetic corpus
-with installing, removing and uninstalling links on every method. Every
-figure is a median from `medians`, whose windows are `_timed`. Absolute
-numbers depend on the host; only orderings and signs are meaningful.
-`ratios` compares two runs in pairs of adjacent windows, so a drift in
-the host's speed between windows cancels.
+Overhead is the time of a tiny method under each LINKAGES row over its
+time unlinked, from `ratios`, whose pairs of adjacent windows cancel a
+drift in the host's speed. Install cost compares recompiling a synthetic
+corpus with installing, removing and uninstalling links on every method;
+those phases depend on one another and cannot be paired, so each is a
+median from `medians`. Only orderings and signs are meaningful.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .values import HostFunction
 
 INSTALL_CYCLES = 3
 CHUNK = 64          # sends between clock reads in a calibrating window
+WINDOW = 0.02       # seconds of no-link calls in each window of a pair
 
 _META = """
 class BenchMeta [
@@ -75,9 +75,8 @@ LINKAGES = {
 @dataclass
 class BenchReport:
     scenario: str
-    rate: float                   # executions per second, median of reps
+    rate: float                   # executions per second
     overhead_percent: float       # vs. the nolink reference
-    repetitions: int = 3
 
     def record_line(self):
         return "scenario=%s rate=%.1f overhead_pct=%.2f" % (
@@ -198,28 +197,23 @@ def _calls_per_budget(run, budget):
     return max(1, round(count * budget / elapsed))
 
 
-def rates(runs, budget, repetitions):
-    """Median executions/second of each `run(n)`, from fixed-count timed
-    windows, calibrated per run and interleaved across runs."""
-    counts = [_calls_per_budget(run, budget) for run in runs]
-    seconds = medians([lambda run=run, n=n: run(n)
-                       for run, n in zip(runs, counts)], repetitions)
-    return [n / s for n, s in zip(counts, seconds)]
-
-
-def bench_overhead(workload="send", budget=5.0,
-                   repetitions=3) -> list[BenchReport]:
-    """One report per linkage mode; overhead is relative to 'nolink'."""
+def bench_overhead(workload="send", budget=5.0) -> list[BenchReport]:
+    """One report per linkage mode; overhead is relative to 'nolink'. Both
+    sides of each pair make the calls that fill one WINDOW unlinked, in as
+    many pairs per mode as `budget` seconds would hold with no link."""
     if workload not in WORKLOADS:
         raise ValueError("unknown workload %r" % (workload,))
-    if budget <= 0:
-        raise BudgetExceeded("duration budget must be positive")
+    if not 0 < budget < float("inf"):
+        raise BudgetExceeded("duration budget must be positive and finite")
     modes = list(LINKAGES[workload])
-    found = rates([runner(workload, mode) for mode in modes],
-                  budget, repetitions)
-    return [BenchReport("%s/%s" % (workload, mode), rate,
-                        (found[0] / rate - 1.0) * 100.0, repetitions)
-            for mode, rate in zip(modes, found)]
+    nolink, *linked = [runner(workload, mode) for mode in modes]
+    n = _calls_per_budget(nolink, WINDOW)
+    pairs = max(1, round(budget / (2 * WINDOW)))
+    found = [1.0] + [ratios(lambda run=run: run(n), lambda: nolink(n), pairs)
+                     for run in linked]
+    return [BenchReport("%s/%s" % (workload, mode), n / WINDOW / ratio,
+                        (ratio - 1.0) * 100.0)
+            for mode, ratio in zip(modes, found)]
 
 
 # -- install cost -----------------------------------------------------------

@@ -60,7 +60,7 @@ def build_parser():
                         help="instrumentation overhead harness")
     bo.add_argument("workload", choices=sorted(bench.WORKLOADS))
     bo.add_argument("--budget", type=float, default=5.0,
-                    help="seconds per timed window (default 5)")
+                    help="seconds per mode, at the no-link speed (default 5)")
     bo.add_argument("--format", choices=("text", "records"), default="text")
 
     bi = sub.add_parser("bench-install",

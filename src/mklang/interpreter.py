@@ -48,7 +48,7 @@ from .errors import (
 from .nodes import (
     ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, META_HOOK,
     METHOD_DEF, RETURN, SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ,
-    MethodSignature,
+    MethodSignature, value_selector,
 )
 from .parser import parse, parse_method
 from .reify import TriggerContext, resolve
@@ -769,8 +769,8 @@ class Interpreter:
             return self.call_block(condition, cond_vals, act)
         if isinstance(condition, HostFunction):
             return condition.fn(*cond_vals)
-        selector = "value" if not cond_vals else "value:" * len(cond_vals)
-        return self.send(condition, selector, cond_vals, act)
+        return self.send(condition, value_selector(len(cond_vals)),
+                         cond_vals, act)
 
     # -- helpers ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ import operator
 
 from .errors import MkRuntimeError
 from .interpreter import INT_MAX, INT_MIN, ClassRecord, PrimitiveMethod
-from .nodes import find_nodes
+from .nodes import find_nodes, value_selector
 from .parser import parse
 from .links import MetaLink
 from .reify import NodeMirror
@@ -299,8 +299,7 @@ def _string_protocol(interp, string_cls, symbol_cls):
 
 def _block_protocol(interp, cls):
     for n in range(5):
-        sel = "value" if n == 0 else "value:" * n
-        _prim(cls, sel,
+        _prim(cls, value_selector(n),
               lambda i, r, a, s: i.call_block(r, list(a), s))
     _prim(cls, "numArgs", lambda i, r, a, s: r.arity)
 

@@ -37,7 +37,8 @@ from .errors import (
     ArityMismatch, InsteadConflict, LinkError, MkRuntimeError,
     NodeNotInstallable,
 )
-from .nodes import META_HOOK, NOT_INSTALLABLE, AstNode, selector_arity
+from .nodes import (META_HOOK, NOT_INSTALLABLE, AstNode, selector_arity,
+                    value_selector)
 from .reify import check_applicable, table_kind
 from .values import Array, Block, HostFunction, Instance
 
@@ -364,7 +365,7 @@ def validate_link(interp, link, nodes):
         raise ArityMismatch("meta-object does not understand #%s"
                             % link.selector)
     cond, n = link.condition, len(link.condition_args)
-    selector = "value:" * n or "value"
+    selector = value_selector(n)
     if cond is not None and not isinstance(cond, bool) \
             and not _understands(interp, cond, selector, n):
         raise ArityMismatch("condition does not understand #%s" % selector)
@@ -378,7 +379,7 @@ def _understands(interp, meta_object, selector, arity):
     if isinstance(meta_object, HostFunction):
         return True
     if isinstance(meta_object, Block):
-        return selector == ("value:" * arity or "value") \
+        return selector == value_selector(arity) \
             and meta_object.arity == arity
     return interp.lookup_selector(meta_object, selector) is not None
 

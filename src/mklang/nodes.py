@@ -141,6 +141,11 @@ def selector_arity(selector: str) -> int:
     return 0
 
 
+def value_selector(n: int) -> str:
+    """#value for no argument, else one #value: keyword per argument."""
+    return "value:" * n or "value"
+
+
 # --- queries ---------------------------------------------------------------
 
 def find_nodes(root: AstNode, query: str, arg=None) -> list:

@@ -2,30 +2,31 @@ import gc
 
 import pytest
 
+from mklang import bench
 from mklang.bench import (
-    CHUNK, LINKAGES, WORKLOADS, _calls_per_budget, bench_install,
+    CHUNK, LINKAGES, WINDOW, WORKLOADS, _calls_per_budget, bench_install,
     bench_overhead, configure, format_install_table, format_overhead_table,
     ratios, runner, synthetic_corpus,
 )
 from mklang.errors import BudgetExceeded
 from mklang.interpreter import Interpreter
 
-BUDGET = 0.02   # seconds per timed window; enough for orderings, not noise
+BUDGET = 0.02   # seconds per mode: one pair of windows, enough for a
+                # well-formed report but not for an ordering
 
 
 def test_send_reports_are_well_formed():
-    reports = bench_overhead("send", budget=BUDGET, repetitions=2)
+    reports = bench_overhead("send", budget=BUDGET)
     assert [r.scenario for r in reports] == \
         ["send/nolink", "send/empty", "send/full"]
     for r in reports:
         assert r.rate > 0
-        assert r.repetitions == 2
         assert "scenario=" in r.record_line()
     assert reports[0].overhead_percent == 0.0
 
 
 def test_varrw_reports_are_well_formed():
-    reports = bench_overhead("varrw", budget=BUDGET, repetitions=2)
+    reports = bench_overhead("varrw", budget=BUDGET)
     assert [r.scenario for r in reports] == \
         ["varrw/nolink", "varrw/empty-write", "varrw/full-write",
          "varrw/empty-read", "varrw/full-read"]
@@ -53,6 +54,38 @@ def test_ratios_answers_the_median_time_ratio():
     assert 0.4 < ratio < 0.6
 
 
+def test_each_linked_mode_is_paired_with_no_link_at_one_call_count(
+        monkeypatch):
+    calibrations, compared = [], []
+
+    def fake_runner(workload, mode):
+        return lambda n: compared[-1].append((mode, n))
+
+    def fake_calls_per_budget(run, budget):
+        calibrations.append(budget)
+        return 7
+
+    def fake_ratios(fn_a, fn_b, pairs):
+        compared.append([])
+        fn_a()
+        fn_b()
+        compared[-1].append(pairs)
+        return 2.0
+
+    monkeypatch.setattr(bench, "runner", fake_runner)
+    monkeypatch.setattr(bench, "_calls_per_budget", fake_calls_per_budget)
+    monkeypatch.setattr(bench, "ratios", fake_ratios)
+    for budget, pairs in ((0.4, 10), (1.0, 25), (0.001, 1)):
+        calibrations.clear()
+        compared.clear()
+        reports = bench_overhead("varrw", budget=budget)
+        assert calibrations == [WINDOW]
+        assert compared == [[(mode, 7), ("nolink", 7), pairs]
+                            for mode in list(LINKAGES["varrw"])[1:]]
+        assert [(r.rate, r.overhead_percent) for r in reports] == \
+            [(7 / WINDOW, 0.0)] + [(7 / WINDOW / 2.0, 100.0)] * 4
+
+
 def test_unknown_workload_rejected():
     with pytest.raises(ValueError):
         bench_overhead("bogus", budget=BUDGET)
@@ -63,6 +96,12 @@ def test_non_positive_budget_rejected():
         bench_overhead("send", budget=0)
     with pytest.raises(BudgetExceeded):
         bench_overhead("send", budget=-1)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_non_finite_budget_rejected(budget):
+    with pytest.raises(BudgetExceeded):
+        bench_overhead("send", budget=budget)
 
 
 def test_workloads_are_semantically_neutral():
@@ -129,7 +168,7 @@ def test_install_report_for_an_empty_corpus():
 
 
 def test_tables_render():
-    reports = bench_overhead("send", budget=BUDGET, repetitions=1)
+    reports = bench_overhead("send", budget=BUDGET)
     table = format_overhead_table(reports)
     assert "send/full" in table and "overhead %" in table
     install = format_install_table(bench_install(method_count=10))

@@ -172,8 +172,10 @@ def test_bench_overhead_records_format(capsys):
 
 
 def test_bench_overhead_bad_budget(capsys):
-    assert run_cli(["bench-overhead", "send", "--budget", "0"]) == 64
-    capsys.readouterr()
+    for budget in ("0", "-1", "nan", "inf"):
+        assert run_cli(["bench-overhead", "send", "--budget", budget]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("mklang: ") and "Traceback" not in err
 
 
 def test_bench_install_text_and_records(capsys):
