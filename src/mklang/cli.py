@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 syntax error, 2 runtime error, 3 halted by a
 breakpoint (Halt), 64 usage error, 70 internal error (a fault of mklang
-itself, not of the program it ran).
+itself, not of the program it ran, such as a bundled listing that fails).
 """
 
 from __future__ import annotations
@@ -133,12 +133,15 @@ def cmd_listings(args):
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print("listing %d (%s): %s" % (r.index, r.title, status))
-        if not r.passed:
+        if r.error:
+            print("  error: %s" % r.error)
+        elif not r.passed:
             print("  expected: %r" % r.expected)
             print("  actual:   %r" % r.actual)
         passed += r.passed
     print("%d/%d pass" % (passed, len(results)))
-    return EXIT_OK if passed == len(results) else EXIT_SYNTAX
+    # The listings are mklang's own programs: one that fails is its fault.
+    return EXIT_OK if passed == len(results) else EXIT_INTERNAL
 
 
 def cmd_dump_ast(args):

@@ -3,9 +3,9 @@
 One Interpreter instance owns one strictly single-threaded execution:
 classes, globals, the output sink, the link registry and the meta-level
 counter. Distinct instances are fully independent; they share only the
-kernel's original AST nodes, which nothing writes. Every variable read,
-hooked or not, and the `#variable` reification find a name through
-`scope_of`, the one copy of the lookup order.
+kernel's AST, which nothing writes, and the parser's locked id counter.
+Every variable read, hooked or not, and the `#variable` reification find
+a name through `scope_of`, the one copy of the lookup order.
 
 The unlinked path is kept cheap:
 
@@ -26,8 +26,9 @@ The unlinked path is kept cheap:
   `h(interp, node, act)`, so no interpreter holds bound methods of itself.
 * A method's activation does not refer to itself as its `home`, so
   reference counting frees it when it returns, without the cyclic GC.
-  With the parent ids of `AstNode`, an unlinked interpreter holds no
-  reference cycle of its own and is freed as soon as it is dropped.
+  No node refers to its parent, so an unlinked interpreter is acyclic.
+* Loading keeps nothing per node: a record holds its nodes' id range,
+  and `node_owner` one entry per method.
 * `run` evaluates the top level in a padded frame (`_evaluate_reserved`),
   so a recursion no longer maps and unmaps a CPython data-stack chunk
   each time its depth crosses a chunk's end. `send` is not padded: a host
@@ -48,7 +49,7 @@ from .errors import (
 from .nodes import (
     ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, META_HOOK,
     METHOD_DEF, RETURN, SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ,
-    MethodSignature, value_selector,
+    MethodSignature, id_interval, value_selector,
 )
 from .parser import parse, parse_method
 from .reify import TriggerContext, resolve
@@ -70,15 +71,14 @@ class PrimitiveMethod:
 
 class CompiledMethodRecord:
     __slots__ = ("signature", "original_ast", "original_source", "twin",
-                 "node_ids", "node_index")
+                 "node_ids")
 
     def __init__(self, signature, original_ast, original_source):
         self.signature = signature
         self.original_ast = original_ast
         self.original_source = original_source
         self.twin = None
-        self.node_index = {n.id: n for n in original_ast.walk()}
-        self.node_ids = self.node_index.keys()
+        self.node_ids = id_interval(original_ast)   # a range
 
 
 class ClassRecord:
@@ -180,7 +180,7 @@ class Interpreter:
         self.output = []
         self.meta_level = 0
         self.registry = _links.LinkRegistry()
-        self.node_owner = {}          # node id -> CompiledMethodRecord
+        self.node_owner = _links.NodeOwner()
         self.recompile_hooks = []     # callables(interp, new_record)
         self.hook_visits = 0
         self.registry_consults = 0
@@ -283,13 +283,13 @@ class Interpreter:
         if isinstance(old, CompiledMethodRecord):
             self._forget_method(old)
         cls.methods[mdef.selector] = record
-        self.node_owner.update(dict.fromkeys(record.node_ids, record))
+        self.node_owner.add(record)
         return record
 
     def _forget_method(self, record):
-        for nid in record.node_ids:
+        for nid in self.registry.linked_ids(record.node_ids):
             self.registry.drop_node(nid)
-            self.node_owner.pop(nid, None)
+        self.node_owner.discard(record)
         record.twin = None
 
     # -- running ----------------------------------------------------------

@@ -8,6 +8,12 @@ Every other subtree is the original's own nodes. A linked node's copy is
 marked as a hook (kind `MetaHook`, `original` the node it copies). The
 original AST and source are never touched.
 
+A method keeps no map of its nodes. Its nodes' ids are an interval
+(`record.node_ids`), so `NodeOwner` finds the method that owns an id with
+one bisect over the methods' root ids, and `descend` finds the node in
+one walk down from the root; the same child indices then lead down the
+twin. So loading a method costs nothing per node.
+
 Only a method's first link weaves; a later install copies its path up to
 the spine. Removing a node's last link unmarks its copy (the spine stays),
 and the twin disappears with its last hook. Invalidating a link never
@@ -32,6 +38,8 @@ of them is `#operation`, and no message send to a host meta-object.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .errors import (
     ArityMismatch, InsteadConflict, LinkError, MkRuntimeError,
@@ -226,11 +234,57 @@ class LinkRegistry:
         return node_id in self.class_wide or node_id in self.object_centric
 
     def linked_ids(self, node_ids):
-        """The ids among `node_ids` that have links. `&` with a dict view
-        iterates the smaller side: the registry's few linked ids, or a
-        method's `node_ids` view."""
-        return (self.class_wide.keys() & node_ids
-                | self.object_centric.keys() & node_ids)
+        """The set of ids in the range `node_ids` that have links."""
+        found = _within(self.class_wide, node_ids)
+        if self.object_centric:
+            found |= _within(self.object_centric, node_ids)
+        return found
+
+
+def _within(table, node_ids):
+    """The ids of `table` in the range `node_ids`, from the smaller side:
+    the registry's few linked ids, or the range of a method's ids."""
+    if len(table) <= len(node_ids):
+        return {nid for nid in table if nid in node_ids}
+    return table.keys() & node_ids      # iterates the range
+
+
+class NodeOwner:
+    """The live compiled methods of one interpreter, one entry each, by
+    root id. A method's nodes hold the ids `record.node_ids`, the interval
+    that ends at its root's id, and no two methods' intervals meet; so an
+    id belongs to the method with the least root id at or above it, if
+    that method's interval reaches down to it."""
+
+    __slots__ = ("roots", "records")
+
+    def __init__(self):
+        self.roots = []     # root ids, ascending
+        self.records = []   # the record of each root, in the same order
+
+    def add(self, record):
+        root = record.original_ast.id
+        i = bisect_left(self.roots, root)
+        self.roots.insert(i, root)
+        self.records.insert(i, record)
+
+    def discard(self, record):
+        i = bisect_left(self.roots, record.original_ast.id)
+        if i < len(self.records) and self.records[i] is record:
+            del self.roots[i], self.records[i]
+
+    def get(self, node_id):
+        """The record of the method whose nodes include id `node_id`, or
+        None."""
+        i = bisect_left(self.roots, node_id)
+        if i < len(self.records):
+            record = self.records[i]
+            if node_id in record.node_ids:
+                return record
+        return None
+
+    def __len__(self):
+        return len(self.records)
 
 
 def _discard(buckets, key, link):
@@ -250,8 +304,28 @@ class ReflectiveMethod:
 
     def __init__(self):
         self.woven_ast = None
-        self.copies = {}      # original node id -> its copy on the spine
+        self.copies = {}      # node id -> its copy on the spine
         self.hook_table = {}  # original node id -> its copy, marked a hook
+
+
+def descend(root, node_id):
+    """`(node, path)`: the node with id `node_id` in the tree under `root`
+    (None if there is none), and the child indices that lead down to it.
+    A subtree's ids are the interval that ends at its root's, and children
+    come in increasing id order, so the node lies under the first child
+    whose id is at least `node_id`."""
+    node, path = root, []
+    while node.id != node_id:
+        i = 0
+        for child in node.children:
+            if child.id >= node_id:
+                break
+            i += 1
+        else:
+            return None, path
+        path.append(i)
+        node = child
+    return node, path
 
 
 def weave(interp, record) -> "ReflectiveMethod | None":
@@ -266,38 +340,34 @@ def weave(interp, record) -> "ReflectiveMethod | None":
     root = record.original_ast
     twin.woven_ast = twin.copies[root.id] = _copy(root)
     for node_id in linked:
-        _wrap(twin, node_id, record.node_index)
+        _wrap(twin, *descend(root, node_id))
     record.twin = twin
     return twin
 
 
-def _wrap(twin, node_id, index):
-    """Mark the twin's copy of node `node_id` as its hook, first copying
-    the path up to the spine (copy-on-write): up the originals' `parent`
-    ids, through `index` (the method's id -> original node), at the latest
-    to the method root. Each copy takes its original's slot in its parent
-    copy's `children`."""
+def _wrap(twin, original, path):
+    """Mark the twin's copy of `original` as its hook. `path` holds the
+    child indices from the method root down to `original` (`descend`), and
+    the twin has the original's shape, so they lead down the twin too.
+    Each node on the way that the twin still shares with the original is
+    copied first (copy-on-write), into its slot of its parent copy's
+    `children`."""
     copies = twin.copies
-    path = []
-    node = original = index[node_id]
-    while node.id not in copies:
-        path.append(node)
-        node = index[node.parent]
-    parent = copies[node.id]
-    for node in reversed(path):
-        copy = copies[node.id] = _copy(node)
-        children = parent.children
-        children[children.index(node)] = copy
-        parent = copy
-    copy = twin.hook_table[node_id] = copies[node_id]
-    copy.original = original
-    copy.kind = META_HOOK
+    node = twin.woven_ast
+    for i in path:
+        children = node.children
+        node = children[i]
+        if node.id not in copies:
+            node = _copy(node)
+            children[i] = copies[node.id] = node
+    twin.hook_table[original.id] = node
+    node.original = original
+    node.kind = META_HOOK
 
 
 def _copy(node):
     """A spine node: `node`'s fields, with its own `children` (a leaf's is
-    the shared `()`). A copy has its original's id, so the original's
-    `parent` id names the parent's copy too."""
+    the shared `()`). A copy has its original's id."""
     dup = object.__new__(AstNode)
     dup.kind = node.kind
     dup.start = node.start
@@ -312,20 +382,20 @@ def _copy(node):
     dup.superclass = node.superclass
     dup.params = node.params
     dup.temps = node.temps
-    dup.parent = node.parent
     dup.original = None
     return dup
 
 
-def add_hook(interp, record, node_id):
+def add_hook(interp, record, node, path):
     """Mark one more node of the twin as a hook; only the first link of a
-    method weaves. A later one copies just the path from its node up to
-    the spine, which keeps a hot install cheap."""
+    method weaves. A later one copies just the part of `path` (the child
+    indices down to `node`) below the spine, which keeps a hot install
+    cheap."""
     twin = record.twin
     if twin is None:
         weave(interp, record)
-    elif node_id not in twin.hook_table:
-        _wrap(twin, node_id, record.node_index)
+    elif node.id not in twin.hook_table:
+        _wrap(twin, node, path)
 
 
 def drop_hook(interp, node_id):
@@ -388,8 +458,12 @@ def install(interp, link, node, target=None):
     if node.kind in NOT_INSTALLABLE:
         raise NodeNotInstallable("links cannot be installed on %s nodes"
                                  % node.kind)
+    # The node must be its method's own: a node of a method since
+    # recompiled or reloaded has an id no live method's interval holds.
     record = interp.node_owner.get(node.id)
-    if record is None or record.node_index.get(node.id) is not node:
+    if record is not None:
+        found, path = descend(record.original_ast, node.id)
+    if record is None or found is not node:
         raise NodeNotInstallable(
             "node #%d does not belong to a method of a loaded class"
             % node.id)
@@ -418,7 +492,7 @@ def install(interp, link, node, target=None):
     reg.add(node, link, target)
     if fresh:
         reg.configs[link] = LinkConfig(link)
-    add_hook(interp, record, node.id)
+    add_hook(interp, record, node, path)
 
 
 def remove(interp, link, node, target=None):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import MkError
 from .interpreter import Interpreter
 
 BREAKPOINT_SETUP = """\
@@ -47,10 +48,7 @@ class ListingResult:
     expected: str
     actual: str
     notes: str = ""
-
-
-def _result(index, title, passed, expected, actual, notes=""):
-    return ListingResult(index, title, passed, expected, actual, notes)
+    error: str = ""     # the message of an MkError the listing raised
 
 
 def listing_1(seed=0):
@@ -59,8 +57,7 @@ def listing_1(seed=0):
     r = interp.run("| metalink |\n%smetalink logCr" % BREAKPOINT_SETUP)
     expected = "a MetaLink\n"
     ok = r.signal is None and r.output == expected
-    return _result(1, "breakpoint link configuration", ok, expected,
-                   r.output)
+    return ok, expected, r.output
 
 
 def listing_2(seed=0):
@@ -72,9 +69,8 @@ node link: metalink.
 Object new logCr
 """ % BREAKPOINT_SETUP)
     ok = r.signal is not None and r.output == ""
-    return _result(2, "link installation halts before the method", ok,
-                   "<halt, no output>", r.output or "<no output>",
-                   "halted" if r.signal else "did not halt")
+    return (ok, "<halt, no output>", r.output or "<no output>",
+            "halted" if r.signal else "did not halt")
 
 
 def listing_3(seed=0):
@@ -89,8 +85,7 @@ Object new logCr
 """ % BREAKPOINT_SETUP)
     expected = "an Object\n"
     ok = r.signal is None and r.output == expected
-    return _result(3, "uninstallation restores behavior", ok, expected,
-                   r.output)
+    return ok, expected, r.output
 
 
 def _two_draws(seed):
@@ -110,7 +105,7 @@ def listing_4(seed=0):
                 "inspect: #(Size: 2)\n"
                 "Size: 2\n" % (a, b))
     ok = r.signal is None and r.output == expected
-    return _result(4, "contextual reifications", ok, expected, r.output)
+    return ok, expected, r.output
 
 
 def listing_5(seed=0):
@@ -130,7 +125,7 @@ collection logCr: 'Size: ', collection size printString.
                 "inspect: #(Size: 3)\n"
                 "Size: 3\n" % (a, b, c))
     ok = r.signal is None and r.output == expected
-    return _result(5, "conditional link activation", ok, expected, r.output)
+    return ok, expected, r.output
 
 
 def listing_6(seed=0):
@@ -147,9 +142,8 @@ collection_1 logCr: 'Break'
     expected = "No break\n"
     ok = (r.signal is not None and r.output == expected
           and any(line.startswith("Object>>logCr:") for line in r.trace))
-    return _result(6, "object-centric breakpoint", ok,
-                   expected + "<halt at Object>>logCr:>", r.output,
-                   "halted" if r.signal else "did not halt")
+    return (ok, expected + "<halt at Object>>logCr:>", r.output,
+            "halted" if r.signal else "did not halt")
 
 
 def listing_7(seed=0):
@@ -170,19 +164,32 @@ Job new run
     expected = "meta\njob done\n"
     ok = (r.signal is None and r.output == expected
           and interp.meta_level == 0)
-    return _result(7, "execution levels stop meta-recursion", ok, expected,
-                   r.output)
+    return ok, expected, r.output
 
 
-LISTINGS = (listing_1, listing_2, listing_3, listing_4, listing_5,
-            listing_6, listing_7)
+# (title, listing): a listing answers (passed, expected, actual[, notes]).
+LISTINGS = (
+    ("breakpoint link configuration", listing_1),
+    ("link installation halts before the method", listing_2),
+    ("uninstallation restores behavior", listing_3),
+    ("contextual reifications", listing_4),
+    ("conditional link activation", listing_5),
+    ("object-centric breakpoint", listing_6),
+    ("execution levels stop meta-recursion", listing_7),
+)
 
 
 def run_listing(index, seed=0) -> ListingResult:
+    """Run listing `index` (from 1). One whose run raises an `MkError`
+    fails, with the error's message."""
     if not 1 <= index <= len(LISTINGS):
         raise ValueError("no listing %d" % index)
-    return LISTINGS[index - 1](seed)
+    title, listing = LISTINGS[index - 1]
+    try:
+        return ListingResult(index, title, *listing(seed))
+    except MkError as exc:
+        return ListingResult(index, title, False, "", "", error=str(exc))
 
 
 def run_all(seed=0) -> list[ListingResult]:
-    return [fn(seed) for fn in LISTINGS]
+    return [run_listing(index, seed) for index in range(1, len(LISTINGS) + 1)]

@@ -2,17 +2,24 @@
 
 Nodes are immutable after parse (link machinery never mutates them; weaving
 copies the path from a method's root to each linked node and shares every
-other subtree); the parser sets each node's `parent` to its parent's id,
-so a tree holds no reference cycle and reference counting frees it once
-dropped. A node is one object for the cyclic garbage collector to track,
-plus one list per non-empty `children`, `params` or `temps` (an empty one
-is the shared `()`); its source range is three plain fields, from which
-`span` builds a `SourceSpan` on demand. Node ids are unique in the
-process: every parse draws fresh ones, so a recompile yields fresh ids --
-which is exactly why links are lost on recompilation. Two interpreters
-share nodes, and so ids, only for the kernel, which is parsed once per
-process (`kernel.kernel_program`); each keeps its own method records and
-link state over those nodes.
+other subtree). A node refers to its children only, never to a node above
+it, so a tree holds no reference cycle and reference counting frees it
+once dropped. A node is one object for the cyclic garbage collector to
+track, plus one list per non-empty `children`, `params` or `temps` (an
+empty one is the shared `()`); its source range is three plain fields,
+from which `span` builds a `SourceSpan` on demand.
+
+Node ids are unique in the process: every parse draws fresh ones, so a
+recompile yields fresh ids -- which is exactly why links are lost on
+recompilation. The parser numbers each node as it finishes it, so a
+subtree's ids are the interval from its leftmost leaf's id to its root's
+(`id_interval`), and its children's ids increase. That interval is all
+that locates a node: a method's record holds it, and a descent from the
+root that takes, at each level, the first child whose id is at least the
+target's reaches the node (`links.descend`). Two interpreters share
+nodes, and so ids, only for the kernel, which is parsed once per process
+(`kernel.kernel_program`); each keeps its own method records and link
+state over those nodes.
 """
 
 from __future__ import annotations
@@ -72,19 +79,16 @@ NOT_INSTALLABLE = {CLASS_DEF, TEMP_DECL}
 class AstNode:
     """One node; equal only to itself. `children`, `params` and `temps` are
     lists when non-empty and the shared `()` when empty, so a leaf holds
-    no list. `start`, `end` and `file` are the node's source range.
-    `parent` is the parent's id (the parent's own int object), None at a
-    root; a node refers to no node above it. `links._copy` copies every
-    field."""
+    no list. `start`, `end` and `file` are the node's source range; a
+    node refers to no node above it. `links._copy` copies every field."""
 
     __slots__ = ("kind", "start", "end", "file", "id", "children",
                  "selector", "var_name", "value", "name", "superclass",
-                 "params", "temps", "parent", "original")
+                 "params", "temps", "original")
 
     def __init__(self, kind, start, end, file="<string>", id=0, children=(),
                  selector=None, var_name=None, value=None, name=None,
-                 superclass=None, params=(), temps=(), parent=None,
-                 original=None):
+                 superclass=None, params=(), temps=(), original=None):
         self.kind = kind
         self.start = start
         self.end = end
@@ -98,7 +102,6 @@ class AstNode:
         self.superclass = superclass    # ClassDef
         self.params = params or ()  # argument names
         self.temps = temps or ()    # temps, ClassDef slots
-        self.parent = parent
         self.original = original    # while a MetaHook
 
     @property
@@ -147,6 +150,14 @@ def value_selector(n: int) -> str:
 
 
 # --- queries ---------------------------------------------------------------
+
+def id_interval(root: AstNode) -> range:
+    """The ids of `root`'s subtree: from its leftmost leaf's to its own."""
+    first = root
+    while first.children:
+        first = first.children[0]
+    return range(first.id, root.id + 1)
+
 
 def find_nodes(root: AstNode, query: str, arg=None) -> list:
     """Navigate an AST in source order.
@@ -338,7 +349,7 @@ def _arg(parent, child):
 def dump(node: AstNode) -> str:
     """Indented one-node-per-line rendering with ids and spans.
 
-    Depths come from the walk itself, not from `parent`, which is an id."""
+    Depths come from the walk itself: a node knows no parent."""
     lines = []
     stack = [(node, 0)]
     while stack:

@@ -10,11 +10,17 @@ Grammar (informally):
     expr      := IDENT ":=" expr | keywordSend
     block     := "[" (":"IDENT)* "|"? sequence? "]"
 
-Comments are double-quoted, Smalltalk style. Parsing is reentrant and
-produces no partial results: any malformed input raises MkSyntaxError
-with a span. `node` sets each child's `parent` to the id of the node it
-builds, so a tree holds no reference cycle.
+Comments are double-quoted, Smalltalk style. Parsing produces no partial
+results: any malformed input raises MkSyntaxError with a span.
 Only bracket nesting recurses (see MAX_NESTING); send chains are loops.
+
+Each node takes the next id from one process-wide counter as it is
+finished, children before their parent. So the ids of any subtree are
+exactly the interval from its leftmost leaf's id to its root's, and a
+method's record needs no map of its nodes (`nodes.id_interval`). Two
+parses that drew ids at once would break that, so `parse` and
+`parse_method` hold one module lock: two interpreters in two threads
+parse one after the other.
 
 `tokenize` answers four parallel lists (types, texts, starts, ends), and
 the parser names a token by its position in them. Strings and ints are
@@ -23,12 +29,14 @@ long the source is. A token object, or a tuple, would be one more
 tracked object per token, alive until the parse ends: on a large source
 the young generations fill with them, and every collection the parse
 triggers (or that a host triggers while its heap is large) traverses
-them again.
+them again. Every occurrence of one identifier, keyword or binary
+operator is one string object, which each node that names it shares.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 
 from .errors import MkSyntaxError
 from .nodes import (
@@ -43,8 +51,10 @@ PUNCTUATION = {"(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket",
                "^": "caret", ".": "dot", "|": "pipe"}
 
 # Node ids are unique in the process, not only per parse: a link keeps its
-# sites as node ids, and may sit on nodes of several interpreters.
+# sites as node ids, and may sit on nodes of several interpreters. A parse
+# draws them only while it holds _PARSING, so its ids are contiguous.
 _NODE_IDS = itertools.count(1)
+_PARSING = threading.Lock()
 
 # Deepest nesting of parentheses, blocks and assignments the parser
 # accepts. Each level costs up to eight frames of this recursive-descent
@@ -58,8 +68,10 @@ CONSTANTS = {"true": True, "false": False, "nil": None}
 def tokenize(source: str, file: str = "<string>"):
     """The tokens of `source` as four parallel lists, `(types, texts,
     starts, ends)`: token k has type `types[k]`, text `texts[k]` and
-    source range `starts[k]..ends[k]`. The last token is an eof."""
+    source range `starts[k]..ends[k]`. The last token is an eof. Equal
+    identifier, keyword and binop texts are one string object."""
     types, texts, starts, ends = [], [], [], []
+    names = {}
     add_type, add_text = types.append, texts.append
     add_start, add_end = starts.append, ends.append
     i, n = 0, len(source)
@@ -82,14 +94,15 @@ def tokenize(source: str, file: str = "<string>"):
             j = i + 1
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            text = source[i:j]
             if source.startswith(":", j) and not source.startswith(":=", j):
                 type_ = "keyword"
-                text += ":"
-                i = j + 1
+                j += 1
+                text = source[i:j]
             else:
+                text = source[i:j]
                 type_ = text if text in RESERVED else "ident"
-                i = j
+            text = names.setdefault(text, text)
+            i = j
         elif c.isdecimal():
             j = i + 1
             while j < n and source[j].isdecimal():
@@ -99,7 +112,8 @@ def tokenize(source: str, file: str = "<string>"):
             j = i + 1
             while j < n and source[j] in BINOP_CHARS:
                 j += 1
-            type_, text, i = "binop", source[i:j], j
+            text = source[i:j]
+            type_, text, i = "binop", names.setdefault(text, text), j
         elif c == ":":
             if source.startswith(":=", i):
                 type_, text, i = "assign", ":=", i + 2
@@ -202,17 +216,13 @@ class Parser:
 
     def node(self, kind, start_pos, children=(), **kw):
         """A node spanning the token at `start_pos` up to the last token
-        consumed, whose id each of `children` takes as its `parent`.
+        consumed, numbered after `children`, which are numbered already.
         (Before any token is consumed, index -1 reads the sentinel eof: the
         input holds no other token.)"""
         end = self.ends[self.pos - 1]
         start = self.starts[start_pos]
-        node_id = next(_NODE_IDS)
-        if children:
-            for child in children:
-                child.parent = node_id
         return AstNode(kind, start, end if end > start else start, self.file,
-                       node_id, children, **kw)
+                       next(_NODE_IDS), children, **kw)
 
     def leaf(self, kind, var_name=None, value=None):
         """A node of the current token, which it consumes."""
@@ -239,10 +249,9 @@ class Parser:
             classes.append(self.parse_class())
         decl = self.parse_temp_decl() if self.at("pipe") else None
         main = self.parse_sequence(stop="eof")
-        if decl is not None:
+        if decl is not None:    # numbered before the statements it heads
             main.children = [decl, *main.children]
             main.temps = decl.temps
-            decl.parent = main.id
         self.expect("eof", "end of input")
         return Program(classes=classes, main=main, source=self.source)
 
@@ -437,12 +446,14 @@ class Parser:
 
 def parse(source: str, file: str = "<string>") -> Program:
     """Parse a full program; raises MkSyntaxError on malformed input."""
-    return Parser(source, file).parse_program()
+    with _PARSING:
+        return Parser(source, file).parse_program()
 
 
 def parse_method(source: str, file: str = "<string>") -> AstNode:
     """Parse a single method definition (used by recompile)."""
-    p = Parser(source, file)
-    method = p.parse_method()
-    p.expect("eof", "end of method source")
-    return method
+    with _PARSING:
+        p = Parser(source, file)
+        method = p.parse_method()
+        p.expect("eof", "end of method source")
+        return method

@@ -270,13 +270,6 @@ def _resolve_value(ctx):
     return ctx.pending_value
 
 
-def _owning_method_mirror(ctx, woven):
-    record = ctx.interp.node_owner.get(ctx.node.id)
-    if record is None:
-        return None
-    return MethodMirror(record, woven=woven)
-
-
 def _operation(ctx):
     op = ctx.operation
     if op is None:
@@ -308,10 +301,10 @@ _RESOLVERS = {
     "arguments": _arguments,
     "class": lambda ctx: ctx.interp.class_of(ctx.activation.receiver),
     "receiver": _receiver,
-    "entity": lambda ctx: _owning_method_mirror(ctx, False),
+    "entity": lambda ctx: MethodMirror(ctx.activation.method),
     "link": lambda ctx: ctx.current_link,
-    "method": lambda ctx: _owning_method_mirror(ctx, True),
-    "originalMethod": lambda ctx: _owning_method_mirror(ctx, False),
+    "method": lambda ctx: MethodMirror(ctx.activation.method, woven=True),
+    "originalMethod": lambda ctx: MethodMirror(ctx.activation.method),
     "name": lambda ctx: ctx.node.var_name,
     "newValue": _new_value,
     "node": lambda ctx: NodeMirror(ctx.node),

@@ -22,12 +22,12 @@ from mklang.bench import (
 from mklang.errors import (
     HaltSignal, InapplicableReification, MkError, PhaseUnavailable,
 )
-from mklang.interpreter import Activation
+from mklang.interpreter import Activation, CompiledMethodRecord
 from mklang.links import (
-    install, remove, uninstall, validate_link, weave,
+    descend, install, remove, uninstall, validate_link, weave,
 )
 from mklang.listings import run_all
-from mklang.nodes import META_HOOK, find_nodes
+from mklang.nodes import META_HOOK, find_nodes, id_interval
 from mklang.reify import (
     APPLICABILITY, TriggerContext, resolve, table_kind,
 )
@@ -302,9 +302,17 @@ def test_twin_lifecycle_500_step_fuzzer():
         return [(n.kind, n.id) for n in root.walk()]
 
     def check_invariant():
+        # One owner entry per live method, and each method's nodes are the
+        # interval of ids its record holds.
+        assert len(interp.node_owner) == sum(
+            isinstance(m, CompiledMethodRecord)
+            for cls in interp.classes.values() for m in cls.methods.values())
         for rec in user_records(interp):
+            index = {n.id: n for n in rec.original_ast.walk()}
+            assert sorted(index) == list(rec.node_ids) \
+                == list(id_interval(rec.original_ast))
             # Weaving and unweaving never write an original node.
-            for nid, node in rec.node_index.items():
+            for nid, node in index.items():
                 seen = (node.kind, [c.id for c in node.children],
                         node.original)
                 assert originals.setdefault(nid, seen) == seen
@@ -322,22 +330,22 @@ def test_twin_lifecycle_500_step_fuzzer():
             assert shape(twin.woven_ast) == shape(reference.woven_ast) == [
                 (META_HOOK if nid in twin.hook_table else kind, nid)
                 for kind, nid in shape(rec.original_ast)]
-            # Only the spine is copied: a node in `copies` is fresh, it
-            # keeps its original's parent id, and below the root that id
-            # names the copy that holds it; every other node reached is
-            # the original itself.
+            # Only the spine is copied: a node in `copies` is fresh, has
+            # its original's id and child ids, and holds each child that
+            # is in `copies` as that copy; every other node reached is the
+            # original itself.
             reached = set()
             for node in twin.woven_ast.walk():
-                original = rec.node_index[node.id]
+                original = index[node.id]
+                assert [c.id for c in node.children] == \
+                    [c.id for c in original.children]
                 if node.id in twin.copies:
                     reached.add(node.id)
                     assert twin.copies[node.id] is node
                     assert node is not original
                     assert node is not reference.copies.get(node.id)
-                    assert node.parent is original.parent
-                    if original is not rec.original_ast:
-                        assert any(c is node for c in
-                                   twin.copies[node.parent].children)
+                    for c in node.children:
+                        assert c is twin.copies.get(c.id, index[c.id])
                     # A copy has its own `children` list; a leaf's copy,
                     # like the leaf, holds the shared empty tuple.
                     if original.children:
@@ -371,7 +379,9 @@ def test_twin_lifecycle_500_step_fuzzer():
         assert reg.configs.keys() == reg.sites.keys()
         for link, sites in reg.sites.items():
             for (nid, _target), node in sites.items():
-                assert interp.node_owner[nid].node_index[nid] is node
+                owner = interp.node_owner.get(nid)
+                assert owner is not None
+                assert descend(owner.original_ast, nid)[0] is node
             cfg = reg.configs[link]
             snapshot = SimpleNamespace(
                 meta_object=cfg.meta_object, selector=cfg.selector,

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from mklang import listings
 from mklang.cli import EXIT_INTERNAL, main
 from mklang.interpreter import Interpreter
 
@@ -86,6 +87,33 @@ def test_listings_single_index(capsys):
     assert run_cli(["listings", "1"]) == 0
     assert "1/1 pass" in capsys.readouterr().out
     assert run_cli(["listings", "99"]) == 64
+    capsys.readouterr()
+
+
+def test_a_listing_that_fails_or_raises_is_a_fault_of_mklang(monkeypatch,
+                                                              capsys):
+    """A bundled listing that fails, or whose run raises an MkError, is
+    reported as FAIL and exits 70, not 1 (a syntax error of a program) and
+    not with a Python traceback."""
+    def failing(seed=0):
+        return False, "1\n", "2\n"
+
+    def raising(seed=0):
+        return True, "", Interpreter(seed=seed).run("nil frobnicate").output
+
+    monkeypatch.setattr(listings, "LISTINGS",
+                        (("fails", failing), ("raises", raising)))
+    assert run_cli(["listings"]) == EXIT_INTERNAL == 70
+    out = capsys.readouterr().out
+    assert out == ("listing 1 (fails): FAIL\n"
+                   "  expected: '1\\n'\n"
+                   "  actual:   '2\\n'\n"
+                   "listing 2 (raises): FAIL\n"
+                   "  error: UndefinedObject doesNotUnderstand: #frobnicate\n"
+                   "0/2 pass\n")
+    assert run_cli(["listings", "2"]) == 70
+    assert "1/1 pass" not in capsys.readouterr().out
+    assert run_cli(["listings", "3"]) == 64
     capsys.readouterr()
 
 

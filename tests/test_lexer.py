@@ -93,3 +93,21 @@ def test_tokenize_tracks_no_object_per_token():
             gc.enable()
     assert 9000 < len(tokens[0]) < 12000
     assert tracked <= 8, tracked
+
+
+def test_equal_names_are_one_string_object():
+    """Every occurrence of one identifier, keyword or binary operator is
+    one string object, and so is each node's name taken from it."""
+    source = ("count := count ++ 10. count at: 1 put: count. "
+              "count at: 2 put: 3 ++ 4. total ++ total")
+    types, texts, _, _ = tokenize(source)
+    first = {}
+    names = 0
+    for type_, text in zip(types, texts):
+        if type_ in ("ident", "keyword", "binop"):
+            assert first.setdefault(text, text) is text
+            names += 1
+    assert len(first) == 5 and names == 14
+    named = [n.var_name for n in mk_parser.parse(source).main.walk()
+             if n.var_name == "count"]
+    assert len(named) == 5 and all(r is named[0] for r in named)

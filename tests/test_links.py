@@ -16,9 +16,11 @@ from mklang.errors import (
 )
 from mklang.interpreter import CompiledMethodRecord
 from mklang.links import (
-    LinkRegistry, install, invalidate, remove, uninstall, weave,
+    LinkRegistry, descend, install, invalidate, remove, uninstall, weave,
 )
-from mklang.nodes import BLOCK, META_HOOK, dump, find_nodes, unparse
+from mklang.nodes import (
+    BLOCK, META_HOOK, dump, find_nodes, id_interval, unparse,
+)
 from mklang.parser import parse_method
 from mklang.values import Array, HostFunction
 from progen import gen_program, installable_nodes
@@ -347,9 +349,11 @@ c := Counter new. c increment. c count logCr""").output == "1\n"
 
 
 def test_linked_ids_match_a_scan_of_every_node_on_random_registries():
-    """`linked_ids` intersects dict views, iterating the smaller side; on
-    any registry it answers what asking `has_links` of each node does."""
+    """`linked_ids` filters a range of ids from the smaller side, the
+    registry's tables or the range; on any registry and range it answers
+    what asking `has_links` of each id does."""
     rng = random.Random(7)
+    sides = set()
     for _ in range(300):
         reg = LinkRegistry()
         links = [MetaLink() for _ in range(3)]
@@ -362,10 +366,13 @@ def test_linked_ids_match_a_scan_of_every_node_on_random_registries():
             sites.append(site)
         for site in rng.sample(sites, rng.randrange(len(sites) + 1)):
             reg.remove(*site)
-        node_ids = dict.fromkeys(
-            rng.sample(range(1, 80), rng.randrange(60))).keys()
+        low = rng.randrange(1, 80)
+        node_ids = range(low, low + rng.choice((rng.randrange(4),
+                                                 rng.randrange(60))))
         assert reg.linked_ids(node_ids) == \
             {nid for nid in node_ids if reg.has_links(nid)}
+        sides.add(len(node_ids) < len(reg.class_wide))
+    assert sides == {True, False}
 
 
 def test_per_node_remove_unwraps_in_place_without_copying():
@@ -811,12 +818,18 @@ def test_a_link_on_the_root_of_a_5000_term_chain_copies_only_the_root():
     root = record.original_ast
     install(interp, recording_link([], "a"), root)
     hook = record.twin.woven_ast
-    # The root copy keeps its original's parent: the id of the class.
-    assert root.parent is cdef.id
-    assert hook.kind == META_HOOK and hook.parent is cdef.id
+    # The method's ids end at its root, and the class's own is the next:
+    # it belongs to no method.
+    original = list(root.walk())
+    assert record.node_ids == id_interval(root) == range(
+        root.id - len(original) + 1, root.id + 1)
+    assert cdef.id == root.id + 1 and interp.node_owner.get(cdef.id) is None
+    assert interp.node_owner.get(record.node_ids[0]) is record
+    assert descend(root, root.id) == (root, [])
+    assert hook.kind == META_HOOK and hook.id == root.id
     assert hook.original is root
     assert record.twin.copies == {root.id: hook}
-    woven, original = list(hook.walk()), list(root.walk())
+    woven = list(hook.walk())
     assert [(n.kind, n.id) for n in woven] == \
         [(META_HOOK, root.id)] + [(n.kind, n.id) for n in original[1:]]
     assert all(a is b for a, b in zip(woven[1:], original[1:]))
@@ -832,16 +845,21 @@ def test_a_link_on_the_deepest_node_of_a_5000_term_chain_copies_its_path():
     while path[-1].children:            # a receiver is the deeper side
         path.append(path[-1].children[0])
     assert len(path) > 5000
+    # The deepest node is the leftmost leaf: the first id of the method,
+    # reached by one descent through each receiver.
+    assert path[-1].id == record.node_ids[0]
+    assert descend(root, path[-1].id) == (path[-1], [0] * (len(path) - 1))
     sink = []
     link = recording_link(sink, "a")
-    install(interp, link, path[-1])     # the walk up is iterative
+    install(interp, link, path[-1])     # the descent is iterative
     twin = record.twin
     assert len(twin.copies) == len(path)
     spine = [twin.copies[n.id] for n in path]
     assert spine[0] is twin.woven_ast and spine[-1].original is path[-1]
     for node, copy, below in zip(path, spine, spine[1:]):
-        assert copy.children[0] is below and below.parent is copy.id
-        assert twin.copies[below.parent] is copy
+        assert copy is not node and copy.id == node.id
+        assert copy.children[0] is below
+        assert [c.id for c in copy.children] == [c.id for c in node.children]
         assert all(a is b for a, b in zip(copy.children[1:],
                                           node.children[1:]))
     assert deep(lambda: interp.run("A new m").value) == 5001

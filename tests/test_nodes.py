@@ -10,7 +10,7 @@ from mklang.kernel import KERNEL_SOURCE
 from mklang.nodes import (
     ASSIGNMENT, BLOCK, CLASS_DEF, LITERAL, LITERAL_ARRAY, MESSAGE_SEND,
     METHOD_DEF, RETURN, SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ, AstNode,
-    SourceSpan, selector_arity, unparse,
+    SourceSpan, id_interval, selector_arity, unparse,
 )
 from mklang.parser import parse
 from progen import gen_program
@@ -37,7 +37,10 @@ def test_ast_node_defaults_and_identity():
     b = AstNode(VAR_READ, 0, 1)
     assert (a.id, a.selector, a.var_name, a.value, a.name, a.superclass) \
         == (0, None, None, None, None, None)
-    assert a.parent is None and a.original is None
+    assert a.original is None
+    # A node refers to no node above it; a leaf's interval is its own id.
+    assert not hasattr(a, "parent") and "parent" not in AstNode.__slots__
+    assert id_interval(AstNode(VAR_READ, 0, 1, id=7)) == range(7, 8)
     # An empty sequence is the one shared tuple, given or defaulted.
     empty = AstNode(BLOCK, 0, 1, children=[], params=[], temps=[])
     for node in (a, b, empty):

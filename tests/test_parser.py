@@ -9,7 +9,8 @@ from mklang.errors import MkSyntaxError
 from mklang.kernel import KERNEL_SOURCE
 from mklang.nodes import (
     ASSIGNMENT, BLOCK, LITERAL, MESSAGE_SEND, METHOD_DEF, RETURN, SEQUENCE,
-    TEMP_DECL, VAR_READ, dump, find_nodes, selector_arity, unparse,
+    TEMP_DECL, VAR_READ, AstNode, dump, find_nodes, id_interval,
+    selector_arity, unparse,
 )
 from mklang.parser import MAX_NESTING, parse, parse_method, tokenize
 from progen import gen_program
@@ -121,20 +122,28 @@ def test_node_ids_unique_and_spans_inside_source():
             assert 0 <= n.span.start <= n.span.end <= len(SAMPLE)
 
 
-def test_parent_links():
-    """A child's `parent` is its parent's own id object, not a new int,
-    and ids are unique, so it names exactly one node."""
+def test_subtree_ids_are_an_interval_ending_at_the_root():
+    """Every subtree holds exactly the ids of `id_interval`, its leftmost
+    leaf's up to its root's, and children come in increasing id order; so
+    the ids are unique and each interval names exactly one subtree. The
+    temp declaration `parse_program` puts at the head of the top level is
+    numbered before its statements. No node knows its parent."""
     program = parse(SAMPLE)
-    for root in program.classes + [program.main]:
-        assert root.parent is None
-        for n in root.walk():
-            for c in n.children:
-                assert c.parent is n.id
-    decl = program.main.children[0]
-    assert decl.kind == TEMP_DECL and decl.parent is program.main.id
     method = parse_method("at: i put: v [ | t | t := v. ^ t ]")
-    assert method.parent is None
-    assert all(c.parent is n.id for n in method.walk() for c in n.children)
+    roots = program.classes + [program.main]
+    for root in roots + [method]:
+        for n in root.walk():
+            assert sorted(m.id for m in n.walk()) == list(id_interval(n))
+            ids = [c.id for c in n.children]
+            assert ids == sorted(ids)
+    for before, after in zip(roots, roots[1:]):
+        assert before.id < id_interval(after)[0]
+    decl = program.main.children[0]
+    assert decl.kind == TEMP_DECL
+    assert id_interval(program.main)[0] == decl.id
+    assert method.children[0].kind == TEMP_DECL
+    assert id_interval(method)[0] == method.children[0].id
+    assert "parent" not in AstNode.__slots__
 
 
 def recursive_preorder(node):
