@@ -6,12 +6,18 @@ drift in the host's speed. Install cost compares recompiling a synthetic
 corpus with installing, removing and uninstalling links on every method;
 those phases depend on one another and cannot be paired, so each is a
 median from `medians`. Only orderings and signs are meaningful.
+
+`counts` gives exact costs that do not drift with the host: the CPython
+bytecodes and the Python calls an operation executes. The tests gate on
+them: the unlinked path costs not one bytecode more beside a linked
+method, and a linked trigger stays within a budget of Python calls.
 """
 
 from __future__ import annotations
 
 import gc
 import statistics
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -153,6 +159,61 @@ def ratios(fn_a, fn_b, pairs):
                 b = _seconds(fn_b)
             found.append(a / b)
     return statistics.median(found)
+
+
+def _bytecodes(fn, n):
+    """CPython bytecodes the calling thread executes in `fn(n)`."""
+    count = 0
+
+    def opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return opcode
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return opcode
+
+    sys.settrace(call)
+    try:
+        fn(n)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def _python_calls(fn, n):
+    """Python frames the calling thread starts in `fn(n)`; C calls are not
+    counted."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(n)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def counts(fn, n):
+    """`(bytecodes, calls)`: the CPython bytecodes and the Python calls
+    that `n` calls of the operation `fn(k)` (which runs it `k` times)
+    execute, each the count of `fn(2n)` minus that of `fn(n)`, after one
+    `fn(n)` warmed every cache. The warm-up is traced: on CPython 3.12 and
+    3.13 the first traced run of a code object misses opcode events. Unlike
+    a time, a count does not drift with the host; it differs between
+    CPython versions, so compare counts taken in one process. The GC stays
+    off throughout."""
+    with _gc_paused():
+        _bytecodes(fn, n)
+        return tuple(measure(fn, 2 * n) - measure(fn, n)
+                     for measure in (_bytecodes, _python_calls))
 
 
 def configure(interp, workload, mode):

@@ -14,8 +14,9 @@ The unlinked path is kept cheap:
   or a superclass link flushes all caches: loading classes
   (`_install_classes`) and `recompile`. The kernel and tool primitives
   are written straight into the tables, before any send.
-* `send` finds the receiver's class from its Python type; `class_of`'s
-  `isinstance` checks remain for classes, host functions and mirrors.
+* `send` and `class_of` find a value's class from its Python type, in one
+  table (`kernel.TYPE_CLASSES`); only a class and a host function are not
+  in it.
 * A `^` among a method body's own statements answers from
   `_run_method_body` directly. Only a `^` inside a block, or one carrying
   a link (a `MetaHook`), raises `MethodReturn`.
@@ -186,18 +187,15 @@ class Interpreter:
         self.registry_consults = 0
         self.random = _random.Random(seed)
         self.kernel_classes = frozenset()
-        from .kernel import install_kernel
+        from .kernel import TYPE_CLASSES, install_kernel
         install_kernel(self)
         classes = self.classes
         # A program may add methods to these, but not move them.
         self.kernel_classes = frozenset(classes)
         # Class of every value whose Python type fixes it; Instance and
-        # Array carry their own, the rest go through `class_of`.
-        self._type_classes = {
-            bool: classes["Boolean"], int: classes["Integer"],
-            Symbol: classes["Symbol"], str: classes["String"],
-            type(None): classes["UndefinedObject"], Block: classes["Block"],
-        }
+        # Array carry their own, classes and host functions are Objects.
+        self._type_classes = {t: classes[name]
+                              for t, name in TYPE_CLASSES.items()}
 
     # -- program loading --------------------------------------------------
 
@@ -394,9 +392,6 @@ class Interpreter:
             return cls
         if isinstance(v, (ClassRecord, HostFunction)):
             return self.classes["Object"]
-        name = getattr(type(v), "mk_class_name", None)
-        if name is not None and name in self.classes:
-            return self.classes[name]
         raise MkRuntimeError("value of unknown type: %r" % (v,))
 
     def lookup_selector(self, receiver, selector):
@@ -404,10 +399,8 @@ class Interpreter:
         if isinstance(receiver, HostFunction):
             return True
         if isinstance(receiver, ClassRecord):
-            found = receiver.lookup_class_side(selector)
-            if found is not None:
-                return found
-            return self.classes["Object"].lookup(selector)
+            return (receiver.lookup_class_side(selector)
+                    or self.classes["Object"].lookup(selector))
         return self.class_of(receiver).lookup(selector)
 
     def send(self, receiver, selector, args, sender=None, node=None):
@@ -640,38 +633,39 @@ class Interpreter:
         handlers = _HANDLERS
         orig = hook.original
         kind = orig.kind
-        receiver = args = value = None
         if kind == MESSAGE_SEND:
             children = hook.children
             rnode = children[0]
-            receiver = handlers[rnode.kind](self, rnode, act)
-            send = (self._send_super if rnode.var_name == "super"
-                    else self.send)
+            receiver = (act.receiver if rnode.kind == SELF_REF
+                        else handlers[rnode.kind](self, rnode, act))
             args = []
             for c in children[1:]:
                 args.append(handlers[c.kind](self, c, act))
-            perform = partial(send, receiver, hook.selector, args, act, orig)
-        elif kind == ASSIGNMENT:
+            send = self._send_super if rnode.var_name == "super" else self.send
+            return self._trigger(orig, act, partial(
+                send, receiver, hook.selector, args, act, orig),
+                receiver, args)
+        if kind == ASSIGNMENT:
             expr = hook.children[0]
             value = handlers[expr.kind](self, expr, act)
             perform = partial(self.write_var, hook.var_name, value, act, orig)
-        elif kind == RETURN:
+            return self._trigger(orig, act, perform, None, None, value)
+        if kind == RETURN:
             expr = hook.children[0]
             value = handlers[expr.kind](self, expr, act)
             raise MethodReturn(act.home, self._trigger(
                 orig, act, lambda: value, None, None, value, False))
-        elif kind == BLOCK:
+        if kind == BLOCK:
             # Fires at each invocation of the closure, not at its creation.
             return Block(hook, act)
-        else:
-            perform = partial(handlers[kind], self, hook, act)
-        return self._trigger(orig, act, perform, receiver, args, value)
+        return self._trigger(orig, act, partial(handlers[kind], self, hook,
+                                                act))
 
     def _trigger(self, orig, act, perform, receiver=None, args=None,
                  value=None, after=True):
-        """Run `perform`, the pending operation at the hooked node `orig`,
-        under the node's class-wide links, then the receiver's object-centric
-        ones; unlinked, just run it. An `Operation` is built only on demand."""
+        """The registry consult of every hooked operation: run `perform` at
+        `orig` under its class-wide, then the receiver's object-centric
+        links; unlinked, just run it. Only it makes a `TriggerContext`."""
         self.registry_consults += 1
         reg = self.registry
         links = reg.class_wide.get(orig.id, ())
@@ -680,22 +674,26 @@ class Interpreter:
             links += per_obj.get(act.receiver, ())
         if not links:
             return perform()
+        ctx = TriggerContext()
+        ctx.interp, ctx.node, ctx.activation = self, orig, act
+        ctx.phase, ctx.perform, ctx.operation = "before", perform, None
+        ctx.pending_receiver, ctx.pending_args = receiver, args
+        ctx.pending_value, ctx.current_link = value, None
         try:
-            return self.run_trigger(links, TriggerContext(
-                self, orig, act, perform, receiver, args, value), after)
+            return self.run_trigger(links, ctx, after)
         except MkError as exc:  # a link found invalid as it fires
             self.locate(exc, act, orig)
             raise
 
     def run_trigger(self, links, ctx, after=True):
-        """Before/instead/after protocol over all applicable links:
-        class-wide ones first (installation order), then object-centric
-        ones. Before-links fire in that order, after-links in reverse. An
-        instead-link's result replaces the node's value; the most specific
-        (object-centric, latest installed) wins. If none fires, the base
-        runs through the `Operation` a link reified, else `ctx.perform`.
-        `after` is False at a return: control leaves the method with the
-        value, so there is no after phase and its after-links never fire.
+        """Before/instead/after protocol over all applicable links, once per
+        linked trigger: class-wide ones first (installation order), then
+        object-centric ones. Before-links fire in that order, after-links in
+        reverse. An instead-link's result replaces the node's value; the
+        most specific (object-centric, latest installed) wins. If none
+        fires, the base runs through the `Operation` a link reified, else
+        `ctx.perform`; with before-links only, right after them. `after` is
+        False at a return: control leaves with the value, no after phase.
 
         The before pass reads each link's registry snapshot when it reaches
         the link (revalidated if a setter changed the link), so a change a
@@ -714,6 +712,9 @@ class Interpreter:
                 self.fire_link(link, cfg, ctx)
             else:
                 later += ((link, cfg),)
+        if not later:      # before-links only: no instead or after pass
+            op = ctx.operation
+            return ctx.perform() if op is None else op.invoke_base()
         for link, cfg in reversed(later):
             if cfg.control == "instead":
                 ctx.phase = "instead"
@@ -735,15 +736,16 @@ class Interpreter:
         return result
 
     def fire_link(self, link, cfg, ctx):
-        """Level-gated, condition-gated dispatch to the meta-object; the
-        snapshot says if the condition is evaluated, and a host
-        meta-object is called without a send. Returns (fired, value); the
-        meta level is incremented for the whole activation (condition
-        included) and restored on every exit path, signals included."""
-        if not link.enabled or self.meta_level != cfg.level or cfg.blocked:
+        """One attempt to fire a link, fired or not. Level- and
+        condition-gated dispatch to the meta-object: the snapshot says if the
+        condition is evaluated, and a host meta-object is called without a
+        send. Returns (fired, value). The meta level is one higher for the
+        whole activation (condition included), and restored on any exit."""
+        level = self.meta_level
+        if not link.enabled or level != cfg.level or cfg.blocked:
             return (False, None)
         ctx.current_link = link
-        self.meta_level += 1
+        self.meta_level = level + 1
         try:
             if cfg.guarded:
                 cond_vals = []
@@ -760,7 +762,7 @@ class Interpreter:
             return (True, self.send(cfg.meta_object, cfg.selector, args,
                                     ctx.activation))
         finally:
-            self.meta_level -= 1
+            self.meta_level = level
 
     def _check_condition(self, condition, cond_vals, act):
         if isinstance(condition, bool):
@@ -819,12 +821,10 @@ class Interpreter:
             if v.class_ref.name == "Array":
                 return "#(%s)" % inner
             return "%s (%s)" % (self._article(v.class_ref.name), inner)
-        if isinstance(v, Instance):
-            return self._article(v.class_ref.name)
+        if isinstance(v, (Instance, Block)):
+            return self._article(self.class_of(v).name)
         if isinstance(v, ClassRecord):
             return v.name
-        if isinstance(v, Block):
-            return "a Block"
         if isinstance(v, HostFunction):
             return v.label
         describe = getattr(v, "describe", None)

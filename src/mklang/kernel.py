@@ -17,7 +17,12 @@ from .interpreter import INT_MAX, INT_MIN, ClassRecord, PrimitiveMethod
 from .nodes import find_nodes, value_selector
 from .parser import parse
 from .links import MetaLink
-from .reify import NodeMirror
+from .reify import (
+    ContextMirror, MethodMirror, NodeMirror, OperationWrapper, VariableMirror,
+)
+from .tools import (
+    Breakpoint, TraceCounter, VariableWatch, install_tool_classes,
+)
 from .values import Array, Block, Instance, Symbol, identical
 
 BUILTIN_CLASSES = (
@@ -34,6 +39,18 @@ HOST_MADE = frozenset((
     "NodeMirror", "MethodMirror", "ContextMirror", "VariableMirror",
     "Operation", "Breakpoint", "Watch", "TraceCounter", "MetaLink",
 ))
+
+# The class of every value whose Python type fixes it, by name: the one
+# rule `send`, `class_of` and `printString` share. An `Instance` or `Array`
+# carries its own class; a class or a host function is an Object.
+TYPE_CLASSES = {
+    bool: "Boolean", int: "Integer", Symbol: "Symbol", str: "String",
+    type(None): "UndefinedObject", Block: "Block", MetaLink: "MetaLink",
+    NodeMirror: "NodeMirror", MethodMirror: "MethodMirror",
+    ContextMirror: "ContextMirror", VariableMirror: "VariableMirror",
+    OperationWrapper: "Operation", Breakpoint: "Breakpoint",
+    VariableWatch: "Watch", TraceCounter: "TraceCounter",
+}
 
 KERNEL_SOURCE = """
 class Object [
@@ -130,8 +147,6 @@ def install_kernel(interp):
     _reflection_protocol(interp, classes)
 
     interp._install_classes(kernel_program())
-
-    from .tools import install_tool_classes
     install_tool_classes(interp)
 
 
@@ -165,7 +180,6 @@ def _object_protocol(interp, obj):
         record = recv.lookup(str(args[0]))
         if record is None or isinstance(record, PrimitiveMethod):
             return None
-        from .reify import MethodMirror
         return MethodMirror(record)
 
     _cprim(obj, "lookupSelector:", lookup_sel)

@@ -97,8 +97,6 @@ class MetaLink:
     reification requests, condition, execution level). Only a definition:
     each interpreter's `LinkRegistry` keeps the link's sites and snapshot."""
 
-    mk_class_name = "MetaLink"
-
     def __init__(self):
         self.meta_object = None
         self.selector = None
@@ -328,19 +326,16 @@ def descend(root, node_id):
     return node, path
 
 
-def weave(interp, record) -> "ReflectiveMethod | None":
-    """Build the twin from scratch from the current registry state: copy
-    the root, then the path to each linked node. Only a method's first
-    link takes this cold path; `add_hook` and `drop_hook` edit the twin."""
-    linked = interp.registry.linked_ids(record.node_ids)
-    if not linked:
-        record.twin = None
-        return None
+def weave(record, node, path) -> ReflectiveMethod:
+    """Build the twin of a method that has none for its first linked node,
+    `node` at `path` (`descend`'s child indices): copy the root, then the
+    path down to `node`. A method without a twin has no other linked node,
+    so this one path is the whole twin. Only a method's first link takes
+    this cold path; `add_hook` and `drop_hook` edit the twin."""
     twin = ReflectiveMethod()
     root = record.original_ast
     twin.woven_ast = twin.copies[root.id] = _copy(root)
-    for node_id in linked:
-        _wrap(twin, *descend(root, node_id))
+    _wrap(twin, node, path)
     record.twin = twin
     return twin
 
@@ -388,12 +383,12 @@ def _copy(node):
 
 def add_hook(interp, record, node, path):
     """Mark one more node of the twin as a hook; only the first link of a
-    method weaves. A later one copies just the part of `path` (the child
-    indices down to `node`) below the spine, which keeps a hot install
-    cheap."""
+    method weaves, down the `path` (the child indices to `node`) that
+    `install` found. A later one copies just the part of `path` below the
+    spine, which keeps a hot install cheap."""
     twin = record.twin
     if twin is None:
-        weave(interp, record)
+        weave(record, node, path)
     elif node.id not in twin.hook_table:
         _wrap(twin, node, path)
 

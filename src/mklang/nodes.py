@@ -68,6 +68,9 @@ LITERAL = "Literal"
 LITERAL_ARRAY = "LiteralArray"
 BLOCK = "Block"
 SELF_REF = "SelfRef"
+# Every kind an original AST's node may have.
+KINDS = (CLASS_DEF, METHOD_DEF, SEQUENCE, TEMP_DECL, MESSAGE_SEND, VAR_READ,
+         ASSIGNMENT, RETURN, LITERAL, LITERAL_ARRAY, BLOCK, SELF_REF)
 # The kind of a twin's copy of a linked node, marked in place; its
 # `original` is then the node it copies. Never present in an original AST.
 META_HOOK = "MetaHook"

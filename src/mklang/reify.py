@@ -4,13 +4,23 @@ Each reification kind applies only to certain node categories; requesting
 an inapplicable kind is rejected at install time and again at resolve
 time. Some kinds additionally exist only in certain phases (a message
 send's value does not exist before the send ran).
+
+`APPLICABILITY` is the one copy of which kind applies where. `resolve`
+is called once per reification (the traced benchmark counts the calls)
+and finds its resolver with one lookup by kind and by the node's own
+kind, in a table derived from `APPLICABILITY`; only a request that fails
+works out the node's category, to name it in the error. A resolver that
+reads one field of the `TriggerContext` is an `attrgetter`, and starts
+no Python frame.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .errors import AlreadyInvoked, InapplicableReification, PhaseUnavailable
 from .nodes import (
-    ASSIGNMENT, BLOCK, MESSAGE_SEND, METHOD_DEF, RETURN, VAR_READ,
+    ASSIGNMENT, BLOCK, KINDS, MESSAGE_SEND, METHOD_DEF, RETURN, VAR_READ,
 )
 from .values import Instance, Symbol
 
@@ -68,30 +78,18 @@ def table_kind(node) -> str:
 class TriggerContext:
     """Everything a firing link may reify at one hook activation.
 
-    `perform` is the pending base operation. Its `OperationWrapper` is
-    built on the first `#operation` request and kept in `operation`, so
-    every link of one trigger gets the same object, and a trigger whose
-    links ask for none builds none. Once the base ran without a wrapper,
-    `perform` is None."""
+    `Interpreter._trigger` is the one place that makes a context. It has
+    no `__init__`, so making one starts no Python frame: `_trigger` sets
+    every field itself. `node` is the original node the hook copies, whose
+    kind files its resolvers. `perform` is the pending base operation. Its
+    `OperationWrapper` is built on the first `#operation` request and kept
+    in `operation`, so every link of one trigger gets the same object, and
+    a trigger whose links ask for none builds none. Once the base ran
+    without a wrapper, `perform` is None."""
 
-    __slots__ = ("interp", "node", "table_kind", "activation", "phase",
-                 "perform", "pending_receiver", "pending_args",
-                 "pending_value", "operation", "current_link")
-
-    def __init__(self, interp, node, activation, perform,
-                 pending_receiver=None, pending_args=None,
-                 pending_value=None):
-        self.interp = interp
-        self.node = node
-        self.table_kind = _TABLE_KIND.get(node.kind, "other")
-        self.activation = activation
-        self.phase = "before"
-        self.perform = perform
-        self.pending_receiver = pending_receiver
-        self.pending_args = pending_args
-        self.pending_value = pending_value
-        self.operation = None
-        self.current_link = None
+    __slots__ = ("interp", "node", "activation", "phase", "perform",
+                 "pending_receiver", "pending_args", "pending_value",
+                 "operation", "current_link")
 
 
 class OperationWrapper:
@@ -99,7 +97,6 @@ class OperationWrapper:
     wrapper without a thunk stands for one that already ran."""
 
     __slots__ = ("node", "_thunk", "invoked", "result")
-    mk_class_name = "Operation"
 
     def __init__(self, thunk, node):
         self._thunk = thunk
@@ -131,7 +128,6 @@ class NodeMirror:
     """Language-level handle on an original (unwoven) AST node."""
 
     __slots__ = ("node",)
-    mk_class_name = "NodeMirror"
 
     def __init__(self, node):
         self.node = node
@@ -148,7 +144,6 @@ class MethodMirror:
     twin, otherwise the original definition."""
 
     __slots__ = ("record", "woven")
-    mk_class_name = "MethodMirror"
 
     def __init__(self, record, woven=False):
         self.record = record
@@ -171,7 +166,6 @@ class ContextMirror:
     the temps, and the sender chain."""
 
     __slots__ = ("receiver", "selector", "temps", "sender_activation")
-    mk_class_name = "ContextMirror"
 
     def __init__(self, activation):
         self.receiver = activation.receiver
@@ -194,7 +188,6 @@ class VariableMirror:
     mapping `Interpreter.scope_of` found the name in."""
 
     __slots__ = ("kind", "name", "scope")
-    mk_class_name = "VariableMirror"
 
     def __init__(self, kind, name, scope):
         self.kind = kind       # 'temp' | 'slot' | 'global' | 'class'
@@ -213,15 +206,17 @@ class VariableMirror:
 def _phase_error(kind, ctx):
     raise PhaseUnavailable(
         "#%s is not available on a %s node in %s phase"
-        % (kind, ctx.table_kind, ctx.phase))
+        % (kind, table_kind(ctx.node), ctx.phase))
 
 
 def resolve(kind, ctx: TriggerContext):
-    """Produce the reified value for `kind` from a trigger context."""
+    """Produce the reified value for `kind` from a trigger context. One
+    lookup by the node's kind finds the resolver and checks applicability;
+    only an inapplicable request works out the node's category."""
     try:
-        resolver = _RESOLVERS[kind][ctx.table_kind]
+        resolver = _RESOLVERS[kind][ctx.node.kind]
     except KeyError:
-        check_applicable(kind, ctx.table_kind)
+        check_applicable(kind, table_kind(ctx.node))
         raise
     return resolver(ctx)
 
@@ -231,19 +226,19 @@ def _arguments(ctx):
 
 
 def _receiver(ctx):
-    if ctx.table_kind == "message":
+    if ctx.node.kind == MESSAGE_SEND:
         return ctx.pending_receiver
     return ctx.activation.receiver
 
 
 def _new_value(ctx):
-    if ctx.table_kind != "assignment":
+    if ctx.node.kind != ASSIGNMENT:
         _phase_error("newValue", ctx)  # a read never changes the value
     return ctx.pending_value
 
 
 def _selector(ctx):
-    if ctx.table_kind == "message":
+    if ctx.node.kind == MESSAGE_SEND:
         return Symbol(ctx.node.selector)
     return Symbol(ctx.activation.method.signature.selector)
 
@@ -256,11 +251,11 @@ def _sender(ctx):
 
 
 def _resolve_value(ctx):
-    nk = ctx.table_kind
+    nk = ctx.node.kind
     phase = ctx.phase
-    if nk == "assignment":
+    if nk == ASSIGNMENT:
         return ctx.pending_value
-    if nk == "return":
+    if nk == RETURN:
         if phase in ("before", "instead"):
             return ctx.pending_value
         _phase_error("value", ctx)
@@ -280,7 +275,7 @@ def _operation(ctx):
 def _variable_mirror(ctx):
     """The binding a read of the node's name finds now. A name bound
     nowhere yet mirrors the global a top-level write would create."""
-    if ctx.table_kind not in ("variable", "assignment"):
+    if ctx.node.kind not in (VAR_READ, ASSIGNMENT):
         return None
     interp = ctx.interp
     name = ctx.node.var_name
@@ -295,20 +290,20 @@ def _variable_mirror(ctx):
     return VariableMirror("temp", name, scope)
 
 
-# Kind -> function of the trigger context, filed below under each node
-# category the kind applies to, so one lookup checks applicability too.
+# Kind -> function of the trigger context. A field of the context is read
+# by an `attrgetter`, which starts no Python frame.
 _RESOLVERS = {
     "arguments": _arguments,
     "class": lambda ctx: ctx.interp.class_of(ctx.activation.receiver),
     "receiver": _receiver,
     "entity": lambda ctx: MethodMirror(ctx.activation.method),
-    "link": lambda ctx: ctx.current_link,
+    "link": attrgetter("current_link"),
     "method": lambda ctx: MethodMirror(ctx.activation.method, woven=True),
     "originalMethod": lambda ctx: MethodMirror(ctx.activation.method),
-    "name": lambda ctx: ctx.node.var_name,
+    "name": attrgetter("node.var_name"),
     "newValue": _new_value,
     "node": lambda ctx: NodeMirror(ctx.node),
-    "object": lambda ctx: ctx.activation.receiver,
+    "object": attrgetter("activation.receiver"),
     "operation": _operation,
     "selector": _selector,
     "sender": _sender,
@@ -316,5 +311,8 @@ _RESOLVERS = {
     "value": _resolve_value,
     "variable": _variable_mirror,
 }
-_RESOLVERS = {kind: dict.fromkeys(APPLICABILITY[kind], fn)
+# ... filed under each node kind whose category the kind applies to, so
+# `resolve`'s one lookup by `node.kind` checks applicability too.
+_RESOLVERS = {kind: {nk: fn for nk in KINDS
+                     if _TABLE_KIND.get(nk, "other") in APPLICABILITY[kind]}
               for kind, fn in _RESOLVERS.items()}

@@ -43,8 +43,6 @@ class _Tool:
 class Breakpoint(_Tool):
     """A before-link to Halt>>now on one or more nodes of a method."""
 
-    mk_class_name = "Breakpoint"
-
     def __init__(self, interp, link, sites, target=None):
         super().__init__(interp)
         self.link = link
@@ -63,8 +61,6 @@ class VariableWatch(_Tool):
     History entries are (owner object, value, method signature string),
     appended in execution order. A persistent watch re-installs itself on
     the fresh AST whenever a method of the watched class is recompiled."""
-
-    mk_class_name = "Watch"
 
     def __init__(self, interp, class_name, var_name, include_reads):
         super().__init__(interp)
@@ -128,8 +124,6 @@ class VariableWatch(_Tool):
 
 class TraceCounter(_Tool):
     """One shared counting link across any set of nodes."""
-
-    mk_class_name = "TraceCounter"
 
     def __init__(self, interp):
         super().__init__(interp)

@@ -8,7 +8,7 @@ before them, so every generated program terminates.
 
 from __future__ import annotations
 
-from mklang.links import MetaLink
+from mklang.links import MetaLink, ReflectiveMethod, _copy, _wrap, descend
 from mklang.nodes import CLASS_DEF, TEMP_DECL
 from mklang.reify import APPLICABILITY, table_kind
 from mklang.values import HostFunction
@@ -104,6 +104,21 @@ def user_records(interp):
                 if not isinstance(rec, PrimitiveMethod):
                     records.append(rec)
     return records
+
+
+def woven_from_scratch(interp, record):
+    """A reference twin of `record`, built from the registry alone: the
+    root copied, then the path down to each node that has links; None if
+    no node of the method has one. Twins edited in place must equal it."""
+    linked = interp.registry.linked_ids(record.node_ids)
+    if not linked:
+        return None
+    twin = ReflectiveMethod()
+    root = record.original_ast
+    twin.woven_ast = twin.copies[root.id] = _copy(root)
+    for node_id in linked:
+        _wrap(twin, *descend(root, node_id))
+    return twin
 
 
 def installable_nodes(record):

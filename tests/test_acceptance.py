@@ -16,23 +16,26 @@ import pytest
 
 from mklang import Interpreter, MetaLink
 from mklang.bench import (
-    SEND_WORKLOAD, _calls_per_budget, bench_install, bench_overhead, ratios,
-    runner,
+    SEND_WORKLOAD, _calls_per_budget, bench_install, bench_overhead, counts,
+    ratios, runner,
 )
 from mklang.errors import (
     HaltSignal, InapplicableReification, MkError, PhaseUnavailable,
 )
 from mklang.interpreter import Activation, CompiledMethodRecord
 from mklang.links import (
-    descend, install, remove, uninstall, validate_link, weave,
+    descend, install, remove, uninstall, validate_link,
 )
 from mklang.listings import run_all
+from mklang.tools import trace_count
 from mklang.nodes import META_HOOK, find_nodes, id_interval
 from mklang.reify import (
     APPLICABILITY, TriggerContext, resolve, table_kind,
 )
 from mklang.values import HostFunction
-from progen import gen_link, gen_program, installable_nodes, user_records
+from progen import (
+    gen_link, gen_program, installable_nodes, user_records, woven_from_scratch,
+)
 
 
 # 1. Bundled examples reproduce their documented behavior, < 5 s total.
@@ -85,9 +88,12 @@ def _matrix_fixture():
 
 
 def _context(interp, node, act, kind):
-    ctx = TriggerContext(interp, node, act, lambda: 4, pending_receiver=3,
-                         pending_args=[1], pending_value=4)
-    ctx.current_link = MetaLink()
+    # Fields set as `Interpreter._trigger` sets them.
+    ctx = TriggerContext()
+    ctx.interp, ctx.node, ctx.activation = interp, node, act
+    ctx.phase, ctx.perform, ctx.operation = "before", lambda: 4, None
+    ctx.pending_receiver, ctx.pending_args = 3, [1]
+    ctx.pending_value, ctx.current_link = 4, MetaLink()
     # #value exists only after a send/read has produced it, but on a
     # return node only before the unwind discards the frame.
     category = table_kind(node)
@@ -325,8 +331,7 @@ def test_twin_lifecycle_500_step_fuzzer():
             twin = rec.twin
             assert set(twin.hook_table) == \
                 interp.registry.linked_ids(rec.node_ids)
-            reference = weave(interp, rec)
-            rec.twin = twin
+            reference = woven_from_scratch(interp, rec)
             assert shape(twin.woven_ast) == shape(reference.woven_ast) == [
                 (META_HOOK if nid in twin.hook_table else kind, nid)
                 for kind, nid in shape(rec.original_ast)]
@@ -461,6 +466,65 @@ def test_zero_cost_unlinked_baseline():
         send(target, "run", [], None)
     assert interp.hook_visits == 0
     assert interp.registry_consults == 0
+
+
+# Exact counts (`bench.counts`) do not drift with the host. Bytecode counts
+# differ between CPython versions, so a gate compares counts taken in one
+# process; a fixed budget is stated in Python calls.
+
+FIB_SOURCE = """class Fib [
+    fib: n [ n < 2 ifTrue: [ ^ n ]. ^ (self fib: n - 1) + (self fib: n - 2) ]
+    other [ ^ 0 ]
+]
+"""
+
+
+def fib_runner(link_other):
+    interp = Interpreter()
+    interp.load(FIB_SOURCE)
+    if link_other:
+        trace_count(interp, [interp.method_ast("Fib", "other")])
+    fib = interp.send(interp.class_named("Fib"), "new", [], None)
+
+    def run(n):
+        for _ in range(n):
+            interp.send(fib, "fib:", [10], None)
+    return interp, run
+
+
+def test_zero_cost_in_bytecodes_beside_a_linked_method():
+    plain, run_plain = fib_runner(link_other=False)
+    linked, run_linked = fib_runner(link_other=True)
+    assert linked.lookup_method("Fib", "other").twin is not None
+    assert counts(run_linked, 5) == counts(run_plain, 5)
+    assert linked.hook_visits == linked.registry_consults == 0
+
+
+def traced_send_runner():
+    """`runner("send", ...)` with one TraceCounter link on the send of
+    #step in BenchTarget>>run."""
+    interp = Interpreter()
+    interp.load(SEND_WORKLOAD)
+    counter = trace_count(interp, find_nodes(
+        interp.method_ast("BenchTarget", "run"), "sends-of", "step"))
+    target = interp.send(interp.class_named("BenchTarget"), "new", [], None)
+
+    def run(n):
+        for _ in range(n):
+            interp.send(target, "run", [], None)
+    return counter, run
+
+
+def test_a_send_under_one_link_adds_at_most_seven_python_calls():
+    # The trigger runs _eval_hook (instead of _eval_message), _trigger,
+    # run_trigger, fire_link, resolve, the #node resolver, the mirror's
+    # __init__ and the meta-object: 7 calls more than an unlinked send.
+    n = 100
+    counter, run = traced_send_runner()
+    _, linked = counts(run, n)
+    _, plain = counts(runner("send", "nolink"), n)
+    assert counter.total == 7 * n   # a warm-up, then 2n and n per count
+    assert linked - plain <= 7 * n
 
 
 # 9. Persistent variable watch across recompilation.

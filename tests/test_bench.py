@@ -1,12 +1,14 @@
 import gc
+import sys
+import threading
 
 import pytest
 
 from mklang import bench
 from mklang.bench import (
     CHUNK, LINKAGES, WINDOW, WORKLOADS, _calls_per_budget, bench_install,
-    bench_overhead, configure, format_install_table, format_overhead_table,
-    ratios, runner, synthetic_corpus,
+    bench_overhead, configure, counts, format_install_table,
+    format_overhead_table, ratios, runner, synthetic_corpus,
 )
 from mklang.errors import BudgetExceeded
 from mklang.interpreter import Interpreter
@@ -52,6 +54,42 @@ def test_ratios_answers_the_median_time_ratio():
     ratio = ratios(lambda: sum(range(20_000)), lambda: sum(range(40_000)),
                    pairs=21)
     assert 0.4 < ratio < 0.6
+
+
+def test_counts_are_exact_per_call_and_leave_tracing_off():
+    def leaf():
+        return 1
+
+    def two_leaves(n):
+        for _ in range(n):
+            leaf()
+            leaf()
+
+    # The first traced runs of these code objects are inside `counts`:
+    # CPython 3.12 and 3.13 miss opcode events in such a run.
+    bytecodes, calls = counts(two_leaves, 50)
+    assert calls == 100                  # `two_leaves` itself cancels out
+    assert counts(two_leaves, 100) == (2 * bytecodes, 2 * calls)
+    assert sys.gettrace() is None and sys.getprofile() is None
+    assert gc.isenabled()
+
+
+def test_counts_see_only_the_calling_thread():
+    stop = threading.Event()
+
+    def spin():                 # Python calls on another thread
+        while not stop.is_set():
+            stop.wait(0)
+
+    busy = threading.Thread(target=spin)
+    alone = counts(runner("send", "nolink"), 20)
+    busy.start()
+    try:
+        assert counts(runner("send", "nolink"), 20) == alone
+    finally:
+        stop.set()
+        busy.join(timeout=10)
+    assert not busy.is_alive()
 
 
 def test_each_linked_mode_is_paired_with_no_link_at_one_call_count(

@@ -9,21 +9,21 @@ import pytest
 
 import mklang.interpreter as mk_interp
 import mklang.parser as mk_parser
-from mklang import Interpreter, MetaLink, reify
+from mklang import Interpreter, MetaLink, links, reify
 from mklang.errors import (
     AlreadyInvoked, ArityMismatch, InapplicableReification, InsteadConflict,
     MkRuntimeError, NodeNotInstallable, PhaseUnavailable,
 )
 from mklang.interpreter import CompiledMethodRecord
 from mklang.links import (
-    LinkRegistry, descend, install, invalidate, remove, uninstall, weave,
+    LinkRegistry, descend, install, invalidate, remove, uninstall,
 )
 from mklang.nodes import (
     BLOCK, META_HOOK, dump, find_nodes, id_interval, unparse,
 )
 from mklang.parser import parse_method
 from mklang.values import Array, HostFunction
-from progen import gen_program, installable_nodes
+from progen import gen_program, installable_nodes, woven_from_scratch
 
 SOURCE = """class Counter [ | count |
     initialize [ count := 0 ]
@@ -342,8 +342,38 @@ def test_weave_is_idempotent_from_registry_state(interp):
     record = interp.lookup_method("Counter", "increment")
     link = recording_link([], "a")
     install(interp, link, increment_node(interp))
-    weave(interp, record)
+    record.twin = woven_from_scratch(interp, record)
     assert len(record.twin.hook_table) == 1
+    assert interp.run("""| c |
+c := Counter new. c increment. c count logCr""").output == "1\n"
+
+
+def test_a_cold_install_weaves_from_the_one_path_install_found(
+        interp, monkeypatch):
+    # The traced benchmark wraps `links.weave`: every cold install calls
+    # it, once; a hot one does not. Neither scans the method's ids, and
+    # each walks down its method once, in `install`.
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(links, "weave")
+    counting(links, "descend")
+    counting(links.LinkRegistry, "linked_ids")
+    record = interp.lookup_method("Counter", "increment")
+    write, read = (increment_node(interp, query, "count")
+                   for query in ("writes-of", "reads-of"))
+    install(interp, recording_link([], "cold"), write)
+    assert calls == ["descend", "weave"]
+    install(interp, recording_link([], "hot"), read)
+    assert calls == ["descend", "weave", "descend"]
+    assert set(record.twin.hook_table) == {write.id, read.id}
     assert interp.run("""| c |
 c := Counter new. c increment. c count logCr""").output == "1\n"
 

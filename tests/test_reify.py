@@ -1,14 +1,20 @@
 import pytest
 
 from mklang import Interpreter, MetaLink
-from mklang.errors import AlreadyInvoked, PhaseUnavailable
-from mklang.links import install
-from mklang.nodes import META_HOOK, find_nodes
-from mklang.reify import (
-    APPLICABILITY, ContextMirror, OperationWrapper, VariableMirror,
-    table_kind,
+from mklang import tools
+from mklang.errors import (
+    AlreadyInvoked, InapplicableReification, PhaseUnavailable,
 )
-from mklang.values import Array, HostFunction, Instance, Symbol
+from mklang.interpreter import Activation
+from mklang.kernel import TYPE_CLASSES
+from mklang.links import install
+from mklang.nodes import KINDS, META_HOOK, RETURN, find_nodes
+from mklang.parser import parse
+from mklang.reify import (
+    APPLICABILITY, ContextMirror, MethodMirror, NodeMirror, OperationWrapper,
+    TriggerContext, VariableMirror, check_applicable, resolve, table_kind,
+)
+from mklang.values import Array, Block, HostFunction, Instance, Symbol
 
 SOURCE = """class Probe [ | slot |
     initialize [ slot := 10 ]
@@ -313,3 +319,124 @@ def test_variable_mirror_of_a_class_name_is_the_class(interp):
     assert mirror.kind == "class" and mirror.name == "Transcript"
     assert mirror.read() is interp.classes["Transcript"]
     assert interp.print_string(mirror) == "variable(class Transcript)"
+
+
+# `resolve` files its resolvers by node kind, derived from APPLICABILITY:
+# for every node kind it answers exactly where `check_applicable` on the
+# node's category lets it, and fails with that check's message elsewhere.
+
+EVERY_KIND_SOURCE = """class Every [ | s |
+    m: p [ | t | t := #(1 2). s := [ :x | x ]. ^ self m: p + 1 ]
+]
+"""
+
+
+def one_node_of_each_kind():
+    program = parse(EVERY_KIND_SOURCE)
+    found = {}
+    for node in program.classes[0].walk():
+        found.setdefault(node.kind, node)
+    assert sorted(found) == sorted(KINDS)
+    return found
+
+
+def trigger_context(interp, node, act, phase):
+    """A context with its fields set as `Interpreter._trigger` sets them."""
+    ctx = TriggerContext()
+    ctx.interp, ctx.node, ctx.activation = interp, node, act
+    ctx.phase, ctx.perform, ctx.operation = phase, lambda: 4, None
+    ctx.pending_receiver, ctx.pending_args = 3, [1]
+    ctx.pending_value, ctx.current_link = 4, MetaLink()
+    return ctx
+
+
+def test_resolve_answers_exactly_where_the_applicability_check_lets_it(
+        interp):
+    record = interp.lookup_method("Probe", "run:")
+    receiver = interp.send(interp.class_named("Probe"), "new", [], None)
+    act = Activation(receiver, record, None, {"t": 4})
+    answered = 0
+    for node_kind, node in one_node_of_each_kind().items():
+        category = table_kind(node)
+        for kind in sorted(APPLICABILITY) + ["index"]:
+            try:
+                check_applicable(kind, category)
+            except InapplicableReification as exc:
+                with pytest.raises(InapplicableReification) as got:
+                    resolve(kind, trigger_context(interp, node, act,
+                                                  "after"))
+                assert str(got.value) == str(exc), (kind, node_kind)
+                continue
+            # A return's value exists only before the unwind, a send's or
+            # a read's only after it ran; a read never has a new value.
+            phase = "before" if node_kind == RETURN else "after"
+            ctx = trigger_context(interp, node, act, phase)
+            if (kind, category) == ("newValue", "variable"):
+                with pytest.raises(PhaseUnavailable):
+                    resolve(kind, ctx)
+            else:
+                resolve(kind, ctx)
+                answered += 1
+    assert answered > len(APPLICABILITY) * 3
+
+
+@pytest.mark.parametrize("kind, node_kind, phase, text", [
+    ("value", "message", "before",
+     "#value is not available on a message node in before phase"),
+    ("value", "variable", "instead",
+     "#value is not available on a variable node in instead phase"),
+    ("value", "return", "after",
+     "#value is not available on a return node in after phase"),
+    ("newValue", "variable", "after",
+     "#newValue is not available on a variable node in after phase"),
+])
+def test_phase_errors_name_the_node_category_and_the_phase(
+        interp, kind, node_kind, phase, text):
+    node = next(n for n in one_node_of_each_kind().values()
+                if table_kind(n) == node_kind)
+    act = Activation(None, interp.lookup_method("Probe", "run:"), None)
+    with pytest.raises(PhaseUnavailable) as got:
+        resolve(kind, trigger_context(interp, node, act, phase))
+    assert str(got.value) == text
+
+
+# One rule for a value's class: `class_of`, the `class` primitive, method
+# lookup in `send` and `printString` agree on one value of each type.
+
+def one_value_of_each_type(interp):
+    interp.run("class Keep [ | b | keep [ b := [ :x | x ] ] b [ ^ b ] ]")
+    record = interp.lookup_method("Keep", "keep")
+    keep = interp.send(interp.class_named("Keep"), "new", [], None)
+    interp.send(keep, "keep", [], None)
+    node = record.original_ast
+    act = Activation(keep, record, None)
+    return [
+        True, 3, Symbol("sym"), "str", None, interp.send(keep, "b", [], None),
+        MetaLink(), NodeMirror(node), MethodMirror(record),
+        ContextMirror(act), VariableMirror("temp", "x", {"x": 1}),
+        OperationWrapper(None, node),
+        tools.set_breakpoint(interp, "Keep", "keep"),
+        tools.watch_variable(interp, "Keep", "b"),
+        tools.trace_count(interp, [node]),
+        keep, interp.new_array([1]), interp.new_array([], ordered=True),
+    ]
+
+
+def test_class_of_send_and_print_string_agree_on_every_value_type(interp):
+    values = one_value_of_each_type(interp)
+    assert {type(v) for v in values} >= set(TYPE_CLASSES)
+    names = {interp.class_of(v).name for v in values}
+    # Each class answers its own name to a method a program adds to it.
+    interp.run("\n".join("class %s [ whoAmI [ ^ '%s' ] ]" % (n, n)
+                         for n in sorted(names)))
+    for v in values:
+        cls = interp.class_of(v)
+        assert interp.send(v, "class", [], None) is cls
+        assert interp.send(v, "whoAmI", [], None) == cls.name
+        assert interp.send(v, "printString", [], None) \
+            == interp.print_string(v)
+        if isinstance(v, (Instance, Block)):
+            assert interp.print_string(v) in ("a " + cls.name,
+                                              "an " + cls.name)
+    assert interp.class_of(interp.classes["Keep"]).name == "Object"
+    assert interp.class_of(HostFunction(print)).name == "Object"
