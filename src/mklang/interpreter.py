@@ -1,11 +1,12 @@
-"""Object model and tree-walking evaluator.
+"""Object model and evaluator: an unwoven method runs compiled code
+(`compiler`), and only a twin is tree-walked.
 
 One Interpreter instance owns one strictly single-threaded execution:
 classes, globals, the output sink, the link registry and the meta-level
 counter. Distinct instances are fully independent; they share only the
 kernel's AST, which nothing writes, and the parser's locked id counter.
-Every variable read, hooked or not, and the `#variable` reification find
-a name through `scope_of`, the one copy of the lookup order.
+A walked variable read and `#variable` find a name through `scope_of`;
+compiled code resolves temps once, and the rest through `outer_scope`.
 
 The unlinked path is kept cheap:
 
@@ -17,9 +18,9 @@ The unlinked path is kept cheap:
 * `send` and `class_of` find a value's class from its Python type, in one
   table (`kernel.TYPE_CLASSES`); only a class and a host function are not
   in it.
-* A `^` among a method body's own statements answers from
-  `_run_method_body` directly. Only a `^` inside a block, or one carrying
-  a link (a `MetaHook`), raises `MethodReturn`.
+* A `^` among a method body's own statements answers directly, from
+  `execute_method` or from a twin's `_run_method_body`. Only a `^` inside
+  a block, or one carrying a link (a `MetaHook`), raises `MethodReturn`.
 * Node handlers call each other through `_HANDLERS`, not through
   `eval_node`, so a send costs few Python frames and recursion reaches
   deeper before Python's limit turns it into "stack overflow".
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import links as _links
+from .compiler import compile_top, compiled
 from .errors import (
     HaltSignal, MethodReturn, MkError, MkRuntimeError, SelectorMismatch,
     UnknownClass, UnknownSelector,
@@ -56,23 +58,22 @@ from .parser import parse, parse_method
 from .reify import TriggerContext, resolve
 from .values import Array, Block, HostFunction, Instance, Symbol
 
-INT_MIN = -(2 ** 63)
-INT_MAX = 2 ** 63 - 1
-
 
 class PrimitiveMethod:
     """Host-implemented method; has no AST and therefore cannot be linked."""
 
-    __slots__ = ("selector", "fn")
+    __slots__ = ("selector", "fn", "op")
 
-    def __init__(self, selector, fn):
+    def __init__(self, selector, fn, op=None):
         self.selector = selector
         self.fn = fn
+        self.op = op    # an Integer primitive's operator, `fn` built on it
 
 
 class CompiledMethodRecord:
     __slots__ = ("signature", "original_ast", "original_source", "twin",
-                 "node_ids")
+                 "node_ids", "code")
+    op = None   # no operator: compiled code sends to a method in a program
 
     def __init__(self, signature, original_ast, original_source):
         self.signature = signature
@@ -80,6 +81,7 @@ class CompiledMethodRecord:
         self.original_source = original_source
         self.twin = None
         self.node_ids = id_interval(original_ast)   # a range
+        self.code = None    # `compiler.compiled` sets it at the first run
 
 
 class ClassRecord:
@@ -196,6 +198,7 @@ class Interpreter:
         # Array carry their own, classes and host functions are Objects.
         self._type_classes = {t: classes[name]
                               for t, name in TYPE_CLASSES.items()}
+        self.int_methods = classes["Integer"].methods   # read by inlined sends
 
     # -- program loading --------------------------------------------------
 
@@ -460,15 +463,26 @@ class Interpreter:
             temps[t] = None
         act = Activation(receiver, record, sender, temps)
         act.current_node = mdef
-        if mdef.kind == META_HOOK:
-            self.hook_visits += 1
-            return self._trigger(mdef.original, act,
-                                 partial(self._run_method_body, mdef, act),
-                                 None, args)
-        return self._run_method_body(mdef, act)
+        if twin is not None:
+            if mdef.kind == META_HOOK:
+                self.hook_visits += 1
+                return self._trigger(mdef.original, act, partial(
+                    self._run_method_body, mdef, act), None, args)
+            return self._run_method_body(mdef, act)
+        statements, ret = record.code or compiled(record)
+        try:
+            for stmt in statements:
+                stmt(self, act)
+            if ret is not None:
+                return ret(self, act)
+        except MethodReturn as mr:
+            if mr.target is act:
+                return mr.value
+            raise
+        return receiver
 
     def _run_method_body(self, mdef, act):
-        """Evaluate a method body. A `^` among the body's own statements
+        """Walk a twin's method body. A `^` among the body's own statements
         answers directly; only a `^` in a block, or a hooked one, raises
         `MethodReturn`, which lands here when `act` is its home."""
         handlers = _HANDLERS
@@ -507,7 +521,10 @@ class Interpreter:
             if name in temps:
                 return temps
             a = a.lexical_parent
-        recv = act.receiver
+        return self.outer_scope(name, act.receiver)
+
+    def outer_scope(self, name, recv):
+        """Where `scope_of` finds a name no temp binds."""
         if isinstance(recv, Instance) and name in recv.slots:
             return recv.slots
         if name in self.globals:
@@ -614,6 +631,8 @@ class Interpreter:
         act = Activation(home.receiver, home.method, sender,
                          dict(zip(node.params, args)), defining, home)
         act.current_node = node
+        if block.code is not None:
+            return block.code(self, act)
         body = node.children[0] if node.children else None
         if node.kind == META_HOOK:
             # Read the body's kind late: a before-link may unmark its hook.
@@ -854,9 +873,9 @@ _HANDLERS = {
 }
 
 
-def _evaluate_reserved(interp, node, act):
-    """Evaluate `node` in a frame that reserves the data stack of a run."""
-    return _HANDLERS[node.kind](interp, node, act)
+def _evaluate_reserved(interp, main, act):
+    """Compile and run `main` in a frame that reserves a run's data stack."""
+    return compile_top(main)(interp, act)
 
 
 # CPython >= 3.11 keeps frames on a data stack of chunks. A frame that does

@@ -13,7 +13,7 @@ import functools
 import operator
 
 from .errors import MkRuntimeError
-from .interpreter import INT_MAX, INT_MIN, ClassRecord, PrimitiveMethod
+from .interpreter import ClassRecord, PrimitiveMethod
 from .nodes import find_nodes, value_selector
 from .parser import parse
 from .links import MetaLink
@@ -23,7 +23,7 @@ from .reify import (
 from .tools import (
     Breakpoint, TraceCounter, VariableWatch, install_tool_classes,
 )
-from .values import Array, Block, Instance, Symbol, identical
+from .values import INT_MAX, INT_MIN, Array, Block, Instance, Symbol, identical
 
 BUILTIN_CLASSES = (
     "Object", "Boolean", "Integer", "String", "Symbol", "UndefinedObject",
@@ -82,8 +82,8 @@ def kernel_program():
     return parse(KERNEL_SOURCE, file="<kernel>")
 
 
-def _prim(cls, selector, fn):
-    cls.methods[selector] = PrimitiveMethod(selector, fn)
+def _prim(cls, selector, fn, op=None):
+    cls.methods[selector] = PrimitiveMethod(selector, fn, op)
 
 
 def _cprim(cls, selector, fn):
@@ -241,6 +241,8 @@ def _boolean_protocol(interp, cls):
 # -- Integer ----------------------------------------------------------------
 
 def _integer_protocol(interp, cls):
+    # Each of these primitives is built from its `op`, which compiled code
+    # applies itself to two ints (`compiler._INLINED`).
     def arith(op):
         def fn(interp, r, a, s):
             # Checked inline: `_need_int` and `_check_int` only see the
@@ -253,38 +255,37 @@ def _integer_protocol(interp, cls):
             return _check_int(op(r, _need_int(y)))
         return fn
 
+    def divide(op):
+        def fn(interp, r, a, s):
+            d = _need_int(a[0])
+            if d == 0:
+                raise MkRuntimeError("division by zero")
+            return _check_int(op(r, d))
+        return fn
+
     def compare(op):
         def fn(interp, r, a, s):
             y = a[0]
             return op(r, y if y.__class__ is int else _need_int(y))
         return fn
 
-    def divide(interp, r, a, s):
-        d = _need_int(a[0])
-        if d == 0:
-            raise MkRuntimeError("division by zero")
-        return _check_int(r // d)
+    def equal(op):
+        unequal = op(0, 1)   # what a non-Integer argument answers
 
-    def modulo(interp, r, a, s):
-        d = _need_int(a[0])
-        if d == 0:
-            raise MkRuntimeError("division by zero")
-        return r % d
+        def fn(interp, r, a, s):
+            y = a[0]
+            return op(r, y) if y.__class__ is int else unequal
+        return fn
 
-    _prim(cls, "+", arith(operator.add))
-    _prim(cls, "-", arith(operator.sub))
-    _prim(cls, "*", arith(operator.mul))
-    _prim(cls, "/", divide)
-    _prim(cls, "//", divide)
-    _prim(cls, "\\\\", modulo)
-    _prim(cls, "<", compare(operator.lt))
-    _prim(cls, "<=", compare(operator.le))
-    _prim(cls, ">", compare(operator.gt))
-    _prim(cls, ">=", compare(operator.ge))
-    _prim(cls, "=", lambda i, r, a, s: not isinstance(a[0], bool)
-          and isinstance(a[0], int) and r == a[0])
-    _prim(cls, "~=", lambda i, r, a, s: isinstance(a[0], bool)
-          or not isinstance(a[0], int) or r != a[0])
+    for selector, make, op in (
+            ("+", arith, operator.add), ("-", arith, operator.sub),
+            ("*", arith, operator.mul), ("/", divide, operator.floordiv),
+            ("//", divide, operator.floordiv),
+            ("\\\\", divide, operator.mod),
+            ("<", compare, operator.lt), ("<=", compare, operator.le),
+            (">", compare, operator.gt), (">=", compare, operator.ge),
+            ("=", equal, operator.eq), ("~=", equal, operator.ne)):
+        _prim(cls, selector, make(op), op)
     _prim(cls, "max:", lambda i, r, a, s: max(r, _need_int(a[0])))
     _prim(cls, "min:", lambda i, r, a, s: min(r, _need_int(a[0])))
     _prim(cls, "abs", lambda i, r, a, s: _check_int(abs(r)))

@@ -8,6 +8,11 @@ equality for immediates; Symbols are interned so both coincide.
 
 from __future__ import annotations
 
+# The range of an Integer: an operation whose result leaves it fails with
+# "integer overflow".
+INT_MIN = -(2 ** 63)
+INT_MAX = 2 ** 63 - 1
+
 _SYMBOLS: dict[str, "Symbol"] = {}
 
 
@@ -48,13 +53,16 @@ class Array:
 
 class Block:
     """Closure over its defining activation. Made from a twin's marked copy
-    of a Block node, it fires the copy's links while the mark lasts."""
+    of a Block node, it fires the copy's links while the mark lasts. Made
+    by compiled code, it carries its body's compiled `code`; made by the
+    tree-walker, it has none and its body is walked."""
 
-    __slots__ = ("node", "defining_activation")
+    __slots__ = ("node", "defining_activation", "code")
 
-    def __init__(self, node, defining_activation):
+    def __init__(self, node, defining_activation, code=None):
         self.node = node
         self.defining_activation = defining_activation
+        self.code = code
 
     @property
     def arity(self):

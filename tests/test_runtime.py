@@ -494,13 +494,17 @@ def _run_in_fresh_thread(interp, source):
     return box[0]
 
 
-def test_recursion_reaches_245_levels_and_overflows_at_300():
+def test_recursion_reaches_245_levels_and_overflows_at_1000():
+    """Floors for both recursion forms. Every level is at least one Python
+    frame, so 1000 levels overflow under Python's default limit."""
     interp = Interpreter()
-    interp.run(DOWN)
+    interp.run(DOWN + "\nclass D [ "
+               "up: n [ n = 0 ifTrue: [ ^ 0 ]. ^ (self up: n - 1) + 1 ] ]")
     assert _run_in_fresh_thread(interp, "D new down: 245").value == 0
+    assert _run_in_fresh_thread(interp, "D new up: 196").value == 196
     with pytest.raises(MkRuntimeError, match="stack overflow") as exc:
-        _run_in_fresh_thread(interp, "D new down: 300")
-    assert exc.value.trace == ["top-level (<string>:0..15)"]
+        _run_in_fresh_thread(interp, "D new down: 1000")
+    assert exc.value.trace == ["top-level (<string>:0..16)"]
     assert interp.run("D new down: 3").value == 0
 
 
@@ -508,7 +512,7 @@ def test_the_reserved_frame_stack_holds_the_deepest_recursion():
     """The derivation next to `_FRAME_RESERVE`: Python's recursion limit
     times the largest evaluator frame (locals and value stack, plus at most
     8 slots of frame header) fits in the reserve."""
-    from mklang import interpreter, kernel, links, reify, tools
+    from mklang import compiler, interpreter, kernel, links, reify, tools
 
     def frame_slots(module):
         for obj in vars(module).values():
@@ -516,10 +520,18 @@ def test_the_reserved_frame_stack_holds_the_deepest_recursion():
                 code = getattr(f, "__code__", None)
                 if code is not None and f.__module__ == module.__name__ \
                         and f is not interpreter._evaluate_reserved:
-                    yield (code.co_stacksize + code.co_nlocals
-                           + len(code.co_cellvars) + len(code.co_freevars))
+                    # The closures a function makes, compiled code's too.
+                    codes = [code]
+                    while codes:
+                        code = codes.pop()
+                        codes += [c for c in code.co_consts
+                                  if isinstance(c, type(code))]
+                        yield (code.co_stacksize + code.co_nlocals
+                               + len(code.co_cellvars)
+                               + len(code.co_freevars))
 
-    largest = max(n for m in (interpreter, kernel, links, reify, tools)
+    largest = max(n for m in (compiler, interpreter, kernel, links, reify,
+                              tools)
                   for n in frame_slots(m))
     assert sys.getrecursionlimit() * (largest + 8) \
         < interpreter._FRAME_RESERVE
