@@ -1,6 +1,6 @@
 """A small dynamic object language with metalink-based behavioral reflection.
 
-The package bundles a parser and tree-walking interpreter for a
+The package bundles a parser and closure-compiling interpreter for a
 Smalltalk-flavored toy language, plus a reflection layer: first-class
 metalinks annotating AST nodes, dual reflective methods woven on demand,
 object-centric link scoping, execution levels, and a benchmark harness

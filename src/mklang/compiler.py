@@ -1,62 +1,76 @@
-"""Closure compiler for unwoven method bodies and a run's top level.
+"""Closure compiler, the one evaluator: every method body, woven or not,
+and a run's top level compile into Python closures `fn(interp, act)`
+(Feeley & Lapalme, "Using Closures for Code Generation", 1987).
 
-In Reflectivity an unlinked method runs ordinary compiled code, and only
-a linked one is recompiled with its meta-behaviour. Here an unwoven
-method's body, and a run's top-level sequence, compile into Python
-closures `fn(interp, act)` (closure generation: Feeley & Lapalme, "Using
-Closures for Code Generation", 1987). A method compiles at its first
-execution and keeps its code on its record (`record.code`). A woven twin
-runs on the tree-walker, so every hook keeps the code it has.
+As in Reflectivity, a linked method is compiled code like any other: a
+method compiles at its first activation, as its twin if a link wove one.
+A change to its links clears the twin's code, so it applies from the
+next activation, and an activation runs the code it started with. A
+subtree a twin shares with the original compiles once per record, so a
+twin compiles only its spine, the copied path down to its hooks.
 
-* Each variable resolves once, here, against the names that fill each
-  enclosing activation's `temps`: a method's parameters and temps, a
-  block's parameters, the top level's temps. It resolves to the temps
-  `d` lexical scopes up, or to no temp. A read of no temp looks in
-  `Interpreter.outer_scope`, the tail of `scope_of`; a write of no temp
-  goes through `write_var`.
-* A send calls `send` or `_send_super` as the tree-walker does, with the
-  same `current_node` and so the same error location, from a closure
-  specialised by its argument count.
-* A send of `+ - * < <= > >= = ~=`, or of `/ // \\\\` with a nonzero
-  divisor, between two ints answers the `op` of Integer's primitive for
-  the selector, while that primitive is still Integer's method for it (the
-  special selectors of Deutsch & Schiffman, POPL 1984). What the primitive
-  would reject, an overflow or a zero divisor, goes through `send`, and so
-  does a send to a method a program put on Integer.
+* Each variable resolves once, to the temps `d` lexical scopes up, or
+  else through `Interpreter.outer_scope` (a read) or `write_var` (a write).
+* A send calls `send` or `_send_super` from a closure specialised by its
+  argument count. A send of `+ - * < <= > >= = ~=`, or of `/ // \\\\`
+  with a nonzero divisor, between two ints answers the `op` of Integer's
+  primitive while that is still Integer's method (Deutsch & Schiffman,
+  POPL 1984); what the primitive would reject goes through `send`.
+* A hooked node compiles by its original's kind. Its closure runs the
+  pending operation through `Interpreter._trigger`, which consults the
+  registry as it runs. A hooked method root adds the method-entry
+  trigger, and a hooked block the block-call trigger.
 
 Nothing is stored on a node: the kernel's AST is shared by every
-interpreter, and a closure kept on a node it captures would be a cycle.
-A closure captures nodes, names and other closures, never an interpreter
-or a class, so reference counting frees compiled code. The compiler keeps
-its own stack, so a chain of any depth compiles; running one deeper than
-Python's recursion limit is a stack overflow, as on the tree-walker.
+interpreter. A closure holds nodes, names and closures as parameter
+defaults, never an interpreter or a class, so reference counting frees
+compiled code; a free variable would cost a cell, one more object for
+the cyclic GC to track. Closures are only ever called with
+`(interp, act)`. The compiler keeps its own stack, so a chain of any
+depth compiles.
 """
 
 from __future__ import annotations
 
-from .errors import MethodReturn
+from functools import partial
+
+from .errors import MethodReturn, MkRuntimeError
 from .nodes import (
-    ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, RETURN, SELF_REF,
-    SEQUENCE, TEMP_DECL, VAR_READ,
+    ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, META_HOOK,
+    RETURN, SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ,
 )
-from .values import INT_MAX, INT_MIN, Block
+from .values import INT_MAX, INT_MIN, Array, Block
 
 
 def compiled(record):
-    """A method record's code, compiled now and kept on the record: the
-    closures of the body's statements before its first statement `^`, in
-    order, and that `^`'s expression (None if no statement is a `^`)."""
-    mdef = record.original_ast
+    """The code `execute_method` runs for a record, compiled now and kept
+    on its twin if it has one, else on it: the closures of the body's
+    statements before its first statement `^`, and that `^`'s expression
+    (or None). A hooked root's code counts the visit, then answers what
+    its entry trigger answers, which runs the body under the root's
+    links."""
+    twin = record.twin
+    if twin is None:
+        mdef, copies = record.original_ast, ()
+    else:
+        mdef, copies = twin.woven_ast, twin.copies
+    shared = record.shared
     scopes = ((*mdef.params, *mdef.temps),)
+    body = mdef.children[-1]
     statements = []
     ret = None
-    for stmt in mdef.children[-1].children:
+    # A hooked body sequence is one statement: its `^`s raise.
+    for stmt in body.children if body.kind == SEQUENCE else (body,):
         if stmt.kind == RETURN:
-            ret = _compile(stmt.children[0], scopes)
+            ret = _compile(stmt.children[0], scopes, copies, shared)
             break
-        statements.append(_compile(stmt, scopes))
-    record.code = tuple(statements), ret
-    return record.code
+        statements.append(_compile(stmt, scopes, copies, shared))
+    code = tuple(statements), ret
+    if mdef.kind == META_HOOK:
+        code = (_visit,), _entry(mdef.original, _method_body(*code),
+                                 mdef.params)
+    (twin or record).code = code
+    return code
 
 
 def compile_top(main):
@@ -64,14 +78,22 @@ def compile_top(main):
     return _compile(main, (main.temps,))
 
 
-def _compile(root, scopes):
+def _compile(root, scopes, copies=None, shared=None):
     """The closure of `root`, built children first from an explicit stack.
     `scopes` holds the names of each enclosing activation's temps,
-    innermost first."""
+    innermost first. Given a twin's `copies`, a node not among them is
+    shared with the original: its closure comes from `shared`, or is
+    compiled once and kept there."""
     done = []
     todo = [(root, scopes, False)]
     while todo:
         node, scopes, children_done = todo.pop()
+        if copies is not None and node.id not in copies:
+            code = shared.get(node.id)
+            if code is None:
+                code = shared[node.id] = _compile(node, scopes)
+            done.append(code)
+            continue
         children = node.children
         if not children:
             done.append(_FACTORIES[node.kind](node, (), scopes))
@@ -82,7 +104,7 @@ def _compile(root, scopes):
             done.append(_FACTORIES[node.kind](node, kids, scopes))
         else:
             todo.append((node, scopes, True))
-            if node.kind == BLOCK:
+            if (node.original or node).kind == BLOCK:
                 scopes = (node.params, *scopes)
             for child in reversed(children):
                 todo.append((child, scopes, False))
@@ -105,17 +127,21 @@ def _nil(interp, act):
     return None
 
 
+def _visit(interp, act):
+    interp.hook_visits += 1
+
+
 def _literal(node, kids, scopes):
     value = node.value
 
-    def literal(interp, act):
+    def literal(interp, act, value=value):
         return value
     return literal
 
 
 def _literal_array(node, kids, scopes):
-    def literal_array(interp, act):
-        return interp._eval_literal_array(node, act)
+    def literal_array(interp, act, node=node):
+        return Array(interp.classes["Array"], list(node.value))
     return literal_array
 
 
@@ -123,21 +149,22 @@ def _var_read(node, kids, scopes):
     name = node.var_name
     depth = _depth(name, scopes)
     if depth is None:
-        def read(interp, act):
+        def read(interp, act, name=name, node=node):
             scope = interp.outer_scope(name, act.receiver)
-            if scope is None:   # raises the tree-walker's error
-                return interp._eval_var_read(node, act)
+            if scope is None:
+                raise MkRuntimeError("undefined variable %s" % name,
+                                     node.span, interp.stack_snapshot(act))
             return scope[name]
     elif depth == 0:
-        def read(interp, act):
+        def read(interp, act, name=name):
             return act.temps[name]
     elif depth == 1:
-        def read(interp, act):
+        def read(interp, act, name=name):
             return act.lexical_parent.temps[name]
     else:
         up = range(depth)
 
-        def read(interp, act):
+        def read(interp, act, name=name, up=up):
             for _ in up:
                 act = act.lexical_parent
             return act.temps[name]
@@ -149,16 +176,16 @@ def _assignment(node, kids, scopes):
     expr, = kids
     depth = _depth(name, scopes)
     if depth is None:
-        def assign(interp, act):
+        def assign(interp, act, name=name, expr=expr, node=node):
             return interp.write_var(name, expr(interp, act), act, node)
     elif depth == 0:
-        def assign(interp, act):
+        def assign(interp, act, name=name, expr=expr):
             value = act.temps[name] = expr(interp, act)
             return value
     else:
         up = range(depth)
 
-        def assign(interp, act):
+        def assign(interp, act, name=name, expr=expr, up=up):
             value = expr(interp, act)
             for _ in up:
                 act = act.lexical_parent
@@ -168,11 +195,11 @@ def _assignment(node, kids, scopes):
 
 
 def _return(node, kids, scopes):
-    """A `^` in a block or at the top level; a method's own statement `^`
-    answers from `execute_method`."""
+    """A `^` in a block, at the top level or in a hooked body sequence; a
+    method's own statement `^` answers from `execute_method`."""
     expr, = kids
 
-    def return_(interp, act):
+    def return_(interp, act, expr=expr):
         raise MethodReturn(act.home, expr(interp, act))
     return return_
 
@@ -185,7 +212,7 @@ def _sequence(node, kids, scopes):
     *init, last = kids
     init = tuple(init)
 
-    def sequence(interp, act):
+    def sequence(interp, act, init=init, last=last):
         for stmt in init:
             stmt(interp, act)
         return last(interp, act)
@@ -195,18 +222,19 @@ def _sequence(node, kids, scopes):
 def _block(node, kids, scopes):
     body = kids[0] if kids else _nil
 
-    def block(interp, act):
+    def block(interp, act, node=node, body=body):
         return Block(node, act, body)
     return block
 
 
 def _message(node, kids, scopes):
-    """A send's closure, from a factory by its shape: each factory's cells
-    are only the ones its closure uses."""
+    """A send's closure, from a factory by its shape, so that each closure
+    holds only what it uses."""
     selector = node.selector
-    # `super` makes a super send, as in `Interpreter._eval_message`.
+    # `super` makes a super send, hooked or not: a hook keeps the
+    # `var_name` of the node it marks, and only `super` is so named.
     if node.children[0].var_name == "super":
-        return _super_send(node, selector, kids[1:])
+        return _super_send(node, selector, kids[0], kids[1:])
     if len(kids) == 2:
         return _INLINED.get(selector, _send1)(node, selector, *kids)
     if len(kids) == 1:
@@ -216,37 +244,42 @@ def _message(node, kids, scopes):
     return _send(node, selector, kids[0], kids[1:])
 
 
-def _super_send(node, selector, args):
-    def super_send(interp, act):
+def _super_send(node, selector, receiver, args):
+    def super_send(interp, act, receiver=receiver, args=args,
+                   selector=selector, node=node):
+        r = receiver(interp, act)
         values = []
         for arg in args:
             values.append(arg(interp, act))
-        return interp._send_super(act.receiver, selector, values, act, node)
+        return interp._send_super(r, selector, values, act, node)
     return super_send
 
 
 def _send0(node, selector, receiver):
-    def send0(interp, act):
+    def send0(interp, act, receiver=receiver, selector=selector, node=node):
         return interp.send(receiver(interp, act), selector, [], act, node)
     return send0
 
 
 def _send1(node, selector, receiver, arg):
-    def send1(interp, act):
+    def send1(interp, act, receiver=receiver, arg=arg, selector=selector,
+              node=node):
         return interp.send(receiver(interp, act), selector,
                            [arg(interp, act)], act, node)
     return send1
 
 
 def _send2(node, selector, receiver, arg1, arg2):
-    def send2(interp, act):
+    def send2(interp, act, receiver=receiver, arg1=arg1, arg2=arg2,
+              selector=selector, node=node):
         return interp.send(receiver(interp, act), selector,
                            [arg1(interp, act), arg2(interp, act)], act, node)
     return send2
 
 
 def _send(node, selector, receiver, args):
-    def send(interp, act):
+    def send(interp, act, receiver=receiver, args=args, selector=selector,
+             node=node):
         r = receiver(interp, act)
         values = []
         for arg in args:
@@ -260,7 +293,8 @@ def _send(node, selector, receiver, args):
 # a closure of its own, so `+ - *` do not test a divisor.
 
 def _arithmetic(node, selector, receiver, arg):
-    def arithmetic(interp, act):
+    def arithmetic(interp, act, receiver=receiver, arg=arg,
+                   selector=selector, node=node):
         r = receiver(interp, act)
         a = arg(interp, act)
         if r.__class__ is int and a.__class__ is int:
@@ -275,7 +309,8 @@ def _arithmetic(node, selector, receiver, arg):
 
 
 def _division(node, selector, receiver, arg):
-    def division(interp, act):
+    def division(interp, act, receiver=receiver, arg=arg, selector=selector,
+                 node=node):
         r = receiver(interp, act)
         a = arg(interp, act)
         if r.__class__ is int and a.__class__ is int and a != 0:
@@ -290,7 +325,8 @@ def _division(node, selector, receiver, arg):
 
 
 def _comparison(node, selector, receiver, arg):
-    def comparison(interp, act):
+    def comparison(interp, act, receiver=receiver, arg=arg,
+                   selector=selector, node=node):
         r = receiver(interp, act)
         a = arg(interp, act)
         if r.__class__ is int and a.__class__ is int:
@@ -309,8 +345,112 @@ _INLINED = {
     ">=": _comparison, "=": _comparison, "~=": _comparison,
 }
 
+
+# -- hooks --------------------------------------------------------------
+# A hooked node's closure counts the visit and runs its pending operation
+# at the original node `orig` through `_trigger`. The kinds not in `_HOOKS`
+# run their own kind's closure as the operation. No hooked send is inlined.
+
+def _hook(node, kids, scopes):
+    orig = node.original
+    factory = _HOOKS.get(orig.kind)
+    if factory is not None:
+        return factory(node, orig, kids)
+    perform = _FACTORIES[orig.kind](node, kids, scopes)
+
+    def hooked(interp, act, perform=perform, orig=orig):
+        interp.hook_visits += 1
+        return interp._trigger(orig, act, partial(perform, interp, act))
+    return hooked
+
+
+def _hooked_send(node, orig, kids):
+    receiver, *args = kids
+    selector = node.selector
+    is_super = node.children[0].var_name == "super"
+
+    def hooked_send(interp, act, receiver=receiver, args=args,
+                    selector=selector, is_super=is_super, orig=orig):
+        interp.hook_visits += 1
+        r = receiver(interp, act)
+        values = []
+        for arg in args:
+            values.append(arg(interp, act))
+        send = interp._send_super if is_super else interp.send
+        return interp._trigger(orig, act, partial(
+            send, r, selector, values, act, orig), r, values)
+    return hooked_send
+
+
+def _hooked_assignment(node, orig, kids):
+    name = node.var_name
+    expr, = kids
+
+    def hooked_assignment(interp, act, name=name, expr=expr, orig=orig):
+        interp.hook_visits += 1
+        value = expr(interp, act)
+        return interp._trigger(orig, act, partial(
+            interp.write_var, name, value, act, orig), None, None, value)
+    return hooked_assignment
+
+
+def _hooked_return(node, orig, kids):
+    """Control leaves with the value: no after phase."""
+    expr, = kids
+
+    def hooked_return(interp, act, expr=expr, orig=orig):
+        interp.hook_visits += 1
+        value = expr(interp, act)
+        raise MethodReturn(act.home, interp._trigger(
+            orig, act, lambda: value, None, None, value, False))
+    return hooked_return
+
+
+def _hooked_block(node, orig, kids):
+    """The block fires its links at each call, not at its creation."""
+    entry = _entry(orig, kids[0] if kids else _nil, node.params)
+
+    def hooked_block(interp, act, node=node, entry=entry):
+        interp.hook_visits += 1
+        return Block(node, act, entry)
+    return hooked_block
+
+
+def _method_body(statements, ret):
+    """A hooked root's body, run as in `execute_method` but inside the
+    operation, so that a `^` precedes the after phase."""
+    def body(interp, act, statements=statements, ret=ret):
+        try:
+            for stmt in statements:
+                stmt(interp, act)
+            if ret is not None:
+                return ret(interp, act)
+        except MethodReturn as mr:
+            if mr.target is act:
+                return mr.value
+            raise
+        return act.receiver
+    return body
+
+
+def _entry(orig, body, params):
+    """The code of a hooked method root or block: it runs `body` under the
+    entry links of `orig`, whose arguments are the values of `params`."""
+    def entry(interp, act, body=body, orig=orig, params=params):
+        return interp._trigger(orig, act, partial(body, interp, act), None,
+                               list(map(act.temps.__getitem__, params)))
+    return entry
+
+
+_HOOKS = {
+    MESSAGE_SEND: _hooked_send,
+    ASSIGNMENT: _hooked_assignment,
+    RETURN: _hooked_return,
+    BLOCK: _hooked_block,
+}
+
 # Node kind -> factory `f(node, kids, scopes)`, `kids` being the closures
-# of the node's children. An original AST holds no MetaHook.
+# of the node's children.
 _FACTORIES = {
     LITERAL: _literal,
     SELF_REF: lambda node, kids, scopes: _self,
@@ -322,4 +462,5 @@ _FACTORIES = {
     SEQUENCE: _sequence,
     BLOCK: _block,
     MESSAGE_SEND: _message,
+    META_HOOK: _hook,
 }

@@ -1,12 +1,10 @@
-"""Object model and evaluator: an unwoven method runs compiled code
-(`compiler`), and only a twin is tree-walked.
+"""Object model and runtime: classes, method lookup, sends, blocks and
+the trigger. Every method, woven or not, runs code compiled by `compiler`.
 
 One Interpreter instance owns one strictly single-threaded execution:
 classes, globals, the output sink, the link registry and the meta-level
 counter. Distinct instances are fully independent; they share only the
 kernel's AST, which nothing writes, and the parser's locked id counter.
-A walked variable read and `#variable` find a name through `scope_of`;
-compiled code resolves temps once, and the rest through `outer_scope`.
 
 The unlinked path is kept cheap:
 
@@ -18,14 +16,9 @@ The unlinked path is kept cheap:
 * `send` and `class_of` find a value's class from its Python type, in one
   table (`kernel.TYPE_CLASSES`); only a class and a host function are not
   in it.
-* A `^` among a method body's own statements answers directly, from
-  `execute_method` or from a twin's `_run_method_body`. Only a `^` inside
-  a block, or one carrying a link (a `MetaHook`), raises `MethodReturn`.
-* Node handlers call each other through `_HANDLERS`, not through
-  `eval_node`, so a send costs few Python frames and recursion reaches
-  deeper before Python's limit turns it into "stack overflow".
-  `_HANDLERS` is one module-level table of plain functions called as
-  `h(interp, node, act)`, so no interpreter holds bound methods of itself.
+* `execute_method` runs a method's compiled statements itself, and a `^`
+  among them answers directly. Only a `^` inside a block, or one carrying
+  a link, raises `MethodReturn`.
 * A method's activation does not refer to itself as its `home`, so
   reference counting frees it when it returns, without the cyclic GC.
   No node refers to its parent, so an unlinked interpreter is acyclic.
@@ -41,7 +34,6 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from functools import partial
 
 from . import links as _links
 from .compiler import compile_top, compiled
@@ -49,11 +41,7 @@ from .errors import (
     HaltSignal, MethodReturn, MkError, MkRuntimeError, SelectorMismatch,
     UnknownClass, UnknownSelector,
 )
-from .nodes import (
-    ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, META_HOOK,
-    METHOD_DEF, RETURN, SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ,
-    MethodSignature, id_interval, value_selector,
-)
+from .nodes import METHOD_DEF, MethodSignature, id_interval, value_selector
 from .parser import parse, parse_method
 from .reify import TriggerContext, resolve
 from .values import Array, Block, HostFunction, Instance, Symbol
@@ -72,7 +60,7 @@ class PrimitiveMethod:
 
 class CompiledMethodRecord:
     __slots__ = ("signature", "original_ast", "original_source", "twin",
-                 "node_ids", "code")
+                 "node_ids", "code", "shared")
     op = None   # no operator: compiled code sends to a method in a program
 
     def __init__(self, signature, original_ast, original_source):
@@ -82,6 +70,7 @@ class CompiledMethodRecord:
         self.twin = None
         self.node_ids = id_interval(original_ast)   # a range
         self.code = None    # `compiler.compiled` sets it at the first run
+        self.shared = {}    # node id -> closure, for `compiler.compiled`
 
 
 class ClassRecord:
@@ -184,7 +173,7 @@ class Interpreter:
         self.meta_level = 0
         self.registry = _links.LinkRegistry()
         self.node_owner = _links.NodeOwner()
-        self.recompile_hooks = []     # callables(interp, new_record)
+        self.compile_hooks = []   # callables(cls, record), per new method
         self.hook_visits = 0
         self.registry_consults = 0
         self.random = _random.Random(seed)
@@ -285,6 +274,8 @@ class Interpreter:
             self._forget_method(old)
         cls.methods[mdef.selector] = record
         self.node_owner.add(record)
+        for hook in list(self.compile_hooks):
+            hook(cls, record)
         return record
 
     def _forget_method(self, record):
@@ -363,8 +354,6 @@ class Interpreter:
                 % (selector, mdef.selector))
         record = self._compile_method(cls, mdef, new_source)
         self._flush_method_caches()
-        for hook in list(self.recompile_hooks):
-            hook(self, record)
         return record
 
     # link operations (thin wrappers; see links module)
@@ -452,8 +441,7 @@ class Interpreter:
                              % (cls.name, selector))
 
     def execute_method(self, record, receiver, args, sender):
-        twin = record.twin
-        mdef = twin.woven_ast if twin is not None else record.original_ast
+        mdef = record.original_ast
         if len(args) != len(mdef.params):
             raise MkRuntimeError(
                 "wrong number of arguments for #%s: expected %d, got %d"
@@ -463,13 +451,7 @@ class Interpreter:
             temps[t] = None
         act = Activation(receiver, record, sender, temps)
         act.current_node = mdef
-        if twin is not None:
-            if mdef.kind == META_HOOK:
-                self.hook_visits += 1
-                return self._trigger(mdef.original, act, partial(
-                    self._run_method_body, mdef, act), None, args)
-            return self._run_method_body(mdef, act)
-        statements, ret = record.code or compiled(record)
+        statements, ret = (record.twin or record).code or compiled(record)
         try:
             for stmt in statements:
                 stmt(self, act)
@@ -481,37 +463,10 @@ class Interpreter:
             raise
         return receiver
 
-    def _run_method_body(self, mdef, act):
-        """Walk a twin's method body. A `^` among the body's own statements
-        answers directly; only a `^` in a block, or a hooked one, raises
-        `MethodReturn`, which lands here when `act` is its home."""
-        handlers = _HANDLERS
-        body = mdef.children[-1]
-        try:
-            if body.kind != SEQUENCE:        # the body sequence is hooked
-                handlers[body.kind](self, body, act)
-                return act.receiver
-            for stmt in body.children:
-                if stmt.kind == RETURN:
-                    expr = stmt.children[0]
-                    return handlers[expr.kind](self, expr, act)
-                handlers[stmt.kind](self, stmt, act)
-        except MethodReturn as mr:
-            if mr.target is act:
-                return mr.value
-            raise
-        return act.receiver
-
-    # -- evaluation -------------------------------------------------------
-
-    def eval_node(self, node, act):
-        return _HANDLERS[node.kind](self, node, act)
-
-    def _eval_literal_array(self, node, act):
-        return Array(self.classes["Array"], list(node.value))
+    # -- variables --------------------------------------------------------
 
     def scope_of(self, name, act):
-        """The mapping a read of `name` in `act` finds it in: the temps of
+        """The mapping `#variable` finds `name` in, from `act`: the temps of
         the nearest activation up the lexical chain that binds it, the
         receiver's slots, the globals or the classes; None if none does.
         `write_var` has its own rule: only the top level writes globals."""
@@ -532,19 +487,6 @@ class Interpreter:
         if name in self.classes:
             return self.classes
         return None
-
-    def _eval_var_read(self, node, act):
-        name = node.var_name
-        scope = self.scope_of(name, act)
-        if scope is None:
-            raise MkRuntimeError("undefined variable %s" % name, node.span,
-                                 self.stack_snapshot(act))
-        return scope[name]
-
-    def _eval_assignment(self, node, act):
-        expr = node.children[0]
-        value = _HANDLERS[expr.kind](self, expr, act)
-        return self.write_var(node.var_name, value, act, node)
 
     def write_var(self, name, value, act, node=None):
         """Bind `name` to `value` and answer `value`. Only the top level
@@ -570,36 +512,6 @@ class Interpreter:
             message = "undefined variable %s"
         raise MkRuntimeError(message % name, node and node.span,
                              self.stack_snapshot(act))
-
-    def _eval_return(self, node, act):
-        expr = node.children[0]
-        raise MethodReturn(act.home, _HANDLERS[expr.kind](self, expr, act))
-
-    def _eval_sequence(self, node, act):
-        handlers = _HANDLERS
-        result = None
-        for stmt in node.children:
-            result = handlers[stmt.kind](self, stmt, act)
-        return result
-
-    def _eval_message(self, node, act):
-        handlers = _HANDLERS
-        children = node.children
-        rnode = children[0]
-        if rnode.kind == SELF_REF:
-            receiver = act.receiver
-        else:
-            receiver = handlers[rnode.kind](self, rnode, act)
-        # A loop, not a comprehension: under CPython 3.11 a comprehension
-        # is one more Python frame per send.
-        args = []
-        for c in children[1:]:
-            args.append(handlers[c.kind](self, c, act))
-        # `super` makes a super send, hooked or not: a hook keeps the
-        # `var_name` of the node it marks, and only `super` is so named.
-        if rnode.var_name == "super":
-            return self._send_super(receiver, node.selector, args, act, node)
-        return self.send(receiver, node.selector, args, act, node)
 
     def _send_super(self, receiver, selector, args, act, node):
         act.current_node = node
@@ -631,54 +543,9 @@ class Interpreter:
         act = Activation(home.receiver, home.method, sender,
                          dict(zip(node.params, args)), defining, home)
         act.current_node = node
-        if block.code is not None:
-            return block.code(self, act)
-        body = node.children[0] if node.children else None
-        if node.kind == META_HOOK:
-            # Read the body's kind late: a before-link may unmark its hook.
-            perform = (partial(self.eval_node, body, act)
-                       if body is not None else lambda: None)
-            return self._trigger(node.original, act, perform, None, args)
-        if body is None:
-            return None
-        return _HANDLERS[body.kind](self, body, act)
+        return block.code(self, act)
 
     # -- hooks and triggering ---------------------------------------------
-
-    def _eval_hook(self, hook, act):
-        """Evaluate a marked copy as the node it copies, under its links.
-        `orig` is read once: if its link goes meanwhile, it ends as a hook."""
-        self.hook_visits += 1
-        handlers = _HANDLERS
-        orig = hook.original
-        kind = orig.kind
-        if kind == MESSAGE_SEND:
-            children = hook.children
-            rnode = children[0]
-            receiver = (act.receiver if rnode.kind == SELF_REF
-                        else handlers[rnode.kind](self, rnode, act))
-            args = []
-            for c in children[1:]:
-                args.append(handlers[c.kind](self, c, act))
-            send = self._send_super if rnode.var_name == "super" else self.send
-            return self._trigger(orig, act, partial(
-                send, receiver, hook.selector, args, act, orig),
-                receiver, args)
-        if kind == ASSIGNMENT:
-            expr = hook.children[0]
-            value = handlers[expr.kind](self, expr, act)
-            perform = partial(self.write_var, hook.var_name, value, act, orig)
-            return self._trigger(orig, act, perform, None, None, value)
-        if kind == RETURN:
-            expr = hook.children[0]
-            value = handlers[expr.kind](self, expr, act)
-            raise MethodReturn(act.home, self._trigger(
-                orig, act, lambda: value, None, None, value, False))
-        if kind == BLOCK:
-            # Fires at each invocation of the closure, not at its creation.
-            return Block(hook, act)
-        return self._trigger(orig, act, partial(handlers[kind], self, hook,
-                                                act))
 
     def _trigger(self, orig, act, perform, receiver=None, args=None,
                  value=None, after=True):
@@ -856,23 +723,6 @@ class Interpreter:
         return ("an " if name[:1] in "AEIOU" else "a ") + name
 
 
-# Node kind -> handler: one table of plain functions, each called as
-# `h(interp, node, act)`, so no interpreter holds bound methods of itself.
-_HANDLERS = {
-    LITERAL: lambda interp, node, act: node.value,
-    SELF_REF: lambda interp, node, act: act.receiver,
-    TEMP_DECL: lambda interp, node, act: None,
-    BLOCK: lambda interp, node, act: Block(node, act),
-    LITERAL_ARRAY: Interpreter._eval_literal_array,
-    VAR_READ: Interpreter._eval_var_read,
-    ASSIGNMENT: Interpreter._eval_assignment,
-    RETURN: Interpreter._eval_return,
-    SEQUENCE: Interpreter._eval_sequence,
-    MESSAGE_SEND: Interpreter._eval_message,
-    META_HOOK: Interpreter._eval_hook,
-}
-
-
 def _evaluate_reserved(interp, main, act):
     """Compile and run `main` in a frame that reserves a run's data stack."""
     return compile_top(main)(interp, act)
@@ -885,10 +735,10 @@ def _evaluate_reserved(interp, main, act):
 # slots of value stack it never touches, so its frame gets a 1 MB chunk (8
 # bytes a slot) and leaves about _FRAME_RESERVE slots of it free. That
 # holds every frame of a run: Python's recursion limit (1000 frames) times
-# the largest evaluator frame (`_eval_hook`, 27 slots of locals and stack
-# plus at most 8 of frame header) is 35,000 slots. Untouched pages cost
-# nothing. On 3.10 frames are heap objects, and a code object reuses its
-# last one, so the padding costs nothing there either.
+# the largest evaluator frame (the compiler's `hooked_send`, 23 slots of
+# locals and stack plus at most 8 of frame header) is 31,000 slots.
+# Untouched pages cost nothing. On 3.10 frames are heap objects, and a code
+# object reuses its last one, so the padding costs nothing there either.
 _FRAME_RESERVE = 1 << 16
 _evaluate_reserved.__code__ = _evaluate_reserved.__code__.replace(
     co_stacksize=_FRAME_RESERVE)

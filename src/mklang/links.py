@@ -304,6 +304,7 @@ class ReflectiveMethod:
         self.woven_ast = None
         self.copies = {}      # node id -> its copy on the spine
         self.hook_table = {}  # original node id -> its copy, marked a hook
+        self.code = None      # `compiler.compiled` sets it at the next run
 
 
 def descend(root, node_id):
@@ -358,6 +359,7 @@ def _wrap(twin, original, path):
     twin.hook_table[original.id] = node
     node.original = original
     node.kind = META_HOOK
+    twin.code = None
 
 
 def _copy(node):
@@ -398,9 +400,9 @@ def drop_hook(interp, node_id):
     in the twin (restore its kind, clear `original`), and drop the twin
     with its last hook.
 
-    An activation that is evaluating the hook right now already holds the
-    original node, so it finishes as a hook; later evaluations see the
-    plain copy."""
+    An activation runs the code it started with: a hook in it whose link
+    is gone finds no link and just performs its operation. The next
+    activation compiles the twin without the hook."""
     record = interp.node_owner.get(node_id)
     if record is None or record.twin is None \
             or interp.registry.has_links(node_id):
@@ -410,6 +412,7 @@ def drop_hook(interp, node_id):
         return
     hook.kind = hook.original.kind
     hook.original = None
+    record.twin.code = None
     if not record.twin.hook_table:
         record.twin = None
 

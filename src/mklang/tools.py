@@ -56,11 +56,12 @@ class Breakpoint(_Tool):
 
 
 class VariableWatch(_Tool):
-    """Records every write (optionally read) of one slot of a class.
+    """Records every write (optionally read) of one slot of a class in the
+    methods of the class and its subclasses.
 
     History entries are (owner object, value, method signature string),
-    appended in execution order. A persistent watch re-installs itself on
-    the fresh AST whenever a method of the watched class is recompiled."""
+    appended in execution order. A persistent watch also attaches to each
+    method compiled later in those classes, by a load or a recompile."""
 
     def __init__(self, interp, class_name, var_name, include_reads):
         super().__init__(interp)
@@ -113,7 +114,7 @@ class VariableWatch(_Tool):
         if self.read_link is not None:
             uninstall(interp, self.read_link)
         if self._hook is not None:
-            interp.recompile_hooks.remove(self._hook)
+            interp.compile_hooks.remove(self._hook)
             self._hook = None
 
     def describe(self):
@@ -184,16 +185,18 @@ def watch_variable(interp, class_name, var_name, persistent=False,
         raise UnknownVariable(
             "%s declares no slot named %s" % (class_name, var_name))
     watch = VariableWatch(interp, class_name, var_name, include_reads)
-    from .interpreter import PrimitiveMethod
-    for record in cls.methods.values():
-        if not isinstance(record, PrimitiveMethod):
+
+    def hook(sub, record):
+        if cls in sub.lineage():
             watch.attach(record)
+    from .interpreter import CompiledMethodRecord
+    for sub in interp.classes.values():
+        for record in sub.methods.values():
+            if isinstance(record, CompiledMethodRecord):
+                hook(sub, record)
     if persistent:
-        def hook(hook_interp, new_record):
-            if new_record.signature.class_name == class_name:
-                watch.attach(new_record)
         watch._hook = hook
-        interp.recompile_hooks.append(hook)
+        interp.compile_hooks.append(hook)
     return watch
 
 

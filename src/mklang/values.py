@@ -52,14 +52,12 @@ class Array:
 
 
 class Block:
-    """Closure over its defining activation. Made from a twin's marked copy
-    of a Block node, it fires the copy's links while the mark lasts. Made
-    by compiled code, it carries its body's compiled `code`; made by the
-    tree-walker, it has none and its body is walked."""
+    """Closure over its defining activation. Its `code` runs its body, under
+    the block's links if it was made from a hooked Block node."""
 
     __slots__ = ("node", "defining_activation", "code")
 
-    def __init__(self, node, defining_activation, code=None):
+    def __init__(self, node, defining_activation, code):
         self.node = node
         self.defining_activation = defining_activation
         self.code = code

@@ -428,14 +428,18 @@ def test_twin_lifecycle_500_step_fuzzer():
 
 def test_benchmark_orderings():
     start = time.monotonic()
+    # Each assertion's message shows every figure measured so far, so a
+    # failure names the ordering that flipped and by how much.
+    figures = []
     # The shipped harness: each mode timed against no link in 10 pairs.
     reports = bench_overhead("send", budget=0.4)
+    figures += [r.record_line() for r in reports]
     assert [r.scenario for r in reports] == \
-        ["send/nolink", "send/empty", "send/full"]
+        ["send/nolink", "send/empty", "send/full"], figures
     nolink, empty, full = reports
-    assert nolink.overhead_percent == 0.0
-    assert empty.overhead_percent > 0.0
-    assert full.overhead_percent >= empty.overhead_percent
+    assert nolink.overhead_percent == 0.0, figures
+    assert empty.overhead_percent > 0.0, figures
+    assert full.overhead_percent >= empty.overhead_percent, figures
 
     # Self-compare: two identical no-link setups agree within +-5% of 0.
     # 100 pairs of adjacent 0.02 s windows: a drift in the host's speed
@@ -444,14 +448,19 @@ def test_benchmark_orderings():
     run_a, run_b = runner("send", "nolink"), runner("send", "nolink")
     n = _calls_per_budget(run_a, 0.02)
     ratio = ratios(lambda: run_a(n), lambda: run_b(n), pairs=100)
-    assert abs((1.0 / ratio - 1.0) * 100.0) <= 5.0
+    self_compare = (1.0 / ratio - 1.0) * 100.0
+    figures.append("self_compare_pct=%.2f" % self_compare)
+    assert abs(self_compare) <= 5.0, figures
 
     install_report = bench_install(method_count=2000)
-    assert install_report.method_count == 2000
+    figures.append(install_report.record_line())
+    assert install_report.method_count == 2000, figures
     assert install_report.hot_install_seconds \
         <= install_report.cold_install_seconds \
-        <= install_report.recompile_seconds
-    assert time.monotonic() - start < 180.0
+        <= install_report.recompile_seconds, figures
+    elapsed = time.monotonic() - start
+    figures.append("elapsed_s=%.1f" % elapsed)
+    assert elapsed < 180.0, figures
 
 
 # 8. Zero-cost baseline: unlinked code never touches the hook machinery.
@@ -516,9 +525,10 @@ def traced_send_runner():
 
 
 def test_a_send_under_one_link_adds_at_most_seven_python_calls():
-    # The trigger runs _eval_hook (instead of _eval_message), _trigger,
-    # run_trigger, fire_link, resolve, the #node resolver, the mirror's
-    # __init__ and the meta-object: 7 calls more than an unlinked send.
+    # The trigger runs the hooked send's closure (instead of the plain
+    # send's), _trigger, run_trigger, fire_link, resolve, the #node
+    # resolver, the mirror's __init__ and the meta-object: 7 calls more
+    # than an unlinked send.
     n = 100
     counter, run = traced_send_runner()
     _, linked = counts(run, n)

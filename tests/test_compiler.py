@@ -1,8 +1,10 @@
-"""Compiled method bodies (`mklang.compiler`) against the tree-walker.
+"""Compiled code, woven and not (`mklang.compiler`).
 
-A disabled link on a method's root weaves a twin of it, and a twin runs
-on the tree-walker. `TreeWalked` puts one on every method it compiles, the
-kernel's included, so the same program runs both ways with no flag.
+A disabled link on a method's root weaves a twin of it, which runs as
+compiled code with a hook at its root. `Hooked` puts one on every method
+it compiles, the kernel's included, so the same program runs as plain
+and as woven code with no flag. The outcome of each of `PROGRAMS` is
+also pinned as a literal.
 """
 
 import gc
@@ -17,20 +19,25 @@ from mklang.bench import counts
 from mklang.errors import MkError, MkSyntaxError
 from mklang.interpreter import CompiledMethodRecord
 from mklang.listings import run_all
+from mklang.nodes import SourceSpan, find_nodes
 from mklang.values import INT_MAX, HostFunction
 from progen import gen_program
 
 
-class TreeWalked(Interpreter):
-    """An interpreter that runs every method on the tree-walker."""
+def disabled_link():
+    link = MetaLink()
+    link.set_meta_object(HostFunction(lambda: None, "a no-op"))
+    link.set_selector("value")
+    link.disable()
+    return link
+
+
+class Hooked(Interpreter):
+    """An interpreter that runs every method from a twin's code."""
 
     def _compile_method(self, cls, mdef, source):
         record = super()._compile_method(cls, mdef, source)
-        link = MetaLink()
-        link.set_meta_object(HostFunction(lambda: None, "a no-op"))
-        link.set_selector("value")
-        link.disable()
-        self.install(link, mdef)
+        self.install(disabled_link(), mdef)
         return record
 
 
@@ -51,8 +58,10 @@ def outcome(interp_class, source, seed=0):
         shown = (type(exc).__name__, str(exc), exc.span, exc.trace)
     else:
         shown = (interp.print_string(result.value), result.trace)
-    if interp_class is TreeWalked:
-        assert all(rec.code is None for rec in records(interp))
+    if interp_class is Hooked:     # every method ran its twin's code
+        assert all(rec.twin is not None and rec.code is None
+                   for rec in records(interp))
+        assert any(rec.twin.code is not None for rec in records(interp))
     return interp.output_text(), shown
 
 
@@ -106,21 +115,77 @@ b
 ]
 
 
-def test_compiled_and_tree_walked_runs_agree():
-    sources = [(p.source, p.seed) for seed in (1, 2, 3)
-               for p in make_programs(seed)]
-    sources += [(gen_program(random.Random(i))[0], 0) for i in range(50)]
-    sources += [(source, 0) for source in PROGRAMS]
-    for source, seed in sources:
-        assert outcome(Interpreter, source, seed) \
-            == outcome(TreeWalked, source, seed), source
+def span(start, end):
+    return SourceSpan(start, end, "<string>")
 
 
-def test_listings_agree_compiled_and_tree_walked(monkeypatch):
-    compiled = run_all(seed=0)
-    monkeypatch.setattr(mklang.listings, "Interpreter", TreeWalked)
-    assert run_all(seed=0) == compiled
-    assert all(result.passed for result in compiled)
+# What each of PROGRAMS shows: output, then the value and trace, or the
+# error's type, message, span and trace.
+OUTCOMES = [
+    ("14\n216\n8\nnil\n3\n1\n-4\ntrue\ntrue\nfalse\nfalse\n#(1 #a b)\n",
+     ("a B", [])),
+    ("", ("MkRuntimeError", "integer overflow", span(16, 39),
+          ["E>>m (<string>:16..39)", "top-level (<string>:44..51)"])),
+    ("", ("MkRuntimeError", "integer overflow", span(48, 53),
+          ["E>>m (<string>:48..53)", "top-level (<string>:58..65)"])),
+    ("1\n", ("MkRuntimeError", "division by zero", span(19, 25),
+             ["E>>m: (<string>:19..25)", "top-level (<string>:50..60)"])),
+    ("2\n", ("MkRuntimeError", "division by zero", span(19, 25),
+             ["E>>m: (<string>:19..25)", "top-level (<string>:50..60)"])),
+    ("", ("MkRuntimeError", "division by zero", span(16, 21),
+          ["E>>m (<string>:16..21)", "top-level (<string>:26..33)"])),
+    ("", ("MkRuntimeError", "an Integer argument is required", span(16, 23),
+          ["E>>m (<string>:16..23)", "top-level (<string>:28..35)"])),
+    ("", ("MkRuntimeError", "an Integer argument is required", span(16, 23),
+          ["E>>m (<string>:16..23)", "top-level (<string>:28..35)"])),
+    ("", ("MkRuntimeError", "Boolean doesNotUnderstand: #+", span(16, 24),
+          ["E>>m (<string>:16..24)", "top-level (<string>:29..36)"])),
+    ("", ("MkRuntimeError", "undefined variable y", span(34, 35),
+          ["E>>m (<string>:25..30)", "top-level (<string>:40..47)"])),
+    ("", ("MkRuntimeError", "undefined variable y", span(45, 46),
+          ["E>>m (<string>:38..43)", "E>>m (<string>:16..48)",
+           "top-level (<string>:53..60)"])),
+    ("", ("MkRuntimeError", "undefined variable g", span(21, 27),
+          ["E>>m (<string>:14..19)", "top-level (<string>:38..45)"])),
+    ("", ("MkRuntimeError", "a method cannot assign the global g",
+          span(21, 27),
+          ["E>>m (<string>:14..19)", "top-level (<string>:40..47)"])),
+    ("", ("MkRuntimeError", "class E cannot be assigned", span(21, 27),
+          ["E>>m (<string>:14..19)", "top-level (<string>:32..39)"])),
+    ("", ("MkRuntimeError", "non-local return from an exited method",
+          span(32, 50), ["top-level (<string>:32..50)"])),
+    ("", ("MkRuntimeError", "E doesNotUnderstand: #n:", span(16, 25),
+          ["E>>m (<string>:16..25)", "top-level (<string>:40..47)"])),
+    ("", ("nil", ["E>>m (<string>:25..33)", "E>>m (<string>:16..41)",
+                  "top-level (<string>:46..53)"])),
+    ("", ("42", [])),
+]
+
+
+def test_each_program_shows_its_pinned_outcome_plain_and_woven():
+    assert len(OUTCOMES) == len(PROGRAMS)
+    for source, expected in zip(PROGRAMS, OUTCOMES):
+        assert outcome(Interpreter, source) == expected, source
+        assert outcome(Hooked, source) == expected, source
+
+
+def test_plain_and_woven_runs_agree():
+    for seed in (1, 2, 3):
+        for p in make_programs(seed):
+            shown = outcome(Interpreter, p.source, p.seed)
+            assert shown[0] == p.expected, p.source
+            assert outcome(Hooked, p.source, p.seed) == shown, p.source
+    for i in range(50):
+        source = gen_program(random.Random(i))[0]
+        assert outcome(Interpreter, source) == outcome(Hooked, source), \
+            source
+
+
+def test_listings_agree_plain_and_woven(monkeypatch):
+    plain = run_all(seed=0)
+    monkeypatch.setattr(mklang.listings, "Interpreter", Hooked)
+    assert run_all(seed=0) == plain
+    assert all(result.passed for result in plain)
 
 
 def test_a_method_on_integer_runs_from_compiled_code():
@@ -132,6 +197,26 @@ def test_a_method_on_integer_runs_from_compiled_code():
     interp.run("class Integer [ + x [ ^ 42 ] \\\\ x [ ^ 0 - x ] ]")
     assert interp.run("E new m").value == 42
     assert interp.run("3 \\\\ 5").value == -5
+
+
+def test_a_twin_reuses_the_closures_it_shares_with_the_original():
+    """Only the twin's spine compiles: a statement it shares with the
+    original keeps the original's closure, and so does a re-woven twin."""
+    interp = Interpreter()
+    interp.run("class A [ m [ | x | x := 1. x := x + 2. ^ x * 3 ] ]")
+    assert interp.run("A new m").value == 9
+    record = interp.lookup_method("A", "m")
+    (first, second), ret = record.code
+    plus = find_nodes(record.original_ast, "sends-of", "+")[0]
+    for _ in range(2):
+        link = disabled_link()
+        interp.install(link, plus)
+        assert interp.run("A new m").value == 9
+        (woven_first, woven_second), woven_ret = record.twin.code
+        assert woven_first is first and woven_ret is ret
+        assert woven_second is not second
+        interp.uninstall(link)
+        assert record.twin is None
 
 
 def test_compiled_code_leaves_no_cyclic_garbage():
@@ -175,9 +260,12 @@ FIB_SOURCE = """class Fib [
 """
 
 
-def fib_runner(interp_class):
-    interp = interp_class()
+def fib_runner(link_plus):
+    interp = Interpreter()
     interp.load(FIB_SOURCE)
+    if link_plus:
+        plus = find_nodes(interp.method_ast("Fib", "fib:"), "sends-of", "+")
+        interp.install(disabled_link(), plus[0])
     fib = interp.send(interp.class_named("Fib"), "new", [], None)
 
     def run(n):
@@ -186,10 +274,12 @@ def fib_runner(interp_class):
     return run
 
 
-def test_compiled_fib_runs_at_most_six_tenths_of_the_walked_bytecodes():
-    compiled, _ = counts(fib_runner(Interpreter), 5)
-    walked, _ = counts(fib_runner(TreeWalked), 5)
-    assert compiled <= 0.6 * walked
+def test_fib_with_a_disabled_link_on_its_plus_runs_at_most_1_5x_the_bytecodes():
+    """The woven method is compiled like the plain one: only its hooked
+    `+` send pays for a trigger."""
+    plain, _ = counts(fib_runner(False), 5)
+    linked, _ = counts(fib_runner(True), 5)
+    assert linked <= 1.5 * plain
 
 
 @pytest.mark.parametrize("source", [

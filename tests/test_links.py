@@ -12,7 +12,7 @@ import mklang.parser as mk_parser
 from mklang import Interpreter, MetaLink, links, reify
 from mklang.errors import (
     AlreadyInvoked, ArityMismatch, InapplicableReification, InsteadConflict,
-    MkRuntimeError, NodeNotInstallable, PhaseUnavailable,
+    MkError, MkRuntimeError, NodeNotInstallable, PhaseUnavailable,
 )
 from mklang.interpreter import CompiledMethodRecord
 from mklang.links import (
@@ -24,6 +24,7 @@ from mklang.nodes import (
 from mklang.parser import parse_method
 from mklang.values import Array, HostFunction
 from progen import gen_program, installable_nodes, woven_from_scratch
+from test_compiler import PROGRAMS
 
 SOURCE = """class Counter [ | count |
     initialize [ count := 0 ]
@@ -920,8 +921,9 @@ MID_ACTIVATION = """class A [ m [ | s |
 ])
 def test_a_link_installed_mid_activation_fires_from_the_next_activation(
         first, later, fires):
-    # Within the running activation the new link may or may not fire; from
-    # the method's next activation on, it fires at every evaluation.
+    # An activation runs the code it started with: the new link does not
+    # fire in the running activation, and from the method's next
+    # activation on it fires at every evaluation.
     interp = Interpreter()
     interp.run(MID_ACTIVATION)
     root = interp.method_ast("A", "m")
@@ -934,9 +936,27 @@ def test_a_link_installed_mid_activation_fires_from_the_next_activation(
     installer.set_selector("value")
     install(interp, installer, find_nodes(root, *first)[0])
     assert interp.run("A new m").value == 12
-    during = len(sink)
+    assert sink == []
     assert interp.run("A new m").value == 12
-    assert len(sink) - during == fires
+    assert len(sink) == fires
+
+
+def test_a_hook_whose_link_goes_mid_activation_just_performs():
+    interp = Interpreter()
+    interp.run(MID_ACTIVATION)
+    root = interp.method_ast("A", "m")
+    sink = []
+    doomed = recording_link(sink, "doomed")
+    install(interp, doomed, find_nodes(root, "sends-of", "*")[0])
+    remover = MetaLink()
+    remover.set_meta_object(HostFunction(
+        lambda: uninstall(interp, doomed), "remover"))
+    remover.set_selector("value")
+    install(interp, remover, find_nodes(root, "writes-of", "s")[0])
+    assert interp.run("A new m").value == 12
+    assert sink == []
+    uninstall(interp, remover)
+    assert interp.lookup_method("A", "m").twin is None
 
 
 def test_class_wide_and_object_centric_links_on_one_node(interp):
@@ -1124,8 +1144,9 @@ def test_linked_super_receiver_stays_a_super_send():
 
 
 # Differential: no-op before- and after-links on every installable node
-# send each evaluation through the hook path (`_eval_hook`, `_trigger`);
-# output and value must equal those of the unlinked fast path.
+# send each evaluation through the hook path (a hook factory's closure,
+# `_trigger`); output and value, or error, span and trace, must equal
+# those of the unlinked fast path.
 
 BLOCK_PROGRAM = """class Base [ | total |
     initialize [ total := 0 ]
@@ -1146,22 +1167,24 @@ s loop logCr.
 """
 
 
-def test_hook_path_matches_fast_path_on_every_node():
-    sources = [gen_program(random.Random(seed))[0] for seed in range(60)]
-    for source in sources + [BLOCK_PROGRAM]:
-        classes, driver = source.split("\n| ", 1)
-        driver = "| " + driver
-        plain = Interpreter()
-        plain.run(classes)
-        expected = plain.run(driver)
+def split_driver(source):
+    """The class definitions of `source`, and the top-level code after
+    them."""
+    end = max(cdef.end for cdef in mk_parser.parse(source).classes)
+    return source[:end], source[end:]
 
-        interp = Interpreter()
-        interp.run(classes)
+
+def run_driver(classes, driver, link_every_node):
+    """What the driver shows after the classes loaded: output, then the
+    value and trace, or the error's type, message, span and trace."""
+    interp = Interpreter()
+    interp.run(classes)
+    fired = []
+    if link_every_node:
         # Kernel methods written in the language are linked too.
         records = [rec for cls in interp.classes.values()
                    for rec in cls.methods.values()
                    if isinstance(rec, CompiledMethodRecord)]
-        fired = []
         for control in ("before", "after"):
             link = MetaLink()
             link.set_meta_object(HostFunction(
@@ -1171,10 +1194,23 @@ def test_hook_path_matches_fast_path_on_every_node():
             for rec in records:
                 for node in installable_nodes(rec):
                     install(interp, link, node)
-        actual = interp.run(driver)
+    try:
+        result = interp.run(driver)
+    except MkError as exc:
+        shown = (type(exc).__name__, str(exc), exc.span, exc.trace)
+    else:
+        shown = (interp.print_string(result.value), result.trace)
+    if link_every_node:
         assert fired and interp.hook_visits > 0
-        assert (actual.output, actual.value) == \
-            (expected.output, expected.value), source
+    return interp.output_text(), shown
+
+
+def test_hook_path_matches_fast_path_on_every_node():
+    sources = [gen_program(random.Random(seed))[0] for seed in range(60)]
+    for source in sources + [BLOCK_PROGRAM] + PROGRAMS:
+        classes, driver = split_driver(source)
+        assert run_driver(classes, driver, True) == \
+            run_driver(classes, driver, False), source
 
 
 # The lazy operation: a trigger builds its `Operation` only when a link

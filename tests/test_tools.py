@@ -124,7 +124,7 @@ def test_watch_remove_stops_recording(interp):
     watch.remove()
     interp.run("Acct new deposit: 1")
     assert len(watch.history) == n
-    assert interp.recompile_hooks == []
+    assert interp.compile_hooks == []
 
 
 def test_plain_watch_dies_on_recompile_persistent_survives(interp):
@@ -137,6 +137,30 @@ def test_plain_watch_dies_on_recompile_persistent_survives(interp):
     persistent_values = [v for _, v, _ in persistent.history]
     assert plain_values == [0]                  # initialize only
     assert persistent_values == [0, 4]
+
+
+def test_a_persistent_watch_covers_subclasses_and_later_loads():
+    """The watch records the slot's writes in a subclass, in a method a
+    later load adds, in a method a later load redefines, and in a
+    subclass a later load defines."""
+    interp = Interpreter()
+    interp.run("""class Counter [ | count |
+    initialize [ count := 0 ]
+    bump [ count := count + 1 ]
+]
+class Sub extends Counter [ bumpSub [ count := 100 ] ]""")
+    watch = watch_variable(interp, "Counter", "count", persistent=True)
+    interp.run("Sub new bumpSub")
+    interp.load("class Counter [ reset [ count := 7 ] ]")
+    interp.run("Counter new reset")
+    interp.load("class Counter [ bump [ count := 42 ] ]")
+    interp.run("Counter new bump")
+    interp.load("class Later extends Sub [ set [ count := 5 ] ]")
+    interp.run("Later new set")
+    init = (0, "Counter>>initialize")
+    assert [(v, sig) for _, v, sig in watch.history] == [
+        init, (100, "Sub>>bumpSub"), init, (7, "Counter>>reset"),
+        init, (42, "Counter>>bump"), init, (5, "Later>>set")]
 
 
 def test_persistent_watch_recompile_equivalence(interp):
