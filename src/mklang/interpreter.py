@@ -14,8 +14,10 @@ The unlinked path is kept cheap:
   (`_install_classes`) and `recompile`. The kernel and tool primitives
   are written straight into the tables, before any send.
 * `send` and `class_of` find a value's class from its Python type, in one
-  table (`kernel.TYPE_CLASSES`); only a class and a host function are not
-  in it.
+  table (`kernel.TYPE_CLASSES`). `send` finds the method of a class or a
+  host function, which are not in it, through `lookup_selector`.
+* Temps are the compiler's: only a name no temp binds reaches the
+  interpreter, `outer_scope` for a read and `write_var` for a write.
 * `execute_method` runs a method's compiled statements itself, and a `^`
   among them answers directly. Only a `^` inside a block, or one carrying
   a link, raises `MethodReturn`.
@@ -111,15 +113,6 @@ class ClassRecord:
             m = cls.methods.get(selector)
             if m is not None:
                 self.cache[selector] = m
-                return m
-            cls = cls.superclass
-        return None
-
-    def lookup_class_side(self, selector):
-        cls = self
-        while cls is not None:
-            m = cls.class_methods.get(selector)
-            if m is not None:
                 return m
             cls = cls.superclass
         return None
@@ -387,12 +380,18 @@ class Interpreter:
         raise MkRuntimeError("value of unknown type: %r" % (v,))
 
     def lookup_selector(self, receiver, selector):
-        """Method record the receiver would run for selector, or None."""
+        """Method record the receiver would run for selector, or None. A
+        class runs its class side's method, else one of Object's."""
         if isinstance(receiver, HostFunction):
             return True
         if isinstance(receiver, ClassRecord):
-            return (receiver.lookup_class_side(selector)
-                    or self.classes["Object"].lookup(selector))
+            cls = receiver
+            while cls is not None:
+                m = cls.class_methods.get(selector)
+                if m is not None:
+                    return m
+                cls = cls.superclass
+            return self.classes["Object"].lookup(selector)
         return self.class_of(receiver).lookup(selector)
 
     def send(self, receiver, selector, args, sender=None, node=None):
@@ -410,12 +409,8 @@ class Interpreter:
                     rec = cls.lookup(selector)
             elif isinstance(receiver, HostFunction):
                 return receiver.fn(*args)
-            elif isinstance(receiver, ClassRecord):
-                rec = receiver.lookup_class_side(selector)
-                if rec is None:
-                    rec = self.classes["Object"].lookup(selector)
             else:
-                rec = self.class_of(receiver).lookup(selector)
+                rec = self.lookup_selector(receiver, selector)
             if rec is None:
                 self.does_not_understand(receiver, selector)
             if rec.__class__ is PrimitiveMethod:
@@ -465,21 +460,9 @@ class Interpreter:
 
     # -- variables --------------------------------------------------------
 
-    def scope_of(self, name, act):
-        """The mapping `#variable` finds `name` in, from `act`: the temps of
-        the nearest activation up the lexical chain that binds it, the
-        receiver's slots, the globals or the classes; None if none does.
-        `write_var` has its own rule: only the top level writes globals."""
-        a = act
-        while a is not None:
-            temps = a.temps
-            if name in temps:
-                return temps
-            a = a.lexical_parent
-        return self.outer_scope(name, act.receiver)
-
     def outer_scope(self, name, recv):
-        """Where `scope_of` finds a name no temp binds."""
+        """The mapping a read finds a name in that no temp binds: the
+        receiver's slots, the globals or the classes; None if none does."""
         if isinstance(recv, Instance) and name in recv.slots:
             return recv.slots
         if name in self.globals:
@@ -489,14 +472,9 @@ class Interpreter:
         return None
 
     def write_var(self, name, value, act, node=None):
-        """Bind `name` to `value` and answer `value`. Only the top level
-        creates and writes globals, and nothing rebinds a class name."""
-        a = act
-        while a is not None:
-            if name in a.temps:
-                a.temps[name] = value
-                return value
-            a = a.lexical_parent
+        """Bind `name`, which no temp binds, to `value` and answer `value`.
+        The compiler writes temps itself. Only the top level creates and
+        writes globals, and nothing rebinds a class name."""
         recv = act.receiver
         if isinstance(recv, Instance) and name in recv.slots:
             recv.slots[name] = value

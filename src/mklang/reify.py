@@ -22,7 +22,7 @@ from .errors import AlreadyInvoked, InapplicableReification, PhaseUnavailable
 from .nodes import (
     ASSIGNMENT, BLOCK, KINDS, MESSAGE_SEND, METHOD_DEF, RETURN, VAR_READ,
 )
-from .values import Instance, Symbol
+from .values import Symbol
 
 _ANY = frozenset({"message", "method", "block", "variable", "assignment",
                   "return", "other"})
@@ -185,7 +185,7 @@ class ContextMirror:
 
 class VariableMirror:
     """The binding a variable node reads or writes, read live from the
-    mapping `Interpreter.scope_of` found the name in."""
+    mapping `_variable_mirror` found the name in."""
 
     __slots__ = ("kind", "name", "scope")
 
@@ -273,21 +273,25 @@ def _operation(ctx):
 
 
 def _variable_mirror(ctx):
-    """The binding a read of the node's name finds now. A name bound
-    nowhere yet mirrors the global a top-level write would create."""
+    """The binding a read of the node's name finds now: the temps of the
+    nearest activation up the lexical chain that binds it, else the
+    receiver's slot, the global or the class. A name bound nowhere yet
+    mirrors the global a top-level write would create."""
     if ctx.node.kind not in (VAR_READ, ASSIGNMENT):
         return None
-    interp = ctx.interp
     name = ctx.node.var_name
-    scope = interp.scope_of(name, ctx.activation)
+    act = ctx.activation
+    while act is not None:
+        if name in act.temps:
+            return VariableMirror("temp", name, act.temps)
+        act = act.lexical_parent
+    interp = ctx.interp
+    scope = interp.outer_scope(name, ctx.activation.receiver)
     if scope is None or scope is interp.globals:
         return VariableMirror("global", name, interp.globals)
     if scope is interp.classes:
         return VariableMirror("class", name, scope)
-    recv = ctx.activation.receiver
-    if isinstance(recv, Instance) and scope is recv.slots:
-        return VariableMirror("slot", name, scope)
-    return VariableMirror("temp", name, scope)
+    return VariableMirror("slot", name, scope)
 
 
 # Kind -> function of the trigger context. A field of the context is read

@@ -172,12 +172,6 @@ def set_breakpoint(interp, class_name, selector, site="method-entry",
     return Breakpoint(interp, link, nodes, target)
 
 
-def set_breakpoint_for_object(interp, class_name, selector, target,
-                              site="method-entry", site_arg=None):
-    return set_breakpoint(interp, class_name, selector, site, site_arg,
-                          target)
-
-
 def watch_variable(interp, class_name, var_name, persistent=False,
                    include_reads=False) -> VariableWatch:
     cls = interp.class_named(class_name)

@@ -3,8 +3,9 @@
 A disabled link on a method's root weaves a twin of it, which runs as
 compiled code with a hook at its root. `Hooked` puts one on every method
 it compiles, the kernel's included, so the same program runs as plain
-and as woven code with no flag. The outcome of each of `PROGRAMS` is
-also pinned as a literal.
+and as woven code with no flag. `HookedVariables` also hooks every
+assignment and variable read, so each runs through its hook's code.
+The outcome of each of `PROGRAMS` is also pinned as a literal.
 """
 
 import gc
@@ -19,7 +20,7 @@ from mklang.bench import counts
 from mklang.errors import MkError, MkSyntaxError
 from mklang.interpreter import CompiledMethodRecord
 from mklang.listings import run_all
-from mklang.nodes import SourceSpan, find_nodes
+from mklang.nodes import ASSIGNMENT, VAR_READ, SourceSpan, find_nodes
 from mklang.values import INT_MAX, HostFunction
 from progen import gen_program
 
@@ -41,6 +42,22 @@ class Hooked(Interpreter):
         return record
 
 
+class HookedVariables(Hooked):
+    """`Hooked`, with a disabled link on every assignment and every
+    variable read of every method as well."""
+
+    def _compile_method(self, cls, mdef, source):
+        record = super()._compile_method(cls, mdef, source)
+        link = disabled_link()
+        for node in mdef.walk():
+            if node.kind in (ASSIGNMENT, VAR_READ):
+                self.install(link, node)
+        return record
+
+
+WOVEN = (Hooked, HookedVariables)
+
+
 def records(interp):
     return [rec for cls in interp.classes.values()
             for rec in cls.methods.values()
@@ -50,6 +67,15 @@ def records(interp):
 def outcome(interp_class, source, seed=0):
     """What a run shows: output, value or error, span and trace."""
     interp = interp_class(seed=seed)
+    shown = outcome_of(interp, source)
+    if isinstance(interp, Hooked):     # every method ran its twin's code
+        assert all(rec.twin is not None and rec.code is None
+                   for rec in records(interp))
+        assert any(rec.twin.code is not None for rec in records(interp))
+    return shown
+
+
+def outcome_of(interp, source):
     try:
         result = interp.run(source)
     except MkSyntaxError:
@@ -58,10 +84,6 @@ def outcome(interp_class, source, seed=0):
         shown = (type(exc).__name__, str(exc), exc.span, exc.trace)
     else:
         shown = (interp.print_string(result.value), result.trace)
-    if interp_class is Hooked:     # every method ran its twin's code
-        assert all(rec.twin is not None and rec.code is None
-                   for rec in records(interp))
-        assert any(rec.twin.code is not None for rec in records(interp))
     return interp.output_text(), shown
 
 
@@ -166,7 +188,8 @@ def test_each_program_shows_its_pinned_outcome_plain_and_woven():
     assert len(OUTCOMES) == len(PROGRAMS)
     for source, expected in zip(PROGRAMS, OUTCOMES):
         assert outcome(Interpreter, source) == expected, source
-        assert outcome(Hooked, source) == expected, source
+        for woven in WOVEN:
+            assert outcome(woven, source) == expected, (woven, source)
 
 
 def test_plain_and_woven_runs_agree():
@@ -174,18 +197,39 @@ def test_plain_and_woven_runs_agree():
         for p in make_programs(seed):
             shown = outcome(Interpreter, p.source, p.seed)
             assert shown[0] == p.expected, p.source
-            assert outcome(Hooked, p.source, p.seed) == shown, p.source
+            for woven in WOVEN:
+                assert outcome(woven, p.source, p.seed) == shown, \
+                    (woven, p.source)
     for i in range(50):
         source = gen_program(random.Random(i))[0]
-        assert outcome(Interpreter, source) == outcome(Hooked, source), \
-            source
+        shown = outcome(Interpreter, source)
+        for woven in WOVEN:
+            assert outcome(woven, source) == shown, (woven, source)
 
 
 def test_listings_agree_plain_and_woven(monkeypatch):
     plain = run_all(seed=0)
-    monkeypatch.setattr(mklang.listings, "Interpreter", Hooked)
-    assert run_all(seed=0) == plain
+    for woven in WOVEN:
+        monkeypatch.setattr(mklang.listings, "Interpreter", woven)
+        assert run_all(seed=0) == plain, woven
     assert all(result.passed for result in plain)
+
+
+@pytest.mark.parametrize("interp_class", [Interpreter, HookedVariables])
+def test_no_temp_write_reaches_write_var(interp_class):
+    """The compiler writes every temp itself, hooked or not: only a slot
+    or a global write calls `write_var`, which binds no temp."""
+    interp = interp_class()
+    names = []
+    original = interp.write_var
+
+    def recording(name, value, act, node=None):
+        names.append(name)
+        return original(name, value, act, node)
+
+    interp.write_var = recording
+    assert outcome_of(interp, PROGRAMS[0]) == OUTCOMES[0]
+    assert set(names) == {"s"}
 
 
 def test_a_method_on_integer_runs_from_compiled_code():

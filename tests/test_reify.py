@@ -126,6 +126,33 @@ def test_variable_mirror_reads_live_binding(interp):
     assert mirror.read() == 5
 
 
+@pytest.mark.parametrize("query, seen", [
+    ("writes-of", [None, 1, 11]),    # before the writes at depths 0, 1, 2
+    ("reads-of", [1, 11, 111]),      # the reads at depths 1, 2, then 0
+])
+def test_variable_mirror_of_a_temp_at_each_depth(query, seen):
+    """A read or a write of a method's temp, in the method and in blocks
+    one and two deep, mirrors the method's temps, read live."""
+    interp = Interpreter()
+    interp.run("""class Deep [ run [ | t |
+    t := 1.
+    [ t := t + 10. [ t := t + 100 ] value ] value.
+    ^ t ] ]""")
+    mirrors = []
+    link = MetaLink()
+    link.set_meta_object(HostFunction(
+        lambda m: mirrors.append((m, m.read())), "cap"))
+    link.set_selector("value:")
+    link.set_arguments(("variable",))
+    for node in find_nodes(interp.method_ast("Deep", "run"), query, "t"):
+        install(interp, link, node)
+    assert interp.run("Deep new run").value == 111
+    assert [read for _, read in mirrors] == seen
+    for mirror, _ in mirrors:
+        assert (mirror.kind, mirror.name) == ("temp", "t")
+        assert mirror.read() == 111
+
+
 def test_context_mirror_and_sender_chain(interp):
     sink = capture(interp, method_node(interp), reifs=("context", "sender"))
     run_probe(interp, 4)

@@ -528,13 +528,13 @@ def test_the_reserved_frame_stack_holds_the_deepest_recursion():
                                   if isinstance(c, type(code))]
                         yield (code.co_stacksize + code.co_nlocals
                                + len(code.co_cellvars)
-                               + len(code.co_freevars))
+                               + len(code.co_freevars), code.co_name)
 
-    largest = max(n for m in (compiler, interpreter, kernel, links, reify,
-                              tools)
-                  for n in frame_slots(m))
-    assert sys.getrecursionlimit() * (largest + 8) \
-        < interpreter._FRAME_RESERVE
+    largest, name = max(n for m in (compiler, interpreter, kernel, links,
+                                    reify, tools)
+                        for n in frame_slots(m))
+    frames = max(1000, sys.getrecursionlimit())
+    assert frames * (largest + 8) < interpreter._FRAME_RESERVE, name
 
 
 @pytest.mark.skipif(

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from mklang import Interpreter
 from mklang.errors import MkRuntimeError, UnknownVariable
 from mklang.nodes import find_nodes
-from mklang.tools import (
-    set_breakpoint, set_breakpoint_for_object, trace_count, watch_variable,
-)
+from mklang.tools import set_breakpoint, trace_count, watch_variable
 from progen import gen_program
 
 SOURCE = """class Acct [ | balance |
@@ -77,7 +75,7 @@ def test_breakpoint_site_must_exist(interp):
 def test_object_centric_breakpoint_halts_only_the_target(interp):
     target = interp.run("^ Acct new").value
     other = interp.run("^ Acct new").value
-    set_breakpoint_for_object(interp, "Acct", "deposit:", target)
+    set_breakpoint(interp, "Acct", "deposit:", target=target)
     interp.send(other, "deposit:", [1], None)        # no halt
     assert other.slots["balance"] == 1
     from mklang.errors import HaltSignal
