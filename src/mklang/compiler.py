@@ -18,10 +18,18 @@ twin compiles only its spine, the copied path down to its hooks.
   with a nonzero divisor, between two ints answers the `op` of Integer's
   primitive while that is still Integer's method (Deutsch & Schiffman,
   POPL 1984); what the primitive would reject goes through `send`.
+* A send of `BRANCHES` (`ifTrue:`, `and:`, ...) whose arguments are
+  literal blocks without parameters, or of `LOOPS` (`whileTrue:`,
+  `whileFalse:`) whose receiver is one too, runs those blocks' bodies
+  itself, as Smalltalk-80 compilers do (Goldberg & Robson, 1983). Each
+  body runs in the activation `call_block` would make. This holds while
+  the receiver is a bool, for `BRANCHES`, and while the kernel primitive
+  is still the method; otherwise the closure makes the blocks and sends.
 * A hooked node compiles by its original's kind. Its closure runs the
   pending operation through `Interpreter._trigger`, which consults the
   registry as it runs. A hooked method root adds the method-entry
-  trigger, and a hooked block the block-call trigger.
+  trigger, and a hooked block the block-call trigger. A hooked control
+  send, or one with a hooked block, is not inlined.
 
 Nothing is stored on a node: the kernel's AST is shared by every
 interpreter. A closure holds nodes, names and closures as parameter
@@ -41,7 +49,7 @@ from .nodes import (
     ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, META_HOOK,
     RETURN, SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ,
 )
-from .values import INT_MAX, INT_MIN, Array, Block
+from .values import INT_MAX, INT_MIN, Activation, Array, Block
 
 
 def compiled(record):
@@ -90,6 +98,9 @@ def _compile(root, scopes, copies=None, shared=None):
     todo = [(root, scopes, False)]
     while todo:
         node, scopes, children_done = todo.pop()
+        if node is None:    # the body of an empty arm
+            done.append(_nil)
+            continue
         if copies is not None and node.id not in copies:
             code = shared.get(node.id)
             if code is None:
@@ -108,9 +119,36 @@ def _compile(root, scopes, copies=None, shared=None):
             todo.append((node, scopes, True))
             if (node.original or node).kind == BLOCK:
                 scopes = (node.params, *scopes)
+            arms = _arms(node)
             for child in reversed(children):
-                todo.append((child, scopes, False))
+                if child in arms:    # its body, in an activation of its own
+                    todo.append((child.children[0] if child.children
+                                 else None, ((), *scopes), False))
+                else:
+                    todo.append((child, scopes, False))
     return done[0]
+
+
+def _arms(node):
+    """The literal blocks that an inlined control send runs itself, or ()
+    if `node` is not one: an unhooked send of a `BRANCHES` selector whose
+    arguments, or of a `LOOPS` selector whose receiver and argument, are
+    literal blocks without parameters."""
+    if node.kind != MESSAGE_SEND:
+        return ()
+    selector = node.selector
+    if selector in BRANCHES:
+        if node.children[0].var_name == "super":
+            return ()
+        blocks = node.children[1:]
+    elif selector in LOOPS:
+        blocks = node.children
+    else:
+        return ()
+    for block in blocks:
+        if block.kind != BLOCK or block.params:
+            return ()
+    return blocks
 
 
 def _depth(name, scopes):
@@ -237,6 +275,10 @@ def _message(node, kids, scopes):
     # `var_name` of the node it marks, and only `super` is so named.
     if node.children[0].var_name == "super":
         return _super_send(node, selector, kids[0], kids[1:])
+    if _arms(node):
+        if selector in LOOPS:
+            return _loop(node, selector, *kids)
+        return _branch(node, selector, kids[0], kids[1:])
     if len(kids) == 2:
         return _INLINED.get(selector, _send1)(node, selector, *kids)
     if len(kids) == 1:
@@ -346,6 +388,82 @@ _INLINED = {
     "<": _comparison, "<=": _comparison, ">": _comparison,
     ">=": _comparison, "=": _comparison, "~=": _comparison,
 }
+
+
+# The inlined control sends. Each runs only while its send would reach the
+# kernel primitive, which `kernel` builds from the same table and keeps as
+# the primitive's `op`; else it makes the blocks and sends. The primitive
+# would run a block through `call_block`, so an arm's body runs in a block
+# activation with the same fields, and a trace, a `^` from the arm,
+# `#context` and `halt` see what they would see in the block.
+
+# Boolean: selector -> the argument that runs for true, the one that runs
+# for false (None if none does), and what the send answers if none runs.
+BRANCHES = {
+    "ifTrue:": (0, None, None),
+    "ifFalse:": (None, 0, None),
+    "ifTrue:ifFalse:": (0, 1, None),
+    "ifFalse:ifTrue:": (1, 0, None),
+    "and:": (0, None, False),
+    "or:": (None, 0, True),
+}
+
+# Block: selector -> True if the loop goes on while its receiver answers
+# true, False if it goes on while the receiver answers anything else.
+LOOPS = {"whileTrue:": True, "whileFalse:": False}
+
+
+def _branch(node, selector, receiver, bodies):
+    """A Boolean send of `BRANCHES` whose arguments are literal blocks, each
+    compiled as its `bodies` closure."""
+    blocks = tuple(zip(node.children[1:], bodies))
+    on_true, on_false, otherwise = BRANCHES[selector]
+    true_arm = None if on_true is None else blocks[on_true]
+    false_arm = None if on_false is None else blocks[on_false]
+
+    def branch(interp, act, receiver=receiver, true_arm=true_arm,
+               false_arm=false_arm, otherwise=otherwise, blocks=blocks,
+               selector=selector, node=node):
+        r = receiver(interp, act)
+        if r.__class__ is bool \
+                and interp.bool_methods[selector].op is not None:
+            act.current_node = node
+            arm = true_arm if r else false_arm
+            if arm is None:
+                return otherwise
+            block, body = arm
+            arm = Activation(act.receiver, act.method, act, {}, act,
+                             act._home or act)
+            arm.current_node = block
+            return body(interp, arm)
+        return interp.send(r, selector, [Block(block, act, body)
+                                         for block, body in blocks],
+                           act, node)
+    return branch
+
+
+def _loop(node, selector, condition, body):
+    """A Block loop of `LOOPS` whose receiver and argument are literal
+    blocks, compiled as their bodies `condition` and `body`."""
+    test, block = node.children
+    go_on = LOOPS[selector]
+
+    def loop(interp, act, condition=condition, body=body, test=test,
+             block=block, go_on=go_on, selector=selector, node=node):
+        if interp.block_methods[selector].op is None:
+            return interp.send(Block(test, act, condition), selector,
+                               [Block(block, act, body)], act, node)
+        act.current_node = node
+        receiver, method, home = act.receiver, act.method, act._home or act
+        while True:
+            arm = Activation(receiver, method, act, {}, act, home)
+            arm.current_node = test
+            if (condition(interp, arm) is True) is not go_on:
+                return None
+            arm = Activation(receiver, method, act, {}, act, home)
+            arm.current_node = block
+            body(interp, arm)
+    return loop
 
 
 # -- hooks --------------------------------------------------------------

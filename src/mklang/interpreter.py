@@ -46,7 +46,7 @@ from .errors import (
 from .nodes import METHOD_DEF, MethodSignature, id_interval, value_selector
 from .parser import parse, parse_method
 from .reify import TriggerContext, resolve
-from .values import Array, Block, HostFunction, Instance, Symbol
+from .values import Activation, Array, Block, HostFunction, Instance, Symbol
 
 
 class PrimitiveMethod:
@@ -57,7 +57,10 @@ class PrimitiveMethod:
     def __init__(self, selector, fn, op=None):
         self.selector = selector
         self.fn = fn
-        self.op = op    # an Integer primitive's operator, `fn` built on it
+        # What compiled code runs in place of a send while this is the
+        # method, `fn` being built on it: an Integer operator, a row of
+        # `compiler.BRANCHES` or a flag of `compiler.LOOPS`.
+        self.op = op
 
 
 class CompiledMethodRecord:
@@ -121,32 +124,6 @@ class ClassRecord:
         return "<class %s>" % self.name
 
 
-class Activation:
-    """One running method or block. A block's activation shares its home
-    method activation's `receiver` and `method`."""
-
-    __slots__ = ("receiver", "method", "temps", "sender", "current_node",
-                 "lexical_parent", "_home")
-
-    def __init__(self, receiver, method, sender, temps=None,
-                 lexical_parent=None, home=None):
-        self.receiver = receiver
-        self.method = method
-        self.temps = {} if temps is None else temps
-        self.sender = sender
-        self.current_node = None
-        self.lexical_parent = lexical_parent
-        # None for a method's own activation: pointing at itself would
-        # make every activation a reference cycle, left to the cyclic GC.
-        self._home = home
-
-    @property
-    def home(self):
-        """The activation of the method this one runs in; `^` returns
-        from it."""
-        return self._home or self
-
-
 @dataclass
 class RunResult:
     output: str
@@ -180,7 +157,10 @@ class Interpreter:
         # Array carry their own, classes and host functions are Objects.
         self._type_classes = {t: classes[name]
                               for t, name in TYPE_CLASSES.items()}
-        self.int_methods = classes["Integer"].methods   # read by inlined sends
+        # Read by inlined sends: is the method still the kernel primitive?
+        self.int_methods = classes["Integer"].methods
+        self.bool_methods = classes["Boolean"].methods
+        self.block_methods = classes["Block"].methods
 
     # -- program loading --------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import operator
 
+from .compiler import BRANCHES, LOOPS
 from .errors import MkRuntimeError
 from .interpreter import ClassRecord, PrimitiveMethod
 from .nodes import find_nodes, value_selector
@@ -221,21 +222,21 @@ def _boolean_protocol(interp, cls):
             return interp.call_block(block_or_value, [], sender)
         return block_or_value
 
-    _prim(cls, "ifTrue:",
-          lambda i, r, a, s: run(i, a[0], s) if r else None)
-    _prim(cls, "ifFalse:",
-          lambda i, r, a, s: None if r else run(i, a[0], s))
-    _prim(cls, "ifTrue:ifFalse:",
-          lambda i, r, a, s: run(i, a[0] if r else a[1], s))
-    _prim(cls, "ifFalse:ifTrue:",
-          lambda i, r, a, s: run(i, a[1] if r else a[0], s))
+    # Each of these primitives is built from its row of `BRANCHES`, which
+    # compiled code reads to run a literal block itself.
+    def branch(row):
+        on_true, on_false, otherwise = row
+
+        def fn(interp, r, a, s):
+            arm = on_true if r else on_false
+            return otherwise if arm is None else run(interp, a[arm], s)
+        return fn
+
+    for selector, row in BRANCHES.items():
+        _prim(cls, selector, branch(row), row)
     _prim(cls, "not", lambda i, r, a, s: not r)
     _prim(cls, "&", lambda i, r, a, s: bool(r and a[0] is True))
     _prim(cls, "|", lambda i, r, a, s: bool(r or a[0] is True))
-    _prim(cls, "and:",
-          lambda i, r, a, s: run(i, a[0], s) if r else False)
-    _prim(cls, "or:",
-          lambda i, r, a, s: True if r else run(i, a[0], s))
 
 
 # -- Integer ----------------------------------------------------------------
@@ -318,23 +319,19 @@ def _block_protocol(interp, cls):
               lambda i, r, a, s: i.call_block(r, list(a), s))
     _prim(cls, "numArgs", lambda i, r, a, s: r.arity)
 
-    def while_true(interp, r, a, s):
-        body = _need_block(a[0]) if a else None
-        while interp.call_block(r, [], s) is True:
-            if body is not None:
-                interp.call_block(body, [], s)
-        return None
+    # Built from `LOOPS`, as Boolean's primitives are from `BRANCHES`.
+    def loop(go_on):
+        def fn(interp, r, a, s):
+            body = _need_block(a[0]) if a else None
+            while (interp.call_block(r, [], s) is True) is go_on:
+                if body is not None:
+                    interp.call_block(body, [], s)
+            return None
+        return fn
 
-    def while_false(interp, r, a, s):
-        body = _need_block(a[0]) if a else None
-        while interp.call_block(r, [], s) is not True:
-            if body is not None:
-                interp.call_block(body, [], s)
-        return None
-
-    _prim(cls, "whileTrue:", while_true)
-    _prim(cls, "whileTrue", while_true)
-    _prim(cls, "whileFalse:", while_false)
+    for selector, go_on in LOOPS.items():
+        _prim(cls, selector, loop(go_on), go_on)
+    _prim(cls, "whileTrue", loop(True))
 
 
 # -- collections ------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Runtime values of the toy language.
 
 Integers, booleans, strings and nil are plain Python int/bool/str/None.
-Everything else is one of the classes below. Identity (`==` in the
-language) is Python object identity for reference types and value
-equality for immediates; Symbols are interned so both coincide.
+Everything else is one of the classes below, beside `Activation`, the
+record of a running method or block. Identity (`==` in the language) is
+Python object identity for reference types and value equality for
+immediates; Symbols are interned so both coincide.
 """
 
 from __future__ import annotations
@@ -65,6 +66,32 @@ class Block:
     @property
     def arity(self):
         return len(self.node.params)
+
+
+class Activation:
+    """One running method or block. A block's activation shares its home
+    method activation's `receiver` and `method`."""
+
+    __slots__ = ("receiver", "method", "temps", "sender", "current_node",
+                 "lexical_parent", "_home")
+
+    def __init__(self, receiver, method, sender, temps=None,
+                 lexical_parent=None, home=None):
+        self.receiver = receiver
+        self.method = method
+        self.temps = {} if temps is None else temps
+        self.sender = sender
+        self.current_node = None
+        self.lexical_parent = lexical_parent
+        # None for a method's own activation: pointing at itself would
+        # make every activation a reference cycle, left to the cyclic GC.
+        self._home = home
+
+    @property
+    def home(self):
+        """The activation of the method this one runs in; `^` returns
+        from it."""
+        return self._home or self
 
 
 class HostFunction:

@@ -20,7 +20,7 @@ from mklang.bench import counts
 from mklang.errors import MkError, MkSyntaxError
 from mklang.interpreter import CompiledMethodRecord
 from mklang.listings import run_all
-from mklang.nodes import ASSIGNMENT, VAR_READ, SourceSpan, find_nodes
+from mklang.nodes import ASSIGNMENT, BLOCK, VAR_READ, SourceSpan, find_nodes
 from mklang.values import INT_MAX, HostFunction
 from progen import gen_program
 
@@ -57,6 +57,10 @@ class HookedVariables(Hooked):
 
 WOVEN = (Hooked, HookedVariables)
 
+# A differential that loops forever fails after `conftest.WATCHDOG_SECONDS`
+# instead of hanging.
+under_watchdog = pytest.mark.usefixtures("watchdog")
+
 
 def records(interp):
     return [rec for cls in interp.classes.values()
@@ -87,9 +91,44 @@ def outcome_of(interp, source):
     return interp.output_text(), shown
 
 
+# What each inlined control send answers, and `^`s from inlined arms and
+# loop bodies.
+CONTROL_PROGRAM = """class E [
+    m [ | i j |
+        i := 0. j := 0.
+        [ i := i + 1. 3 ] whileTrue: [ j := j + 10 ].
+        [ i := i + 1. i >= 4 or: [ nil ] ] whileFalse: [ j := j + 1 ].
+        ^ i * 100 + j ]
+    find: n [ | i |
+        i := 0.
+        [ true ] whileTrue: [ i := i + 1. i * i > n ifTrue: [ ^ i ] ] ]
+    loop [ | i |
+        i := 0.
+        [ i := i + 1. i < 10 ] whileTrue: [ i = 4 ifTrue: [ ^ i * 10 ] ].
+        ^ 0 ]
+    deep: n [
+        (n > 0 and: [ n < 100 ])
+            ifTrue: [ n even ifTrue: [ ^ #even ] ifFalse: [ ^ #odd ] ]
+            ifFalse: [ ^ nil ] ]
+    body [ [ false ] whileFalse: [ ^ 7 ] ]
+    empty [ ^ (3 > 2 ifTrue: [ ]) printString
+        , (3 < 2 ifFalse: [ ]) printString
+        , (3 < 2 ifTrue: [ 1 ] ifFalse: [ ]) printString ]
+]
+| i |
+E new m logCr. (E new find: 50) logCr. E new loop logCr.
+(E new deep: 3) logCr. (E new deep: 4) logCr. (E new deep: 0) logCr.
+E new body logCr. E new empty logCr.
+(true and: 3) logCr. (false or: 7) logCr. (true ifTrue: 5) logCr.
+(false ifTrue: [ 1 ] ifFalse: [ 2 ]) logCr.
+(true ifFalse: [ 1 ] ifTrue: [ 2 ]) logCr.
+(false and: [ 1 ]) logCr. (true or: [ 1 ]) logCr.
+i := 0. [ i < 3 ] whileTrue: [ i := i + 1 ]. i
+"""
+
 # Programs beside the corpora: variables at every depth, sends of every
-# argument count, super, non-local returns, and the errors of inlined
-# Integer sends, each raised inside a method.
+# argument count, super, non-local returns, the errors of inlined Integer
+# sends, each raised inside a method, and the control sends.
 PROGRAMS = [
     """class A [ | s |
     initialize [ s := 1 ]
@@ -134,6 +173,18 @@ b
     "class E [ m [ ^ self n: 1 ] n [ ^ 1 ] ]\nE new m",
     "class E [ m [ ^ [ 1 + 2. Halt now ] value ] ]\nE new m",
     "class E [ m [ ^ 5 + 4 ] ]\nclass Integer [ + x [ ^ 42 ] ]\nE new m",
+    # Control sends: what a send that is not inlined does, then errors,
+    # halts and `^`s inside inlined arms, and what each inlined send answers.
+    "class E [ m [ ^ 3 ifTrue: [ 1 ] ] ]\nE new m",
+    "class E [ m [ ^ nil or: [ true ] ] ]\nE new m",
+    "class E [ m [ ^ super ifTrue: [ 1 ] ] ]\nE new m",
+    "class E [ m [ ^ 3 > 2 ifTrue: [:x | x ] ] ]\nE new m",
+    "class E [ m [ ^ 3 > 2 ifTrue: [ y ] ] ]\nE new m",
+    "class E [ m [ ^ 3 > 2 ifTrue: [ 1 + 2. Halt now ] ] ]\nE new m",
+    "class E [ m [ [ Halt now. true ] whileTrue: [ 1 ] ] ]\nE new m",
+    "class E [ m [ ^ [ 3 > 2 ifTrue: [ ^ 1 ] ] ] ]\nE new m value",
+    CONTROL_PROGRAM,
+    "class E [ m [ ^ 1 ] ]\nE new m. 3 ifTrue: [ 1 ]",
 ]
 
 
@@ -181,9 +232,34 @@ OUTCOMES = [
     ("", ("nil", ["E>>m (<string>:25..33)", "E>>m (<string>:16..41)",
                   "top-level (<string>:46..53)"])),
     ("", ("42", [])),
+    ("", ("MkRuntimeError", "Integer doesNotUnderstand: #ifTrue:",
+          span(16, 31),
+          ["E>>m (<string>:16..31)", "top-level (<string>:36..43)"])),
+    ("", ("MkRuntimeError", "UndefinedObject doesNotUnderstand: #or:",
+          span(16, 32),
+          ["E>>m (<string>:16..32)", "top-level (<string>:37..44)"])),
+    ("", ("MkRuntimeError", "E doesNotUnderstand: #ifTrue:", span(16, 35),
+          ["E>>m (<string>:16..35)", "top-level (<string>:40..47)"])),
+    ("", ("MkRuntimeError", "block expects 1 argument(s), got 0",
+          span(16, 39),
+          ["E>>m (<string>:16..39)", "top-level (<string>:44..51)"])),
+    ("", ("MkRuntimeError", "undefined variable y", span(32, 33),
+          ["E>>m (<string>:30..35)", "E>>m (<string>:16..35)",
+           "top-level (<string>:40..47)"])),
+    ("", ("nil", ["E>>m (<string>:39..47)", "E>>m (<string>:16..49)",
+                  "top-level (<string>:54..61)"])),
+    ("", ("nil", ["E>>m (<string>:16..24)", "E>>m (<string>:14..49)",
+                  "top-level (<string>:54..61)"])),
+    ("", ("MkRuntimeError", "non-local return from an exited method",
+          span(46, 59), ["top-level (<string>:46..59)"])),
+    ("402\n8\n40\n#odd\n#even\nnil\n7\nnilnilnil\n3\n7\n5\n2\n2\nfalse\n"
+     "true\n", ("3", [])),
+    ("", ("MkRuntimeError", "Integer doesNotUnderstand: #ifTrue:",
+          span(31, 46), ["top-level (<string>:31..46)"])),
 ]
 
 
+@under_watchdog
 def test_each_program_shows_its_pinned_outcome_plain_and_woven():
     assert len(OUTCOMES) == len(PROGRAMS)
     for source, expected in zip(PROGRAMS, OUTCOMES):
@@ -192,6 +268,7 @@ def test_each_program_shows_its_pinned_outcome_plain_and_woven():
             assert outcome(woven, source) == expected, (woven, source)
 
 
+@under_watchdog
 def test_plain_and_woven_runs_agree():
     for seed in (1, 2, 3):
         for p in make_programs(seed):
@@ -207,6 +284,7 @@ def test_plain_and_woven_runs_agree():
             assert outcome(woven, source) == shown, (woven, source)
 
 
+@under_watchdog
 def test_listings_agree_plain_and_woven(monkeypatch):
     plain = run_all(seed=0)
     for woven in WOVEN:
@@ -337,3 +415,162 @@ def test_an_inlined_send_at_the_top_level_fails_as_its_primitive(source):
     assert compiled.value.span.start == 14
     assert compiled.value.trace == ["top-level (<string>:14..%d)"
                                     % (14 + len(source))]
+
+
+# The control sends. Each selector's method sends it with literal blocks,
+# then what the method answers, first as the kernel's primitive runs it
+# and then under a redefinition that answers 40 plus the value of its
+# last argument.
+CONTROL_METHODS = {
+    "ifTrue:": ("3 > 2 ifTrue: [ 1 ]", "1", "41"),
+    "ifFalse:": ("3 > 2 ifFalse: [ 1 ]", "nil", "41"),
+    "ifTrue:ifFalse:": ("3 > 2 ifTrue: [ 1 ] ifFalse: [ 2 ]", "1", "42"),
+    "ifFalse:ifTrue:": ("3 > 2 ifFalse: [ 1 ] ifTrue: [ 2 ]", "2", "42"),
+    "and:": ("3 > 2 and: [ 1 ]", "1", "41"),
+    "or:": ("3 > 2 or: [ 1 ]", "true", "41"),
+    "whileTrue:": ("[ i < 3 ] whileTrue: [ i := i + 1 ]", "nil", "41"),
+    "whileFalse:": ("[ i >= 3 ] whileFalse: [ i := i + 1 ]", "nil", "41"),
+}
+
+
+@under_watchdog
+@pytest.mark.parametrize("interp_class", [Interpreter, *WOVEN])
+@pytest.mark.parametrize("selector", list(CONTROL_METHODS))
+def test_a_control_method_redefined_after_its_sender_ran_takes_over(
+        selector, interp_class):
+    send, before, after = CONTROL_METHODS[selector]
+    interp = interp_class()
+    interp.run("class E [ m [ | i | i := 0. ^ %s ] ]" % send)
+    assert interp.print_string(interp.run("E new m").value) == before
+    record = interp.lookup_method("E", "m")
+    assert (record.twin or record).code is not None
+    owner = "Block" if selector.startswith("while") else "Boolean"
+    keywords = selector.split(":")[:-1]
+    names = "ab"[:len(keywords)]
+    signature = " ".join("%s: %s" % pair for pair in zip(keywords, names))
+    interp.run("class %s [ %s [ ^ 40 + %s value ] ]"
+               % (owner, signature, names[-1]))
+    assert interp.print_string(interp.run("E new m").value) == after
+
+
+LOOP_SOURCE = """class E [ m [ | i |
+    i := 0.
+    [ i < 3 ] whileTrue: [ i := i + 1 ].
+    ^ i > 2 ifTrue: [ i ] ifFalse: [ 0 ] ] ]"""
+
+
+@under_watchdog
+@pytest.mark.parametrize("interp_class", [Interpreter, *WOVEN])
+def test_a_link_installed_later_on_a_control_send_or_its_block_fires(
+        interp_class):
+    """A hooked control send, or one with a hooked block, is not inlined:
+    a link on either fires from the next activation, and once it is gone
+    the send runs inlined again."""
+    interp = interp_class()
+    interp.run(LOOP_SOURCE)
+    assert interp.run("E new m").value == 3
+    mdef = interp.method_ast("E", "m")
+    sites = [*find_nodes(mdef, "sends-of", "whileTrue:"),
+             *find_nodes(mdef, "sends-of", "ifTrue:ifFalse:"),
+             *(node for node in mdef.walk() if node.kind == BLOCK)]
+    fired = []
+    links = []
+    for site in sites:
+        link = MetaLink()
+        link.set_meta_object(HostFunction(
+            lambda site=site: fired.append(site), "a recorder"))
+        link.set_selector("value")
+        interp.install(link, site)
+        links.append(link)
+    assert interp.run("E new m").value == 3
+    # Each send once; the condition 4 times, the loop body 3, the arms
+    # of `ifTrue:ifFalse:` once and never.
+    assert [fired.count(site) for site in sites] == [1, 1, 4, 3, 1, 0]
+    for link in links:
+        interp.uninstall(link)
+    visits = interp.hook_visits
+    assert interp.run("E new m").value == 3
+    assert len(fired) == 10
+    if interp_class is Interpreter:
+        assert interp.hook_visits == visits
+
+
+@under_watchdog
+@pytest.mark.parametrize("interp_class", [Interpreter, *WOVEN])
+def test_context_inside_an_inlined_arm_is_the_arm_activation(interp_class):
+    """`#context` at a send inside an inlined arm shows the activation a
+    block call would have made: the method's selector and no temps, sent
+    from the method's activation."""
+    interp = interp_class()
+    interp.run("class E [ m: n [ | t |\n"
+               "    t := n.\n"
+               "    n > 2 ifTrue: [ t := t + 1. t printString ].\n"
+               "    ^ t ] ]")
+    chains = []
+
+    def record(context):
+        chain = []
+        while context is not None:
+            chain.append((context.describe(), context.temps))
+            context = context.sender()
+        chains.append(chain)
+
+    link = MetaLink()
+    link.set_meta_object(HostFunction(record, "a recorder"))
+    link.set_selector("value:")
+    link.set_arguments(["context"])
+    send = find_nodes(interp.method_ast("E", "m:"), "sends-of", "printString")
+    interp.install(link, send[0])
+    assert interp.run("E new m: 5").value == 6
+    assert chains == [[("context(m:)", {}),
+                       ("context(m:)", {"n": 5, "t": 6}),
+                       ("context(top-level)", {})]]
+
+
+def test_unlinked_control_sends_visit_no_hook():
+    interp = Interpreter()
+    assert outcome_of(interp, CONTROL_PROGRAM) == \
+        OUTCOMES[PROGRAMS.index(CONTROL_PROGRAM)]
+    assert interp.hook_visits == interp.registry_consults == 0
+
+
+GATE_SOURCE = """class Gate [
+    literal: n [ | i odd |
+        i := 0. odd := 0.
+        [ i < n ] whileTrue: [
+            (i = 3 or: [ i = 5 ])
+                ifTrue: [ odd := odd + 1 ] ifFalse: [ odd := odd - 1 ].
+            i := i + 1 ].
+        ^ odd ]
+    held: n [ | i odd test body alt yes no |
+        i := 0. odd := 0.
+        test := [ i < n ].
+        alt := [ i = 5 ].
+        yes := [ odd := odd + 1 ].
+        no := [ odd := odd - 1 ].
+        body := [ (i = 3 or: alt) ifTrue: yes ifFalse: no. i := i + 1 ].
+        test whileTrue: body.
+        ^ odd ]
+]
+"""
+
+
+def gate_runner(selector):
+    interp = Interpreter()
+    interp.load(GATE_SOURCE)
+    gate = interp.send(interp.class_named("Gate"), "new", [], None)
+    assert interp.send(gate, selector, [10], None) == -6
+
+    def run(n):
+        for _ in range(n):
+            interp.send(gate, selector, [10], None)
+    return run
+
+
+def test_control_sends_of_literal_blocks_run_inlined():
+    """The same loop, written with literal blocks, which compile inline,
+    and with the blocks held in temps, which every send takes."""
+    literal = counts(gate_runner("literal:"), 20)
+    held = counts(gate_runner("held:"), 20)
+    assert literal[0] <= 0.8 * held[0], (literal, held)
+    assert literal[1] <= 0.75 * held[1], (literal, held)

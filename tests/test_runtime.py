@@ -508,6 +508,20 @@ def test_recursion_reaches_245_levels_and_overflows_at_1000():
     assert interp.run("D new down: 3").value == 0
 
 
+def test_recursion_through_an_if_true_arm_reaches_180_levels():
+    """An `ifTrue:` of a literal block runs its arm inline: a level costs
+    no send, primitive or `call_block` frame for it."""
+    interp = Interpreter()
+    interp.run("class D [ "
+               "down: n [ n > 0 ifTrue: [ ^ self down: n - 1 ]. ^ 0 ] ]")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert _run_in_fresh_thread(interp, "D new down: 180").value == 0
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_the_reserved_frame_stack_holds_the_deepest_recursion():
     """The derivation next to `_FRAME_RESERVE`: Python's recursion limit
     times the largest evaluator frame (locals and value stack, plus at most
