@@ -25,11 +25,12 @@ twin compiles only its spine, the copied path down to its hooks.
   body runs in the activation `call_block` would make. This holds while
   the receiver is a bool, for `BRANCHES`, and while the kernel primitive
   is still the method; otherwise the closure makes the blocks and sends.
-* A hooked node compiles by its original's kind. Its closure runs the
-  pending operation through `Interpreter._trigger`, which consults the
-  registry as it runs. A hooked method root adds the method-entry
-  trigger, and a hooked block the block-call trigger. A hooked control
-  send, or one with a hooked block, is not inlined.
+* A node is hooked when its id is a key of the twin's `hook_table`; a
+  hook factory receives the original node. Its closure runs the pending
+  operation through `Interpreter._trigger`, which consults the registry
+  as it runs. A hooked method root adds the method-entry trigger, and a
+  hooked block the block-call trigger. A hooked control send, or one with
+  a hooked block, is not inlined.
 
 Nothing is stored on a node: the kernel's AST is shared by every
 interpreter. A closure holds nodes, names and closures as parameter
@@ -46,8 +47,8 @@ from functools import partial
 
 from .errors import MethodReturn, MkRuntimeError
 from .nodes import (
-    ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, META_HOOK,
-    RETURN, SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ,
+    ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, RETURN,
+    SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ,
 )
 from .values import INT_MAX, INT_MIN, Activation, Array, Block
 
@@ -61,23 +62,24 @@ def compiled(record):
     links."""
     twin = record.twin
     if twin is None:
-        mdef, copies = record.original_ast, ()
+        mdef, copies, hooks = record.original_ast, (), {}
     else:
-        mdef, copies = twin.woven_ast, twin.copies
+        mdef, copies, hooks = twin.woven_ast, twin.copies, twin.hook_table
     shared = record.shared
     scopes = ((*mdef.params, *mdef.temps),)
     body = mdef.children[-1]
     statements = []
     ret = None
-    # A hooked body sequence is one statement: its `^`s raise.
-    for stmt in body.children if body.kind == SEQUENCE else (body,):
-        if stmt.kind == RETURN:
-            ret = _compile(stmt.children[0], scopes, copies, shared)
+    # A hooked body sequence is one statement, and a hooked `^` raises.
+    for stmt in (body.children if body.kind == SEQUENCE
+                 and body.id not in hooks else (body,)):
+        if stmt.kind == RETURN and stmt.id not in hooks:
+            ret = _compile(stmt.children[0], scopes, copies, shared, hooks)
             break
-        statements.append(_compile(stmt, scopes, copies, shared))
+        statements.append(_compile(stmt, scopes, copies, shared, hooks))
     code = tuple(statements), ret
-    if mdef.kind == META_HOOK:
-        code = (_visit,), _entry(mdef.original, _method_body(*code),
+    if mdef.id in hooks:
+        code = (_visit,), _entry(hooks[mdef.id], _method_body(*code),
                                  mdef.params)
     (twin or record).code = code
     return code
@@ -88,16 +90,18 @@ def compile_top(main):
     return _compile(main, (main.temps,))
 
 
-def _compile(root, scopes, copies=None, shared=None):
+def _compile(root, scopes, copies=None, shared=None, hooks={}):
     """The closure of `root`, built children first from an explicit stack.
     `scopes` holds the names of each enclosing activation's temps,
     innermost first. Given a twin's `copies`, a node not among them is
     shared with the original: its closure comes from `shared`, or is
-    compiled once and kept there."""
+    compiled once and kept there. A node whose id is in `hooks`, the
+    twin's hook table, compiles by a factory of `_HOOKS`, given the
+    original node."""
     done = []
-    todo = [(root, scopes, False)]
+    todo = [(root, scopes, None)]
     while todo:
-        node, scopes, children_done = todo.pop()
+        node, scopes, factory = todo.pop()
         if node is None:    # the body of an empty arm
             done.append(_nil)
             continue
@@ -108,33 +112,44 @@ def _compile(root, scopes, copies=None, shared=None):
             done.append(code)
             continue
         children = node.children
-        if not children:
+        if not children and node.id not in hooks:
             done.append(_FACTORIES[node.kind](node, (), scopes))
-        elif children_done:
+        elif factory is not None:   # its children are compiled
             first = len(done) - len(children)
             kids = done[first:]
             del done[first:]
-            done.append(_FACTORIES[node.kind](node, kids, scopes))
+            done.append(factory(node, kids, scopes))
         else:
-            todo.append((node, scopes, True))
-            if (node.original or node).kind == BLOCK:
+            arms = _arms(node, hooks)
+            if node.id in hooks:    # from here on, the original node
+                factory = _HOOKS.get(node.kind, _hooked)
+                node = hooks[node.id]
+            elif arms:
+                factory = _loop if node.selector in LOOPS else _branch
+            else:
+                factory = _FACTORIES[node.kind]
+            if not children:        # a hooked leaf
+                done.append(factory(node, (), scopes))
+                continue
+            todo.append((node, scopes, factory))
+            if node.kind == BLOCK:
                 scopes = (node.params, *scopes)
-            arms = _arms(node)
             for child in reversed(children):
-                if child in arms:    # its body, in an activation of its own
+                if child in arms:   # its body, in an activation of its own
                     todo.append((child.children[0] if child.children
-                                 else None, ((), *scopes), False))
+                                 else None, ((), *scopes), None))
                 else:
-                    todo.append((child, scopes, False))
+                    todo.append((child, scopes, None))
     return done[0]
 
 
-def _arms(node):
+def _arms(node, hooks):
     """The literal blocks that an inlined control send runs itself, or ()
-    if `node` is not one: an unhooked send of a `BRANCHES` selector whose
-    arguments, or of a `LOOPS` selector whose receiver and argument, are
-    literal blocks without parameters."""
-    if node.kind != MESSAGE_SEND:
+    if `node` is not one: a send of a `BRANCHES` selector whose arguments,
+    or of a `LOOPS` selector whose receiver and argument, are literal
+    blocks without parameters, where neither the send nor a block is in
+    `hooks`, the twin's hook table."""
+    if node.kind != MESSAGE_SEND or node.id in hooks:
         return ()
     selector = node.selector
     if selector in BRANCHES:
@@ -146,7 +161,7 @@ def _arms(node):
     else:
         return ()
     for block in blocks:
-        if block.kind != BLOCK or block.params:
+        if block.kind != BLOCK or block.params or block.id in hooks:
             return ()
     return blocks
 
@@ -271,14 +286,8 @@ def _message(node, kids, scopes):
     """A send's closure, from a factory by its shape, so that each closure
     holds only what it uses."""
     selector = node.selector
-    # `super` makes a super send, hooked or not: a hook keeps the
-    # `var_name` of the node it marks, and only `super` is so named.
     if node.children[0].var_name == "super":
         return _super_send(node, selector, kids[0], kids[1:])
-    if _arms(node):
-        if selector in LOOPS:
-            return _loop(node, selector, *kids)
-        return _branch(node, selector, kids[0], kids[1:])
     if len(kids) == 2:
         return _INLINED.get(selector, _send1)(node, selector, *kids)
     if len(kids) == 1:
@@ -413,9 +422,11 @@ BRANCHES = {
 LOOPS = {"whileTrue:": True, "whileFalse:": False}
 
 
-def _branch(node, selector, receiver, bodies):
-    """A Boolean send of `BRANCHES` whose arguments are literal blocks, each
-    compiled as its `bodies` closure."""
+def _branch(node, kids, scopes):
+    """A Boolean send of `BRANCHES` whose arguments are literal blocks,
+    each compiled as its body's closure in `kids`, after the receiver's."""
+    selector = node.selector
+    receiver, *bodies = kids
     blocks = tuple(zip(node.children[1:], bodies))
     on_true, on_false, otherwise = BRANCHES[selector]
     true_arm = None if on_true is None else blocks[on_true]
@@ -442,9 +453,11 @@ def _branch(node, selector, receiver, bodies):
     return branch
 
 
-def _loop(node, selector, condition, body):
+def _loop(node, kids, scopes):
     """A Block loop of `LOOPS` whose receiver and argument are literal
-    blocks, compiled as their bodies `condition` and `body`."""
+    blocks, compiled as their bodies' closures in `kids`."""
+    selector = node.selector
+    condition, body = kids
     test, block = node.children
     go_on = LOOPS[selector]
 
@@ -469,13 +482,14 @@ def _loop(node, selector, condition, body):
 # -- hooks --------------------------------------------------------------
 # A hooked node's closure counts the visit and runs its pending operation
 # at the original node `orig` through `_trigger`. A factory of `_HOOKS`
-# takes the same `(node, kids, scopes)` as one of `_FACTORIES`, and reads
-# `orig` from `node.original`. No hooked send is inlined.
+# takes the same `(node, kids, scopes)` as one of `_FACTORIES`, but its
+# node is the original, which `_compile` finds in the twin's hook table;
+# `kids` are the closures of the twin's children. No hooked send is
+# inlined.
 
-def _hooked(node, kids, scopes):
+def _hooked(orig, kids, scopes):
     """Any other kind: its own kind's closure is the operation."""
-    orig = node.original
-    perform = _FACTORIES[orig.kind](node, kids, scopes)
+    perform = _FACTORIES[orig.kind](orig, kids, scopes)
 
     def hooked(interp, act, perform=perform, orig=orig):
         interp.hook_visits += 1
@@ -483,11 +497,10 @@ def _hooked(node, kids, scopes):
     return hooked
 
 
-def _hooked_send(node, kids, scopes):
-    orig = node.original
+def _hooked_send(orig, kids, scopes):
     receiver, *args = kids
-    selector = node.selector
-    is_super = node.children[0].var_name == "super"
+    selector = orig.selector
+    is_super = orig.children[0].var_name == "super"
 
     def hooked_send(interp, act, receiver=receiver, args=args,
                     selector=selector, is_super=is_super, orig=orig):
@@ -502,11 +515,10 @@ def _hooked_send(node, kids, scopes):
     return hooked_send
 
 
-def _hooked_assignment(node, kids, scopes):
+def _hooked_assignment(orig, kids, scopes):
     """The operation writes the temps the name resolved to, as
     `_assignment` does; only a name no temp binds goes to `write_var`."""
-    orig = node.original
-    name = node.var_name
+    name = orig.var_name
     expr, = kids
     depth = _depth(name, scopes)
 
@@ -530,9 +542,8 @@ def _store(temps, name, value):
     return value
 
 
-def _hooked_return(node, kids, scopes):
+def _hooked_return(orig, kids, scopes):
     """Control leaves with the value: no after phase."""
-    orig = node.original
     expr, = kids
 
     def hooked_return(interp, act, expr=expr, orig=orig):
@@ -543,13 +554,14 @@ def _hooked_return(node, kids, scopes):
     return hooked_return
 
 
-def _hooked_block(node, kids, scopes):
-    """The block fires its links at each call, not at its creation."""
-    entry = _entry(node.original, kids[0] if kids else _nil, node.params)
+def _hooked_block(orig, kids, scopes):
+    """The block fires its links at each call, not at its creation; the
+    `Block` it makes holds the original node."""
+    entry = _entry(orig, kids[0] if kids else _nil, orig.params)
 
-    def hooked_block(interp, act, node=node, entry=entry):
+    def hooked_block(interp, act, orig=orig, entry=entry):
         interp.hook_visits += 1
-        return Block(node, act, entry)
+        return Block(orig, act, entry)
     return hooked_block
 
 
@@ -602,6 +614,4 @@ _FACTORIES = {
     SEQUENCE: _sequence,
     BLOCK: _block,
     MESSAGE_SEND: _message,
-    META_HOOK: lambda node, kids, scopes: _HOOKS.get(
-        node.original.kind, _hooked)(node, kids, scopes),
 }

@@ -329,21 +329,8 @@ class Interpreter:
         self._flush_method_caches()
         return record
 
-    # link operations (thin wrappers; see links module)
-
-    def install(self, link, node):
-        _links.install(self, link, node)
-
-    def install_for_object(self, link, node, target):
-        _links.install(self, link, node, target)
-
-    def remove_link(self, node, link, target=None):
-        _links.remove(self, link, node, target)
-
-    def uninstall(self, link):
-        _links.uninstall(self, link)
-
     def invalidate(self, link):
+        """`links.invalidate` here, as `mkbench/linkset.py` calls it."""
         _links.invalidate(self, link)
 
     # -- dispatch ---------------------------------------------------------

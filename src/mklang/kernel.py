@@ -17,6 +17,7 @@ from .errors import MkRuntimeError
 from .interpreter import ClassRecord, PrimitiveMethod
 from .nodes import find_nodes, value_selector
 from .parser import parse
+from . import links as _links
 from .links import MetaLink
 from .reify import (
     ContextMirror, MethodMirror, NodeMirror, OperationWrapper, VariableMirror,
@@ -453,8 +454,11 @@ def _reflection_protocol(interp, classes):
     _prim(link_cls, "condition:arguments:",
           lambda i, r, a, s: (r.set_condition(
               a[0], [str(x) for x in _need_items(a[1])]), r)[1])
-    _prim(link_cls, "invalidate", lambda i, r, a, s: (i.invalidate(r), r)[1])
-    _prim(link_cls, "uninstall", lambda i, r, a, s: (i.uninstall(r), r)[1])
+    # Called by module attribute: a wrapper of `links.install` sees them.
+    _prim(link_cls, "invalidate",
+          lambda i, r, a, s: (_links.invalidate(i, r), r)[1])
+    _prim(link_cls, "uninstall",
+          lambda i, r, a, s: (_links.uninstall(i, r), r)[1])
     _prim(link_cls, "enable", lambda i, r, a, s: (r.enable(), r)[1])
     _prim(link_cls, "disable", lambda i, r, a, s: (r.disable(), r)[1])
 
@@ -477,16 +481,17 @@ def _reflection_protocol(interp, classes):
         return lambda i, r, a, s: mirrors(i, find_nodes(r.node, name))
 
     _prim(node_cls, "link:",
-          lambda i, r, a, s: (i.install(_need_link(a[0]), r.node), a[0])[1])
+          lambda i, r, a, s: (_links.install(i, _need_link(a[0]), r.node),
+                              a[0])[1])
     _prim(node_cls, "link:forObject:",
-          lambda i, r, a, s: (i.install_for_object(_need_link(a[0]), r.node,
-                                                   a[1]), a[0])[1])
+          lambda i, r, a, s: (_links.install(i, _need_link(a[0]), r.node,
+                                             a[1]), a[0])[1])
     _prim(node_cls, "removeLink:",
-          lambda i, r, a, s: (i.remove_link(r.node, _need_link(a[0])),
+          lambda i, r, a, s: (_links.remove(i, _need_link(a[0]), r.node),
                               a[0])[1])
     _prim(node_cls, "removeLink:forObject:",
-          lambda i, r, a, s: (i.remove_link(r.node, _need_link(a[0]), a[1]),
-                              a[0])[1])
+          lambda i, r, a, s: (_links.remove(i, _need_link(a[0]), r.node,
+                                            a[1]), a[0])[1])
     _prim(node_cls, "allNodes", query("all-nodes", False))
     _prim(node_cls, "sends", query("all-sends", False))
     _prim(node_cls, "sendsOf:", query("sends-of", True))

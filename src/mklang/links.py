@@ -4,9 +4,12 @@ A MetaLink is a first-class, mutable annotation. Installing one on an AST
 node creates (or extends) the owning method's woven twin, which the
 evaluator executes instead. The twin copies only its spine: the path from
 the method root to each linked node (path copying, Driscoll et al. 1989).
-Every other subtree is the original's own nodes. A linked node's copy is
-marked as a hook (kind `MetaHook`, `original` the node it copies). The
-original AST and source are never touched.
+Every other subtree is the original's own nodes. A copy has its
+original's fields and its own `children` list, whose slots take the
+copies of the children below it. No field of a node is written once it
+is made. The twin's `hook_table` maps the id of each linked node to that
+original node; it is the one record of which nodes are hooked, and the
+compiler reads it. The original AST and source are never touched.
 
 A method keeps no map of its nodes. Its nodes' ids are an interval
 (`record.node_ids`), so `NodeOwner` finds the method that owns an id with
@@ -15,10 +18,10 @@ one walk down from the root; the same child indices then lead down the
 twin. So loading a method costs nothing per node.
 
 Only a method's first link weaves; a later install copies its path up to
-the spine. Removing a node's last link unmarks its copy (the spine stays),
-and the twin disappears with its last hook. Invalidating a link never
-re-weaves: hooks consult the registry when they run, so the woven twin
-depends only on which nodes have links.
+the spine. Removing a node's last link drops it from the hook table (the
+spine stays), and the twin disappears with its last hook. Invalidating a
+link never re-weaves: hooks consult the registry when they run, so the
+woven twin depends only on which nodes have links.
 
 A link is a definition only. Each interpreter's `LinkRegistry` says
 where the link sits there (an immutable tuple of links per node, and per
@@ -45,8 +48,7 @@ from .errors import (
     ArityMismatch, InsteadConflict, LinkError, MkRuntimeError,
     NodeNotInstallable,
 )
-from .nodes import (META_HOOK, NOT_INSTALLABLE, AstNode, selector_arity,
-                    value_selector)
+from .nodes import NOT_INSTALLABLE, AstNode, selector_arity, value_selector
 from .reify import check_applicable, table_kind
 from .values import Array, Block, HostFunction, Instance
 
@@ -303,7 +305,7 @@ class ReflectiveMethod:
     def __init__(self):
         self.woven_ast = None
         self.copies = {}      # node id -> its copy on the spine
-        self.hook_table = {}  # original node id -> its copy, marked a hook
+        self.hook_table = {}  # hooked node id -> the original node
         self.code = None      # `compiler.compiled` sets it at the next run
 
 
@@ -342,12 +344,12 @@ def weave(record, node, path) -> ReflectiveMethod:
 
 
 def _wrap(twin, original, path):
-    """Mark the twin's copy of `original` as its hook. `path` holds the
-    child indices from the method root down to `original` (`descend`), and
-    the twin has the original's shape, so they lead down the twin too.
-    Each node on the way that the twin still shares with the original is
-    copied first (copy-on-write), into its slot of its parent copy's
-    `children`."""
+    """Make `original` a hook of the twin: copy the path down to it and
+    file it in `hook_table`. `path` holds the child indices from the
+    method root down to `original` (`descend`), and the twin has the
+    original's shape, so they lead down the twin too. Each node on the way
+    that the twin still shares with the original is copied (copy-on-write)
+    into its slot of its parent copy's `children`."""
     copies = twin.copies
     node = twin.woven_ast
     for i in path:
@@ -356,9 +358,7 @@ def _wrap(twin, original, path):
         if node.id not in copies:
             node = _copy(node)
             children[i] = copies[node.id] = node
-    twin.hook_table[original.id] = node
-    node.original = original
-    node.kind = META_HOOK
+    twin.hook_table[original.id] = original
     twin.code = None
 
 
@@ -379,12 +379,11 @@ def _copy(node):
     dup.superclass = node.superclass
     dup.params = node.params
     dup.temps = node.temps
-    dup.original = None
     return dup
 
 
 def add_hook(interp, record, node, path):
-    """Mark one more node of the twin as a hook; only the first link of a
+    """Make one more node a hook of the twin; only the first link of a
     method weaves, down the `path` (the child indices to `node`) that
     `install` found. A later one copies just the part of `path` below the
     spine, which keeps a hot install cheap."""
@@ -396,9 +395,9 @@ def add_hook(interp, record, node, path):
 
 
 def drop_hook(interp, node_id):
-    """Mirror of `add_hook`: once a node has no link left, unmark its copy
-    in the twin (restore its kind, clear `original`), and drop the twin
-    with its last hook.
+    """Mirror of `add_hook`: once a node has no link left, drop it from the
+    twin's hook table (its copy stays on the spine), and drop the twin with
+    its last hook.
 
     An activation runs the code it started with: a hook in it whose link
     is gone finds no link and just performs its operation. The next
@@ -407,11 +406,8 @@ def drop_hook(interp, node_id):
     if record is None or record.twin is None \
             or interp.registry.has_links(node_id):
         return
-    hook = record.twin.hook_table.pop(node_id, None)
-    if hook is None:
+    if record.twin.hook_table.pop(node_id, None) is None:
         return
-    hook.kind = hook.original.kind
-    hook.original = None
     record.twin.code = None
     if not record.twin.hook_table:
         record.twin = None

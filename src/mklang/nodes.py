@@ -2,7 +2,8 @@
 
 Nodes are immutable after parse (link machinery never mutates them; weaving
 copies the path from a method's root to each linked node and shares every
-other subtree). A node refers to its children only, never to a node above
+other subtree, and a twin's hook table, not a node, records which nodes
+are hooked). A node refers to its children only, never to a node above
 it, so a tree holds no reference cycle and reference counting frees it
 once dropped. A node is one object for the cyclic garbage collector to
 track, plus one list per non-empty `children`, `params` or `temps` (an
@@ -68,12 +69,9 @@ LITERAL = "Literal"
 LITERAL_ARRAY = "LiteralArray"
 BLOCK = "Block"
 SELF_REF = "SelfRef"
-# Every kind an original AST's node may have.
+# Every kind a node may have, in an original AST or a twin's copy.
 KINDS = (CLASS_DEF, METHOD_DEF, SEQUENCE, TEMP_DECL, MESSAGE_SEND, VAR_READ,
          ASSIGNMENT, RETURN, LITERAL, LITERAL_ARRAY, BLOCK, SELF_REF)
-# The kind of a twin's copy of a linked node, marked in place; its
-# `original` is then the node it copies. Never present in an original AST.
-META_HOOK = "MetaHook"
 
 # Kinds a metalink may not be installed on.
 NOT_INSTALLABLE = {CLASS_DEF, TEMP_DECL}
@@ -83,15 +81,16 @@ class AstNode:
     """One node; equal only to itself. `children`, `params` and `temps` are
     lists when non-empty and the shared `()` when empty, so a leaf holds
     no list. `start`, `end` and `file` are the node's source range; a
-    node refers to no node above it. `links._copy` copies every field."""
+    node refers to no node above it. `links._copy` copies every field; a
+    twin records its hooks in its `hook_table`, never on a node."""
 
     __slots__ = ("kind", "start", "end", "file", "id", "children",
                  "selector", "var_name", "value", "name", "superclass",
-                 "params", "temps", "original")
+                 "params", "temps")
 
     def __init__(self, kind, start, end, file="<string>", id=0, children=(),
                  selector=None, var_name=None, value=None, name=None,
-                 superclass=None, params=(), temps=(), original=None):
+                 superclass=None, params=(), temps=()):
         self.kind = kind
         self.start = start
         self.end = end
@@ -105,7 +104,6 @@ class AstNode:
         self.superclass = superclass    # ClassDef
         self.params = params or ()  # argument names
         self.temps = temps or ()    # temps, ClassDef slots
-        self.original = original    # while a MetaHook
 
     @property
     def span(self):

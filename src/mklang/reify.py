@@ -80,12 +80,13 @@ class TriggerContext:
 
     `Interpreter._trigger` is the one place that makes a context. It has
     no `__init__`, so making one starts no Python frame: `_trigger` sets
-    every field itself. `node` is the original node the hook copies, whose
-    kind files its resolvers. `perform` is the pending base operation. Its
-    `OperationWrapper` is built on the first `#operation` request and kept
-    in `operation`, so every link of one trigger gets the same object, and
-    a trigger whose links ask for none builds none. Once the base ran
-    without a wrapper, `perform` is None."""
+    every field itself. `node` is the original node, the value of the
+    hooked id in the twin's hook table, and its kind files its resolvers.
+    `perform` is the pending base operation. Its `OperationWrapper` is
+    built on the first `#operation` request and kept in `operation`, so
+    every link of one trigger gets the same object, and a trigger whose
+    links ask for none builds none. Once the base ran without a wrapper,
+    `perform` is None."""
 
     __slots__ = ("interp", "node", "activation", "phase", "perform",
                  "pending_receiver", "pending_args", "pending_value",

@@ -108,8 +108,9 @@ def user_records(interp):
 
 def woven_from_scratch(interp, record):
     """A reference twin of `record`, built from the registry alone: the
-    root copied, then the path down to each node that has links; None if
-    no node of the method has one. Twins edited in place must equal it."""
+    root copied, then the path down to each node that has links, and the
+    hook table mapping each such id to its original node; None if no node
+    of the method has one. Twins edited in place must equal it."""
     linked = interp.registry.linked_ids(record.node_ids)
     if not linked:
         return None

@@ -28,7 +28,7 @@ from mklang.links import (
 )
 from mklang.listings import run_all
 from mklang.tools import trace_count
-from mklang.nodes import META_HOOK, find_nodes, id_interval
+from mklang.nodes import AstNode, find_nodes, id_interval
 from mklang.reify import (
     APPLICABILITY, TriggerContext, resolve, table_kind,
 )
@@ -301,8 +301,9 @@ def test_twin_lifecycle_500_step_fuzzer():
     interp = Interpreter()
     interp.run(classes)
     live = []                                   # [(link, node)]
-    originals = {}          # node id -> (kind, child ids, original)
+    originals = {}          # node id -> (node, its fields, its children)
     leaf_hooks = set()      # ids of leaves that were hooked
+    fields = [f for f in AstNode.__slots__ if f != "children"]
 
     def shape(root):
         return [(n.kind, n.id) for n in root.walk()]
@@ -317,28 +318,40 @@ def test_twin_lifecycle_500_step_fuzzer():
             index = {n.id: n for n in rec.original_ast.walk()}
             assert sorted(index) == list(rec.node_ids) \
                 == list(id_interval(rec.original_ast))
-            # Weaving and unweaving never write an original node.
+            # Weaving and unweaving never write an original node: every
+            # field keeps its value, and `children` is the same object
+            # holding the same nodes.
             for nid, node in index.items():
-                seen = (node.kind, [c.id for c in node.children],
-                        node.original)
-                assert originals.setdefault(nid, seen) == seen
+                seen = originals.setdefault(nid, (
+                    node, [getattr(node, f) for f in fields],
+                    node.children, list(node.children)))
+                assert seen[0] is node
+                assert [getattr(node, f) for f in fields] == seen[1]
+                assert node.children is seen[2]
+                assert len(node.children) == len(seen[3])
+                assert all(a is b for a, b in zip(node.children, seen[3]))
             has_links = any(interp.registry.has_links(nid)
                             for nid in rec.node_ids)
             assert (rec.twin is not None) == has_links
             if rec.twin is None:
                 continue
-            # The twin edited in place must equal one woven from scratch.
+            # The hook table maps exactly the linked ids, each to the
+            # original node, and the twin edited in place must equal one
+            # woven from scratch.
             twin = rec.twin
-            assert set(twin.hook_table) == \
-                interp.registry.linked_ids(rec.node_ids)
+            linked = interp.registry.linked_ids(rec.node_ids)
+            assert twin.hook_table.keys() == linked
+            for nid in linked:
+                assert twin.hook_table[nid] is descend(rec.original_ast,
+                                                       nid)[0]
             reference = woven_from_scratch(interp, rec)
-            assert shape(twin.woven_ast) == shape(reference.woven_ast) == [
-                (META_HOOK if nid in twin.hook_table else kind, nid)
-                for kind, nid in shape(rec.original_ast)]
+            assert reference.hook_table == twin.hook_table
+            assert shape(twin.woven_ast) == shape(reference.woven_ast) == \
+                shape(rec.original_ast)
             # Only the spine is copied: a node in `copies` is fresh, has
-            # its original's id and child ids, and holds each child that
-            # is in `copies` as that copy; every other node reached is the
-            # original itself.
+            # its original's fields and child ids, and holds each child
+            # that is in `copies` as that copy; every other node reached
+            # is the original itself.
             reached = set()
             for node in twin.woven_ast.walk():
                 original = index[node.id]
@@ -349,6 +362,8 @@ def test_twin_lifecycle_500_step_fuzzer():
                     assert twin.copies[node.id] is node
                     assert node is not original
                     assert node is not reference.copies.get(node.id)
+                    assert [getattr(node, f) for f in fields] == \
+                        [getattr(original, f) for f in fields]
                     for c in node.children:
                         assert c is twin.copies.get(c.id, index[c.id])
                     # A copy has its own `children` list; a leaf's copy,
@@ -362,10 +377,6 @@ def test_twin_lifecycle_500_step_fuzzer():
                         leaf_hooks.add(node.id)
                 else:
                     assert node is original
-                # A hook is the twin's own copy, marked in place.
-                hooked = node.id in twin.hook_table
-                assert (node.kind == META_HOOK) == hooked
-                assert node.original is (original if hooked else None)
             assert reached == twin.copies.keys()
         # The registry's sites are exactly the inverse of its buckets, each
         # site with a snapshot, and every snapshot is valid on every node

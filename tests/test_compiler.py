@@ -15,7 +15,7 @@ import pytest
 
 import mklang.listings
 from mkbench.workloads import make_programs
-from mklang import Interpreter, MetaLink
+from mklang import Interpreter, MetaLink, links
 from mklang.bench import counts
 from mklang.errors import MkError, MkSyntaxError
 from mklang.interpreter import CompiledMethodRecord
@@ -38,7 +38,7 @@ class Hooked(Interpreter):
 
     def _compile_method(self, cls, mdef, source):
         record = super()._compile_method(cls, mdef, source)
-        self.install(disabled_link(), mdef)
+        links.install(self, disabled_link(), mdef)
         return record
 
 
@@ -51,7 +51,7 @@ class HookedVariables(Hooked):
         link = disabled_link()
         for node in mdef.walk():
             if node.kind in (ASSIGNMENT, VAR_READ):
-                self.install(link, node)
+                links.install(self, link, node)
         return record
 
 
@@ -332,12 +332,12 @@ def test_a_twin_reuses_the_closures_it_shares_with_the_original():
     plus = find_nodes(record.original_ast, "sends-of", "+")[0]
     for _ in range(2):
         link = disabled_link()
-        interp.install(link, plus)
+        links.install(interp, link, plus)
         assert interp.run("A new m").value == 9
         (woven_first, woven_second), woven_ret = record.twin.code
         assert woven_first is first and woven_ret is ret
         assert woven_second is not second
-        interp.uninstall(link)
+        links.uninstall(interp, link)
         assert record.twin is None
 
 
@@ -387,7 +387,7 @@ def fib_runner(link_plus):
     interp.load(FIB_SOURCE)
     if link_plus:
         plus = find_nodes(interp.method_ast("Fib", "fib:"), "sends-of", "+")
-        interp.install(disabled_link(), plus[0])
+        links.install(interp, disabled_link(), plus[0])
     fib = interp.send(interp.class_named("Fib"), "new", [], None)
 
     def run(n):
@@ -474,25 +474,74 @@ def test_a_link_installed_later_on_a_control_send_or_its_block_fires(
              *find_nodes(mdef, "sends-of", "ifTrue:ifFalse:"),
              *(node for node in mdef.walk() if node.kind == BLOCK)]
     fired = []
-    links = []
+    installed = []
     for site in sites:
         link = MetaLink()
         link.set_meta_object(HostFunction(
             lambda site=site: fired.append(site), "a recorder"))
         link.set_selector("value")
-        interp.install(link, site)
-        links.append(link)
+        links.install(interp, link, site)
+        installed.append(link)
     assert interp.run("E new m").value == 3
     # Each send once; the condition 4 times, the loop body 3, the arms
     # of `ifTrue:ifFalse:` once and never.
     assert [fired.count(site) for site in sites] == [1, 1, 4, 3, 1, 0]
-    for link in links:
-        interp.uninstall(link)
+    for link in installed:
+        links.uninstall(interp, link)
     visits = interp.hook_visits
     assert interp.run("E new m").value == 3
     assert len(fired) == 10
     if interp_class is Interpreter:
         assert interp.hook_visits == visits
+
+
+ARM_SOURCE = "class E [ one [ ^ 1 ] m [ ^ 3 > 2 ifTrue: [ self one ] " \
+    "ifFalse: [ 2 ] ] ]"
+
+
+@under_watchdog
+@pytest.mark.parametrize("interp_class", [Interpreter, *WOVEN])
+def test_the_hook_table_decides_whether_a_control_send_is_inlined(
+        interp_class):
+    """A link inside an arm leaves the send inlined: the Boolean
+    primitive's `fn` is never called. A link on the send, or on either
+    arm block, makes the send call it, until the link is uninstalled. The
+    `Block` made from a hooked arm holds the original node (an unhooked
+    one holds the original or its copy on the twin's spine)."""
+    interp = interp_class()
+    interp.run(ARM_SOURCE)
+    prim = interp.bool_methods["ifTrue:ifFalse:"]
+    calls = []
+    fn = prim.fn
+    prim.fn = lambda *a: (calls.append(a), fn(*a))[1]
+    mdef = interp.method_ast("E", "m")
+    send, = find_nodes(mdef, "sends-of", "ifTrue:ifFalse:")
+    arms = send.children[1:]
+    one, = find_nodes(mdef, "sends-of", "one")
+    fired = []
+
+    def run_linked_then_unlinked(site):
+        link = MetaLink()
+        link.set_meta_object(HostFunction(
+            lambda: fired.append(site), "a recorder"))
+        link.set_selector("value")
+        links.install(interp, link, site)
+        assert interp.run("E new m").value == 1
+        links.uninstall(interp, link)
+        return interp.run("E new m").value
+
+    assert run_linked_then_unlinked(one) == 1
+    assert fired == [one] and calls == []
+    for site in (send, *arms):
+        assert run_linked_then_unlinked(site) == 1
+        (_interp, receiver, blocks, _sender), = calls
+        assert receiver is True
+        assert [block.node.id for block in blocks] == [arm.id for arm in arms]
+        if site is not send:    # a hooked arm's `Block` holds the original
+            assert blocks[arms.index(site)].node is site
+        calls.clear()
+    # The send once, the true arm once, the false arm never.
+    assert fired == [one, send, arms[0]]
 
 
 @under_watchdog
@@ -520,7 +569,7 @@ def test_context_inside_an_inlined_arm_is_the_arm_activation(interp_class):
     link.set_selector("value:")
     link.set_arguments(["context"])
     send = find_nodes(interp.method_ast("E", "m:"), "sends-of", "printString")
-    interp.install(link, send[0])
+    links.install(interp, link, send[0])
     assert interp.run("E new m: 5").value == 6
     assert chains == [[("context(m:)", {}),
                        ("context(m:)", {"n": 5, "t": 6}),

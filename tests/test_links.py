@@ -19,7 +19,7 @@ from mklang.links import (
     LinkRegistry, descend, install, invalidate, remove, uninstall,
 )
 from mklang.nodes import (
-    BLOCK, META_HOOK, dump, find_nodes, id_interval, unparse,
+    BLOCK, dump, find_nodes, id_interval, unparse,
 )
 from mklang.parser import parse_method
 from mklang.values import Array, HostFunction
@@ -58,13 +58,17 @@ def increment_node(interp, query="writes-of", arg="count"):
 
 def test_install_weaves_a_twin_and_leaves_the_original_alone(interp):
     record = interp.lookup_method("Counter", "increment")
-    before = unparse(record.original_ast)
+    before = dump(record.original_ast)
+    node = increment_node(interp)
     link = recording_link([], "a")
-    install(interp, link, increment_node(interp))
+    install(interp, link, node)
     assert record.twin is not None
-    assert unparse(record.original_ast) == before
-    assert all(n.kind != META_HOOK for n in record.original_ast.walk())
-    assert any(n.kind == META_HOOK for n in record.twin.woven_ast.walk())
+    assert dump(record.original_ast) == before
+    # The hook table maps the linked node's id to the original node, and
+    # the twin's copies have their originals' fields.
+    assert record.twin.hook_table == {node.id: node}
+    assert record.twin.woven_ast is not record.original_ast
+    assert dump(record.twin.woven_ast) == before
 
 
 def test_twin_exists_iff_links(interp):
@@ -320,11 +324,11 @@ def test_mutating_an_installed_link_revalidates_lazily(interp):
     interp.run("Counter new increment")
     assert len(sink) == 2               # previous snapshot stayed active
     with pytest.raises(ArityMismatch):
-        interp.invalidate(link)
+        invalidate(interp, link)
     # Valid mutation picked up on the next trigger after invalidate.
     link.set_selector("value:")
     link.set_arguments(("object",))
-    interp.invalidate(link)
+    invalidate(interp, link)
     interp.run("Counter new increment")
     assert len(sink[-1]) == 2           # now fires with one reification
 
@@ -857,12 +861,12 @@ def test_a_link_on_the_root_of_a_5000_term_chain_copies_only_the_root():
     assert cdef.id == root.id + 1 and interp.node_owner.get(cdef.id) is None
     assert interp.node_owner.get(record.node_ids[0]) is record
     assert descend(root, root.id) == (root, [])
-    assert hook.kind == META_HOOK and hook.id == root.id
-    assert hook.original is root
+    assert hook is not root and (hook.kind, hook.id) == (root.kind, root.id)
+    assert record.twin.hook_table == {root.id: root}
     assert record.twin.copies == {root.id: hook}
     woven = list(hook.walk())
     assert [(n.kind, n.id) for n in woven] == \
-        [(META_HOOK, root.id)] + [(n.kind, n.id) for n in original[1:]]
+        [(n.kind, n.id) for n in original]
     assert all(a is b for a, b in zip(woven[1:], original[1:]))
 
 
@@ -886,7 +890,8 @@ def test_a_link_on_the_deepest_node_of_a_5000_term_chain_copies_its_path():
     twin = record.twin
     assert len(twin.copies) == len(path)
     spine = [twin.copies[n.id] for n in path]
-    assert spine[0] is twin.woven_ast and spine[-1].original is path[-1]
+    assert spine[0] is twin.woven_ast
+    assert twin.hook_table == {path[-1].id: path[-1]}
     for node, copy, below in zip(path, spine, spine[1:]):
         assert copy is not node and copy.id == node.id
         assert copy.children[0] is below
@@ -906,9 +911,9 @@ def test_dump_of_a_twin_indents_its_shared_subtrees(interp):
     install(interp, recording_link([], "a"), plus)
     woven, original = (dump(record.twin.woven_ast),
                        dump(record.original_ast))
-    assert woven == original.replace("MessageSend#%d" % plus.id,
-                                     "MetaHook#%d" % plus.id)
-    assert woven != original
+    # A hook is a key of the hook table, not a mark on its copy.
+    assert woven == original
+    assert record.twin.copies[plus.id] is not plus
 
 
 MID_ACTIVATION = """class A [ m [ | s |
@@ -1402,7 +1407,7 @@ def test_swapping_host_and_mklang_meta_objects_in_two_interpreters(
             link.set_meta_object(meta_object)
             if revalidate == "invalidate":
                 for i in interps:
-                    i.invalidate(link)
+                    invalidate(i, link)
         for i in interps:
             i.run("Counter new increment")
             assert i.meta_level == 0

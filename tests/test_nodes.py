@@ -37,8 +37,10 @@ def test_ast_node_defaults_and_identity():
     b = AstNode(VAR_READ, 0, 1)
     assert (a.id, a.selector, a.var_name, a.value, a.name, a.superclass) \
         == (0, None, None, None, None, None)
-    assert a.original is None
-    # A node refers to no node above it; a leaf's interval is its own id.
+    # A node refers to no node above it, and holds no mark of a hook: a
+    # twin's hook table records those.
+    assert len(AstNode.__slots__) == 13
+    assert "original" not in AstNode.__slots__
     assert not hasattr(a, "parent") and "parent" not in AstNode.__slots__
     assert id_interval(AstNode(VAR_READ, 0, 1, id=7)) == range(7, 8)
     # An empty sequence is the one shared tuple, given or defaulted.

@@ -8,7 +8,7 @@ from mklang.errors import (
 from mklang.interpreter import Activation
 from mklang.kernel import TYPE_CLASSES
 from mklang.links import install
-from mklang.nodes import KINDS, META_HOOK, RETURN, find_nodes
+from mklang.nodes import KINDS, RETURN, dump, find_nodes
 from mklang.parser import parse
 from mklang.reify import (
     APPLICABILITY, ContextMirror, MethodMirror, NodeMirror, OperationWrapper,
@@ -190,8 +190,10 @@ def test_method_vs_original_method_mirrors(interp):
                    reifs=("method", "originalMethod", "entity"))
     run_probe(interp)
     woven, original, entity = sink[0]
-    assert any(n.kind == META_HOOK for n in woven.ast_root.walk())
-    assert all(n.kind != META_HOOK for n in original.ast_root.walk())
+    twin = woven.record.twin
+    assert woven.ast_root is twin.woven_ast is not original.ast_root
+    assert dump(woven.ast_root) == dump(original.ast_root)
+    assert twin.hook_table == {original.ast_root.id: original.ast_root}
     assert entity.record is original.record
 
 

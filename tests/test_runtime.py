@@ -440,6 +440,7 @@ def test_a_later_load_cannot_give_a_class_a_slot_its_subclass_declares():
 def test_a_failed_load_keeps_the_links_of_the_methods_it_would_replace():
     from mklang import MetaLink
     from mklang.errors import UnknownClass
+    from mklang.links import install
     from mklang.values import HostFunction
     interp = Interpreter()
     interp.run("class C [ m [ ^ 1 ] ]")
@@ -447,7 +448,7 @@ def test_a_failed_load_keeps_the_links_of_the_methods_it_would_replace():
     link = MetaLink()
     link.set_meta_object(HostFunction(lambda: fired.append("m"), "a probe"))
     link.set_selector("value")
-    interp.install(link, interp.method_ast("C", "m"))
+    install(interp, link, interp.method_ast("C", "m"))
     with pytest.raises(UnknownClass, match="unknown superclass Nope"):
         interp.load("class C [ m [ ^ 2 ] ] class D extends Nope [ ]")
     assert "D" not in interp.classes
