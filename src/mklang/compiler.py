@@ -25,6 +25,16 @@ twin compiles only its spine, the copied path down to its hooks.
   body runs in the activation `call_block` would make. This holds while
   the receiver is a bool, for `BRANCHES`, and while the kernel primitive
   is still the method; otherwise the closure makes the blocks and sends.
+* A send of `COUNTS` (`to:do:`, `timesRepeat:`) whose last argument is a
+  literal block with the parameters the count binds runs the loop of the
+  kernel's language method for it, with the block's body as its step. It
+  makes the activations that method would: its own, holding its arguments
+  and `i`, at its `whileTrue:` send, and at each step the `whileTrue:`
+  arm's, at the send that calls the block, and the block's. This holds
+  while the receiver, and for `to:do:` a stop below INT_MAX, are ints,
+  Integer's method is still the kernel's and has no twin, and the
+  primitives its loop runs are still the methods; otherwise the closure
+  makes the `Block` and sends.
 * A node is hooked when its id is a key of the twin's `hook_table`; a
   hook factory receives the original node. Its closure runs the pending
   operation through `Interpreter._trigger`, which consults the registry
@@ -43,12 +53,12 @@ depth compiles.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 
 from .errors import MethodReturn, MkRuntimeError
 from .nodes import (
     ASSIGNMENT, BLOCK, LITERAL, LITERAL_ARRAY, MESSAGE_SEND, RETURN,
-    SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ,
+    SELF_REF, SEQUENCE, TEMP_DECL, VAR_READ, find_nodes, value_selector,
 )
 from .values import INT_MAX, INT_MIN, Activation, Array, Block
 
@@ -125,7 +135,7 @@ def _compile(root, scopes, copies=None, shared=None, hooks={}):
                 factory = _HOOKS.get(node.kind, _hooked)
                 node = hooks[node.id]
             elif arms:
-                factory = _loop if node.selector in LOOPS else _branch
+                factory = _CONTROL[node.selector]
             else:
                 factory = _FACTORIES[node.kind]
             if not children:        # a hooked leaf
@@ -137,7 +147,7 @@ def _compile(root, scopes, copies=None, shared=None, hooks={}):
             for child in reversed(children):
                 if child in arms:   # its body, in an activation of its own
                     todo.append((child.children[0] if child.children
-                                 else None, ((), *scopes), None))
+                                 else None, (child.params, *scopes), None))
                 else:
                     todo.append((child, scopes, None))
     return done[0]
@@ -147,21 +157,25 @@ def _arms(node, hooks):
     """The literal blocks that an inlined control send runs itself, or ()
     if `node` is not one: a send of a `BRANCHES` selector whose arguments,
     or of a `LOOPS` selector whose receiver and argument, are literal
-    blocks without parameters, where neither the send nor a block is in
-    `hooks`, the twin's hook table."""
+    blocks without parameters, or of a `COUNTS` selector whose last
+    argument is a literal block with the parameters it counts with, where
+    neither the send nor a block is in `hooks`, the twin's hook table."""
     if node.kind != MESSAGE_SEND or node.id in hooks:
         return ()
     selector = node.selector
-    if selector in BRANCHES:
-        if node.children[0].var_name == "super":
-            return ()
-        blocks = node.children[1:]
-    elif selector in LOOPS:
-        blocks = node.children
+    if selector in LOOPS:
+        blocks, arity = node.children, 0
+    elif node.children[0].var_name == "super":
+        return ()
+    elif selector in BRANCHES:
+        blocks, arity = node.children[1:], 0
+    elif selector in COUNTS:
+        blocks, arity = node.children[-1:], COUNTS[selector]
     else:
         return ()
     for block in blocks:
-        if block.kind != BLOCK or block.params or block.id in hooks:
+        if block.kind != BLOCK or len(block.params) != arity \
+                or block.id in hooks:
             return ()
     return blocks
 
@@ -479,6 +493,132 @@ def _loop(node, kids, scopes):
     return loop
 
 
+# Integer: selector -> the parameters of the block it is sent with. The
+# kernel writes these loops in the language (`kernel.KERNEL_SOURCE`):
+#   timesRepeat: aBlock [ | i | i := 0.
+#       [ i < self ] whileTrue: [ aBlock value. i := i + 1 ] ]
+#   to: stop do: aBlock [ | i | i := self.
+#       [ i <= stop ] whileTrue: [ aBlock value: i. i := i + 1 ] ]
+# An inlined count runs that loop in place of the send. Its trace, `halt`,
+# `#context` and a `^` from the block see what they would see: the
+# method's activation, with its arguments and `i`, at its `whileTrue:`
+# send; the `whileTrue:` arm's activation at the send that calls the
+# block; and the block's activation. Each holds the kernel's own nodes.
+COUNTS = {"timesRepeat:": 0, "to:do:": 1}
+
+
+@cache
+def _kernel_count(selector):
+    """What an inlined count needs of the kernel's `Integer>>selector`:
+    its root, its `whileTrue:` send, the send calling the block, the names
+    of its arguments and of `i`, and the selectors of the primitives its
+    loop runs, which must still be the methods."""
+    from .kernel import kernel_program  # the kernel imports this module
+    mdef, = (m for c in kernel_program().classes if c.name == "Integer"
+             for m in c.children if m.selector == selector)
+    loop, = find_nodes(mdef, "sends-of", "whileTrue:")
+    call = value_selector(COUNTS[selector])
+    send, = find_nodes(mdef, "sends-of", call)
+    compare, = find_nodes(loop.children[0], "all-sends")
+    return mdef, loop, send, mdef.params, mdef.temps[0], \
+        (compare.selector, "+"), ("whileTrue:", call)
+
+
+def _kernel_record(interp, selector, mdef, ints, blocks):
+    """Integer's record for `selector` while an inlined count may run in
+    its place: the kernel's, with no twin, while the Integer primitives of
+    `ints` and the Block ones of `blocks` that its loop runs are still the
+    methods; else None. Like `_loop`, a count checks once, as it starts."""
+    int_methods = interp.int_methods
+    record = int_methods[selector]
+    if record.original_ast is not mdef or record.twin is not None:
+        return None
+    for op in ints:
+        if int_methods[op].op is None:
+            return None
+    block_methods = interp.block_methods
+    for op in blocks:
+        if block_methods[op].op is None:
+            return None
+    return record
+
+
+def _to_do(node, kids, scopes):
+    """`r to: s do: [:i | ...]`, the block compiled as its body's closure,
+    last in `kids`. It runs inlined while `r` and `s` are ints and `s`
+    is below INT_MAX, so the kernel's `i + 1` cannot overflow."""
+    receiver, stop, body = kids
+    block = node.children[-1]
+    param, = block.params
+    mdef, loop, send, (stop_name, block_name), i_name, ints, blocks = \
+        _kernel_count(node.selector)
+
+    def to_do(interp, act, receiver=receiver, stop=stop, body=body,
+              block=block, param=param, node=node, mdef=mdef, loop=loop,
+              send=send, stop_name=stop_name, block_name=block_name,
+              i_name=i_name, ints=ints, blocks=blocks):
+        r = receiver(interp, act)
+        s = stop(interp, act)
+        act.current_node = node
+        code = Block(block, act, body)
+        if r.__class__ is int and s.__class__ is int and s < INT_MAX:
+            record = _kernel_record(interp, "to:do:", mdef, ints, blocks)
+            if record is not None:
+                method = Activation(r, record, act, {
+                    stop_name: s, block_name: code, i_name: r})
+                method.current_node = loop
+                temps = method.temps
+                home = act._home or act
+                for i in range(r, s + 1):
+                    temps[i_name] = i
+                    arm = Activation(r, record, method, {}, method, method)
+                    arm.current_node = send
+                    arm = Activation(home.receiver, home.method, arm,
+                                     {param: i}, act, home)
+                    arm.current_node = block
+                    body(interp, arm)
+                return r
+        return interp.send(r, "to:do:", [s, code], act, node)
+    return to_do
+
+
+def _times_repeat(node, kids, scopes):
+    """`n timesRepeat: [ ... ]`, the block compiled as its body's closure,
+    last in `kids`. It runs inlined while `n` is an int."""
+    receiver, body = kids
+    block = node.children[-1]
+    mdef, loop, send, (block_name,), i_name, ints, blocks = \
+        _kernel_count(node.selector)
+
+    def times_repeat(interp, act, receiver=receiver, body=body, block=block,
+                     node=node, mdef=mdef, loop=loop, send=send,
+                     block_name=block_name, i_name=i_name, ints=ints,
+                     blocks=blocks):
+        r = receiver(interp, act)
+        act.current_node = node
+        code = Block(block, act, body)
+        if r.__class__ is int:
+            record = _kernel_record(interp, "timesRepeat:", mdef, ints,
+                                    blocks)
+            if record is not None:
+                method = Activation(r, record, act, {block_name: code,
+                                                     i_name: 0})
+                method.current_node = loop
+                temps = method.temps
+                home = act._home or act
+                for i in range(r):
+                    temps[i_name] = i
+                    arm = Activation(r, record, method, {}, method, method)
+                    arm.current_node = send
+                    arm = Activation(home.receiver, home.method, arm, {},
+                                     act, home)
+                    arm.current_node = block
+                    body(interp, arm)
+                return r
+        return interp.send(r, "timesRepeat:", [code], act, node)
+    return times_repeat
+
+
 # -- hooks --------------------------------------------------------------
 # A hooked node's closure counts the visit and runs its pending operation
 # at the original node `orig` through `_trigger`. A factory of `_HOOKS`
@@ -600,6 +740,10 @@ _HOOKS = {
     RETURN: _hooked_return,
     BLOCK: _hooked_block,
 }
+
+# Selector -> factory of an inlined control send (`_arms`).
+_CONTROL = {**dict.fromkeys(BRANCHES, _branch), **dict.fromkeys(LOOPS, _loop),
+            "timesRepeat:": _times_repeat, "to:do:": _to_do}
 
 # Node kind -> factory `f(node, kids, scopes)`, `kids` being the closures
 # of the node's children.

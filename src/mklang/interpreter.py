@@ -59,7 +59,9 @@ class PrimitiveMethod:
         self.fn = fn
         # What compiled code runs in place of a send while this is the
         # method, `fn` being built on it: an Integer operator, a row of
-        # `compiler.BRANCHES` or a flag of `compiler.LOOPS`.
+        # `compiler.BRANCHES`, a flag of `compiler.LOOPS`, or the argument
+        # count of a Block `value` primitive, whose call an inlined
+        # `compiler.COUNTS` loop makes itself.
         self.op = op
 
 

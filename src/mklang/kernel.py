@@ -317,7 +317,7 @@ def _string_protocol(interp, string_cls, symbol_cls):
 def _block_protocol(interp, cls):
     for n in range(5):
         _prim(cls, value_selector(n),
-              lambda i, r, a, s: i.call_block(r, list(a), s))
+              lambda i, r, a, s: i.call_block(r, list(a), s), n)
     _prim(cls, "numArgs", lambda i, r, a, s: r.arity)
 
     # Built from `LOOPS`, as Boolean's primitives are from `BRANCHES`.

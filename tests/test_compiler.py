@@ -17,6 +17,7 @@ import mklang.listings
 from mkbench.workloads import make_programs
 from mklang import Interpreter, MetaLink, links
 from mklang.bench import counts
+from mklang.compiler import COUNTS
 from mklang.errors import MkError, MkSyntaxError
 from mklang.interpreter import CompiledMethodRecord
 from mklang.listings import run_all
@@ -344,7 +345,11 @@ def test_a_twin_reuses_the_closures_it_shares_with_the_original():
 def test_compiled_code_leaves_no_cyclic_garbage():
     """A closure captures nodes, names and closures, never an interpreter:
     reference counting frees an interpreter that ran compiled methods and
-    blocks, with no cycle left for the collector."""
+    blocks, with no cycle left for the collector. `add:` runs an inlined
+    count, and `each:with:` sends `to:do:` a block held in a temp, so the
+    kernel's `Integer>>to:do:` compiles and runs too. (A block held in a
+    temp of the activation that made it would be a cycle of the program's
+    own.)"""
     gc.collect()
     gc.disable()
     try:
@@ -352,6 +357,7 @@ def test_compiled_code_leaves_no_cyclic_garbage():
         interp.run("""class A [ | s |
     initialize [ s := 0 ]
     add: n [ 1 to: n do: [:i | [:j | s := s + j ] value: i ]. ^ s ]
+    each: n with: b [ 1 to: n do: b. ^ s ]
     find: n [ #(1 2 3) do: [:x | x = n ifTrue: [ ^ x ] ]. ^ 0 ]
 ]
 | a |
@@ -360,8 +366,12 @@ a := A new.
 (a find: 2) logCr""")
         assert interp.output_text() == "10\n2\n"
         assert interp.lookup_method("A", "find:").code is not None
-        assert interp.lookup_method("Integer", "to:do:").code is not None
-        del interp
+        to_do = interp.lookup_method("Integer", "to:do:")
+        assert to_do.code is None   # `add:` ran its count inlined
+        interp.run("(A new each: 4 with: [:i | i logCr ]) logCr")
+        assert interp.output_text() == "10\n2\n1\n2\n3\n4\n0\n"
+        assert to_do.code is not None
+        del interp, to_do
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -600,19 +610,25 @@ GATE_SOURCE = """class Gate [
         body := [ (i = 3 or: alt) ifTrue: yes ifFalse: no. i := i + 1 ].
         test whileTrue: body.
         ^ odd ]
+    to: n [ | t | t := 0. 1 to: n do: [:i | t := t + i ]. ^ t ]
+    heldTo: n [ | t b | t := 0. b := [:i | t := t + i ]. 1 to: n do: b. ^ t ]
+    times: n [ | t | t := 0. n timesRepeat: [ t := t + 2 ]. ^ t ]
+    heldTimes: n [ | t b | t := 0. b := [ t := t + 2 ]. n timesRepeat: b. ^ t ]
 ]
 """
 
 
-def gate_runner(selector):
+def gate_runner(selector, n=10, answer=-6):
+    """`run(k)` sends `selector` with `n` to a Gate `k` times."""
     interp = Interpreter()
     interp.load(GATE_SOURCE)
     gate = interp.send(interp.class_named("Gate"), "new", [], None)
-    assert interp.send(gate, selector, [10], None) == -6
+    assert interp.send(gate, selector, [n], None) == answer
 
-    def run(n):
-        for _ in range(n):
-            interp.send(gate, selector, [10], None)
+    def run(k):
+        for _ in range(k):
+            interp.send(gate, selector, [n], None)
+        assert interp.hook_visits == interp.registry_consults == 0
     return run
 
 
@@ -623,3 +639,212 @@ def test_control_sends_of_literal_blocks_run_inlined():
     held = counts(gate_runner("held:"), 20)
     assert literal[0] <= 0.8 * held[0], (literal, held)
     assert literal[1] <= 0.75 * held[1], (literal, held)
+
+
+@pytest.mark.parametrize("selector, answer", [("to:", 5050),
+                                              ("times:", 200)])
+def test_counts_of_literal_blocks_run_inlined(selector, answer):
+    """`1 to: 100 do:` and `100 timesRepeat:` of a literal block, which
+    compile inline, and of a block held in a temp, which runs the kernel's
+    method: the inlined count makes no send, no `whileTrue:` condition arm
+    and no block call per step (0.35 times the bytecodes and 0.29 times
+    the calls for `to:do:` on CPython 3.11)."""
+    held = "held" + selector[0].upper() + selector[1:]
+    literal = counts(gate_runner(selector, 100, answer), 20)
+    sent = counts(gate_runner(held, 100, answer), 20)
+    assert literal[0] <= 0.5 * sent[0], (literal, sent)
+    assert literal[1] <= 0.4 * sent[1], (literal, sent)
+
+
+# -- counts (`compiler.COUNTS`) ---------------------------------------------
+# In each program below, `@` marks where the block of a count starts. Five
+# spaces there leave a literal block, which the count inlines; `b := `
+# holds the block in the temp `b`, so the count is sent and the kernel's
+# method runs it. The block starts at the same offset in both, so values,
+# output, errors, spans and traces compare as they are.
+
+def literal_and_held(source):
+    return source.replace("@", " " * 5), source.replace("@", "b := ")
+
+
+# Each program: the counts whose kernel method its literal form runs, as
+# a send would, in its first step; then its steps, run in turn in one
+# interpreter.
+COUNT_PROGRAMS = [
+    # What inlined counts answer and bind, nested, and `^` from them.
+    ((), ["""class E [
+    sum: n [ | b t | t := 0. 1 to: n do: (@[:i | t := t + i ]). ^ t ]
+    nest: n [ | b t | t := 0.
+        n timesRepeat: (@[ 1 to: n do: (@[:i | t := t + i ]) ]). ^ t ]
+    find: n [ | b | 1 to: 10 do: (@[:i | i * i > n ifTrue: [ ^ i ] ]). ^ 0 ]
+    none [ | b | ^ (3 to: 1 do: (@[:i | i foo ]))
+        + (0 timesRepeat: (@[ 1 foo ])) + ((0 - 2) timesRepeat: (@[ 1 foo ])) ]
+]
+| b |
+(E new sum: 4) logCr. (E new nest: 3) logCr. (E new find: 20) logCr.
+(E new find: 200) logCr. E new none logCr.
+(2 to: 3 do: (@[:i | i logCr ])) logCr. 2 timesRepeat: (@[ 7 logCr ])"""]),
+    # A receiver or a stop that is not an int.
+    ((), ["| b | 'a' to: 3 do: (@[:i | i ])"]),
+    ((), ["| b | nil timesRepeat: (@[ 1 ])"]),
+    ((), ["| b | true timesRepeat: (@[ 1 ])"]),
+    (("to:do:",), ["class E [ m [ | b | ^ 1 to: nil do: (@[:i | i ]) ] ]\n"
+                   "E new m"]),
+    (("to:do:",), ["| b | 1 to: true do: (@[:i | i ])"]),
+    # A stop of INT_MAX: the kernel's `i + 1` overflows.
+    (("to:do:",), ["| b | %d to: %d do: (@[:i | i logCr ])"
+                   % (INT_MAX - 1, INT_MAX)]),
+    ((), ["| b | %d to: %d do: (@[:i | i logCr ])"
+          % (INT_MAX - 2, INT_MAX - 1)]),
+    # Errors, halts and `^` inside the block.
+    ((), ["class E [ m [ | b | 1 to: 3 do: (@[:i | i = 2 ifTrue: [ i foo ] ]) "
+          "] ]\nE new m"]),
+    ((), ["class E [ m [ | b | 2 timesRepeat: (@[ y ]) ] ]\nE new m"]),
+    ((), ["class E [ m [ | b | ^ 1 to: 3 do: (@[:i | i = 2 ifTrue: "
+          "[ Halt now ] ]) ] ]\nE new m"]),
+    ((), ["class E [ m [ | b | ^ 2 timesRepeat: (@[ Halt now ]) ] ]\n"
+          "E new m"]),
+    ((), ["class E [ m [ | b | ^ [ 1 to: 3 do: (@[:i | ^ i ]) ] ] ]\n"
+          "E new m value"]),
+    # A count redefined by a later load takes over, in code compiled before.
+    ((), ["class E [ m [ | b | ^ 1 to: 3 do: (@[:i | i logCr ]) ] ]\nE new m",
+          "class Integer [ to: s do: a [ ^ 40 + (a value: s) ] ]\nE new m",
+          "class F [ m [ | b | ^ 2 to: 5 do: (@[:i | i ]) ] ]\nF new m"]),
+    ((), ["class E [ m [ | b | ^ 2 timesRepeat: (@[ 7 logCr ]) ] ]\nE new m",
+          "class Integer [ timesRepeat: a [ ^ 40 + a value ] ]\nE new m"]),
+    # So does a method of a primitive that the kernel's loop runs.
+    ((), ["class E [ m [ | b | ^ 1 to: 3 do: (@[:i | i logCr ]) ] ]\nE new m",
+          "class Integer [ <= x [ ^ false ] ]\nE new m"]),
+    ((), ["class E [ m [ | b | ^ 1 to: 3 do: (@[:i | i logCr ]) ] ]\nE new m",
+          "class Integer [ + x [ ^ 100 ] ]\nE new m"]),
+    ((), ["class E [ m [ | b | ^ 2 timesRepeat: (@[ 7 logCr ]) ] ]\nE new m",
+          "class Integer [ < x [ ^ false ] ]\nE new m"]),
+    ((), ["class E [ m [ | b | ^ 1 to: 3 do: (@[:i | i logCr ]) ] ]\nE new m",
+          "class Block [ value: x [ ^ x ] ]\nE new m"]),
+    ((), ["class E [ m [ | b | ^ 2 timesRepeat: (@[ 7 logCr ]) ] ]\nE new m",
+          "class Block [ value [ ^ 3 ] ]\nE new m"]),
+    ((), ["class E [ m [ | b | ^ 1 to: 3 do: (@[:i | i logCr ]) ] ]\nE new m",
+          "class Block [ whileTrue: x [ ^ nil ] ]\nE new m"]),
+]
+
+
+@under_watchdog
+@pytest.mark.parametrize("interp_class", [Interpreter, *WOVEN])
+@pytest.mark.parametrize("compiles, steps", COUNT_PROGRAMS)
+def test_a_count_of_a_literal_block_shows_what_the_kernel_method_shows(
+        compiles, steps, interp_class):
+    """Whether it runs inlined or falls back to the send, a count of a
+    literal block shows what a count of a held block shows. Woven, the
+    kernel's methods carry links, so no count is inlined."""
+    literal, held = interp_class(), Interpreter()
+    for step in steps:
+        literal_source, held_source = literal_and_held(step)
+        assert outcome_of(literal, literal_source) == \
+            outcome_of(held, held_source), step
+        if step is steps[0] and interp_class is Interpreter:
+            assert {selector for selector in COUNTS
+                    if literal.int_methods[selector].code is not None} \
+                == set(compiles), step
+
+
+@pytest.mark.parametrize("body", ["Halt now", "i foo"])
+def test_a_trace_from_an_inlined_count_shows_the_kernel_method_frames(body):
+    """The method's activation and its `whileTrue:` arm's, as a send of
+    `to:do:` would show them."""
+    interp = Interpreter()
+    shown = outcome_of(interp, "1 to: 3 do: [:i | i = 2 ifTrue: [ %s ] ]"
+                       % body)
+    assert interp.int_methods["to:do:"].code is None    # it ran inlined
+    trace = shown[1][-1]
+    assert [frame.split(" (")[0] for frame in trace] == [
+        "top-level", "top-level", "Integer>>to:do:", "Integer>>to:do:",
+        "top-level"], trace
+
+
+COUNT_LINK_SOURCE = """class E [ m: n [ | b t |
+    t := 0.
+    1 to: n do: (@[:i | t := t + i. t printString ]).
+    n timesRepeat: (@[ t := t + 1 ]).
+    ^ t ] ]
+"""
+
+
+@under_watchdog
+def test_a_link_on_a_count_its_block_or_its_kernel_method_fires_alike():
+    """A link on a count's send or on its block keeps the count from being
+    inlined, and so does one on a node of the kernel's method, which weaves
+    it a twin. Each fires as it does for a held block; once it is gone,
+    the count runs inlined again and calls no `value` primitive."""
+    interps, sites, calls = {}, {}, {}
+    for form, source in zip(("literal", "held"),
+                            literal_and_held(COUNT_LINK_SOURCE)):
+        interp = interps[form] = Interpreter()
+        interp.run(source)
+        calls[form] = []
+        for selector in ("value", "value:"):
+            prim = interp.block_methods[selector]
+            prim.fn = lambda *a, fn=prim.fn, seen=calls[form]: \
+                (seen.append(a), fn(*a))[1]
+        mdef = interp.method_ast("E", "m:")
+        kernel = interp.method_ast("Integer", "to:do:")
+        blocks = [node for node in mdef.walk() if node.kind == BLOCK]
+        sites[form] = [*find_nodes(mdef, "sends-of", "to:do:"), blocks[0],
+                       *find_nodes(mdef, "sends-of", "timesRepeat:"),
+                       blocks[1], *find_nodes(kernel, "sends-of", "value:")]
+    literal = interps["literal"]
+    assert outcome_of(literal, "E new m: 3")[1] == ("9", [])
+    assert calls["literal"] == []
+    for k in range(5):
+        shown = {}
+        for form, interp in interps.items():
+            fired = shown[form] = []
+            link = MetaLink()
+            link.set_meta_object(HostFunction(
+                lambda fired=fired: fired.append("fired"), "a recorder"))
+            link.set_selector("value")
+            links.install(interp, link, sites[form][k])
+            calls[form].clear()
+            fired.append(outcome_of(interp, "E new m: 3"))
+            links.uninstall(interp, link)
+        assert shown["literal"] == shown["held"], k
+        # The send once, the block 3 times, the kernel's `value:` 3 times.
+        assert shown["literal"].count("fired") == (1, 3, 1, 3, 3)[k]
+        assert calls["literal"], k      # the linked count was sent
+        calls["literal"].clear()
+        assert outcome_of(literal, "E new m: 3")[1] == ("9", [])
+        assert calls["literal"] == [], k
+    assert literal.int_methods["to:do:"].twin is None
+
+
+@under_watchdog
+def test_context_inside_a_count_shows_the_kernel_method_activations():
+    """`#context` at a send in an inlined count's block shows what the
+    kernel's method would make: the block's activation, the `whileTrue:`
+    arm's, and the method's, holding its arguments and `i`."""
+    chains = {}
+    for form, source in zip(("literal", "held"),
+                            literal_and_held(COUNT_LINK_SOURCE)):
+        interp = Interpreter()
+        interp.run(source)
+        chain = chains[form] = []
+
+        def record(context, chain=chain, interp=interp):
+            while context is not None:
+                chain.append((context.describe(), {
+                    name: interp.print_string(value)
+                    for name, value in context.temps.items() if name != "b"}))
+                context = context.sender()
+
+        link = MetaLink()
+        link.set_meta_object(HostFunction(record, "a recorder"))
+        link.set_selector("value:")
+        link.set_arguments(["context"])
+        send, = find_nodes(interp.method_ast("E", "m:"), "sends-of",
+                           "printString")
+        links.install(interp, link, send)
+        assert interp.run("E new m: 2").value == 5
+    assert chains["literal"] == chains["held"]
+    assert chains["literal"][:5] == [
+        ("context(m:)", {"i": "1"}), ("context(to:do:)", {}),
+        ("context(to:do:)", {"stop": "2", "aBlock": "a Block", "i": "1"}),
+        ("context(m:)", {"n": "2", "t": "1"}), ("context(top-level)", {})]
